@@ -34,36 +34,6 @@ fn bench_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-/// `MemberSet::owner_idx` — the precomputed bucket index against the
-/// `partition_point` binary search it replaced (kept as
-/// `owner_idx_binsearch` for exactly this comparison).
-fn bench_owner_idx(c: &mut Criterion) {
-    let mut group = c.benchmark_group("owner_idx");
-    for n in [4_000usize, 100_000] {
-        let members = Scenario::paper_default(7).with_n(n).members();
-        let space = members.space();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let keys: Vec<Id> = (0..1024)
-            .map(|_| Id(rng.gen_range(0..space.size())))
-            .collect();
-        let mut i = 0usize;
-        group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
-            b.iter(|| {
-                i = (i + 1) & 1023;
-                members.owner_idx(keys[i])
-            })
-        });
-        let mut j = 0usize;
-        group.bench_with_input(BenchmarkId::new("binsearch", n), &n, |b, _| {
-            b.iter(|| {
-                j = (j + 1) & 1023;
-                members.owner_idx_binsearch(keys[j])
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_multicast_tree(c: &mut Criterion) {
     let mut group = c.benchmark_group("multicast_tree");
     group.sample_size(20);
@@ -76,9 +46,6 @@ fn bench_multicast_tree(c: &mut Criterion) {
                 debug_assert!(t.is_complete());
                 t.delivered()
             })
-        });
-        group.bench_with_input(BenchmarkId::new("cam_chord_baseline", n), &n, |b, _| {
-            b.iter(|| cam_bench::baseline::cam_chord_tree(&members, 0).is_complete())
         });
         let koorde = CamKoorde::new(members.clone());
         group.bench_with_input(BenchmarkId::new("cam_koorde", n), &n, |b, _| {
@@ -113,7 +80,6 @@ fn bench_sha1(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_lookup,
-    bench_owner_idx,
     bench_multicast_tree,
     bench_overlay_construction,
     bench_sha1

@@ -11,9 +11,6 @@
 
 use cam_experiments::Options;
 
-pub mod baseline;
-pub mod rss;
-
 /// Bench-sized options: small enough for Criterion iterations, large
 /// enough that the algorithms dominate constant overheads.
 pub fn bench_options() -> Options {

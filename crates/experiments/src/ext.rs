@@ -7,11 +7,12 @@ use cam_core::cam_koorde::multicast::FloodEdges;
 use cam_core::cam_koorde::CamKoordeProtocol;
 use cam_core::SharedTree;
 use cam_core::{CamChord, CamKoorde};
-use cam_metrics::{DataSeries, DataTable, Summary};
+use cam_metrics::{DataSeries, DataTable};
 use cam_overlay::dynamic::{DhtProtocol, DynamicNetwork};
 use cam_overlay::StaticOverlay;
 use cam_sim::time::Duration;
 use cam_sim::LatencyModel;
+use cam_trace::Summary;
 use cam_workload::{CapacityAssignment, Scenario};
 
 use crate::runner::{parallel_sweep, sample_trees, Options};

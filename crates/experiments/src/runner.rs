@@ -277,6 +277,22 @@ mod tests {
         assert_eq!(streamed.trees(), 4);
     }
 
+    /// The million-member tier: the streaming sweep completes every tree
+    /// at n = 1,000,000 in a 24-bit space without materializing one.
+    /// Run with `cargo test --release -p cam-experiments -- --ignored million`.
+    #[test]
+    #[ignore = "n = 1,000,000: ~100 MB resident, ~1 s in release"]
+    fn streaming_sweep_completes_at_a_million_members() {
+        let group = Scenario::paper_default(6)
+            .with_bits(24)
+            .with_n(1_000_000)
+            .members();
+        let overlay = CamChord::new(group);
+        let agg = sample_tree_stats(&overlay, 3, 0x5CA1E);
+        assert_eq!(agg.trees(), 3);
+        assert_eq!(agg.incomplete, 0, "scale sweep produced incomplete trees");
+    }
+
     #[test]
     fn parallel_sweep_preserves_order() {
         let out = parallel_sweep((0..32).collect(), |&x: &i32| x * 2);

@@ -43,7 +43,7 @@ const PANIC_FREE_CRATES: &[&str] = &["net"];
 /// their `src/` must route captured state through an approved channel.
 /// `net` joined the set when the sharded reactor mode landed: its worker
 /// threads must build each reactor core locally, never capture one.
-const THREADED_CRATES: &[&str] = &["core", "sim", "overlay", "bench", "experiments", "net"];
+const THREADED_CRATES: &[&str] = &["core", "sim", "overlay", "experiments", "net"];
 
 /// The crate that owns `CapacityLedger`; raw ledger field access anywhere
 /// else is a finding.

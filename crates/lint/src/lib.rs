@@ -24,7 +24,7 @@
 //! | `panic_safety` | `net` | no `unwrap`/`expect`/`panic!`-family/slice-index in non-test wire & runtime code |
 //! | `wire_exhaustive` | cross-file | every `DhtMsg` variant has encode, decode, size, and round-trip-test coverage |
 //! | `unsafe_code` | every library crate | `#![forbid(unsafe_code)]` at the crate root |
-//! | `thread_shared_state` | `src/` of `core`, `sim`, `overlay`, `bench`, `experiments` | spawn closures route captured mutable state through an approved channel: disjoint `&mut` partitions (`iter_mut`/`split_at_mut`), atomics, channels, locks, or owned scratch moved into the closure |
+//! | `thread_shared_state` | `src/` of `core`, `sim`, `overlay`, `experiments`, `net` | spawn closures route captured mutable state through an approved channel: disjoint `&mut` partitions (`iter_mut`/`split_at_mut`), atomics, channels, locks, or owned scratch moved into the closure |
 //! | `lock_discipline` | cross-file | `Mutex`/`RwLock` acquisition order is globally consistent; no guard is held across an agent-visible protocol callback |
 //! | `ledger_encapsulation` | every crate but `pubsub` | `CapacityLedger` state changes only through `commit`/`release`/`rebalance` — never raw field writes |
 //! | `shard_merge_purity` | cross-file | functions reachable from `ShardedEventQueue` pop-order code read no ambient state (wall clock, OS entropy) |
@@ -38,11 +38,8 @@
 //!
 //! Run it with `cargo run -p cam-lint` (add `--json` for machine-readable
 //! output); the process exits nonzero if any finding survives
-//! suppression, which is what CI gates on. With `--baseline <json>` (a
-//! committed copy of earlier `--json` output, see [`baseline`]) only
-//! *new* findings fail the run.
+//! suppression, which is what CI gates on.
 
-pub mod baseline;
 pub mod concurrency;
 pub mod engine;
 pub mod lexer;

@@ -1,30 +1,22 @@
 //! The `cam-lint` command-line front end.
 //!
 //! ```text
-//! cam-lint [--json] [--root <dir>] [--baseline <json>] [--list-rules]
+//! cam-lint [--json] [--root <dir>] [--list-rules]
 //! ```
 //!
 //! Exit status: 0 when the tree is clean, 1 when any finding survives
 //! suppression, 2 on usage or I/O errors. Strictness is not optional —
 //! there is no warning level; every finding is a failure, exactly like
 //! `clippy -D warnings` in this workspace's CI.
-//!
-//! With `--baseline <json>` (a committed copy of earlier `--json`
-//! output), only findings *not* accounted for by the baseline are
-//! reported and only those fail the run: new rules can land without the
-//! first adopter fixing the whole backlog at once.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use cam_lint::baseline::{new_findings, parse_baseline};
-use cam_lint::rules::Finding;
 use cam_lint::{find_workspace_root, lint_tree, rules::Rule, to_json};
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -33,10 +25,6 @@ fn main() -> ExitCode {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage("--root needs a directory"),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage("--baseline needs a findings JSON file"),
-            },
             "--list-rules" => {
                 for r in Rule::all() {
                     println!("{}", r.name());
@@ -44,7 +32,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--help" | "-h" => {
-                println!("cam-lint [--json] [--root <dir>] [--baseline <json>] [--list-rules]");
+                println!("cam-lint [--json] [--root <dir>] [--list-rules]");
                 return ExitCode::SUCCESS;
             }
             other => return usage(&format!("unknown argument `{other}`")),
@@ -62,26 +50,6 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline = match &baseline_path {
-        None => None,
-        Some(p) => {
-            let src = match std::fs::read_to_string(p) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("cam-lint: error reading baseline {}: {e}", p.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match parse_baseline(&src) {
-                Ok(keys) => Some(keys),
-                Err(e) => {
-                    eprintln!("cam-lint: malformed baseline {}: {e}", p.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
-
     let findings = match lint_tree(&root) {
         Ok(f) => f,
         Err(e) => {
@@ -90,41 +58,24 @@ fn main() -> ExitCode {
         }
     };
 
-    let reported: Vec<Finding> = match &baseline {
-        None => findings,
-        Some(keys) => {
-            let new = new_findings(&findings, keys);
-            let absorbed = findings.len() - new.len();
-            if absorbed > 0 {
-                eprintln!("cam-lint: {absorbed} finding(s) matched the baseline");
-            }
-            new.into_iter().cloned().collect()
-        }
-    };
-
     if json {
-        println!("{}", to_json(&reported));
+        println!("{}", to_json(&findings));
     } else {
-        for f in &reported {
+        for f in &findings {
             println!("{}:{}: [{}] {}", f.file, f.line, f.rule.name(), f.message);
         }
     }
-    if reported.is_empty() {
+    if findings.is_empty() {
         eprintln!("cam-lint: clean");
         ExitCode::SUCCESS
     } else {
-        let label = if baseline.is_some() {
-            "new finding(s)"
-        } else {
-            "finding(s)"
-        };
-        eprintln!("cam-lint: {} {label}", reported.len());
+        eprintln!("cam-lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!("cam-lint: {msg}");
-    eprintln!("usage: cam-lint [--json] [--root <dir>] [--baseline <json>] [--list-rules]");
+    eprintln!("usage: cam-lint [--json] [--root <dir>] [--list-rules]");
     ExitCode::from(2)
 }

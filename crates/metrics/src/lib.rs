@@ -6,12 +6,10 @@
 //! CSV table emission for every figure of the paper.
 
 pub mod fairness;
-pub mod histogram;
 pub mod plot;
 pub mod series;
 pub mod treeagg;
 
-pub use histogram::{Histogram, Summary};
 pub use plot::ascii_plot;
 pub use series::{DataSeries, DataTable};
 pub use treeagg::TreeAggregator;

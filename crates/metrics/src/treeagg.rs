@@ -6,8 +6,7 @@
 //! the quantities each figure plots.
 
 use cam_overlay::{MemberSet, MulticastTree, TreeStats};
-
-use crate::{Histogram, Summary};
+use cam_trace::{Histogram, Summary};
 
 /// Accumulates tree metrics over multicast sources.
 ///

@@ -32,8 +32,6 @@
 //! * [`sharded`] — the multi-thread mode: one reactor per worker
 //!   thread, state owned thread-locally, certified by cam-lint's
 //!   concurrency rules.
-//! * [`legacy`] — the pre-reactor event loop, frozen for the parity
-//!   suite and throughput comparisons.
 //!
 //! The `cam-node` binary (in `src/bin/`) stands up an N-node loopback
 //! UDP cluster (per-node sockets or multiplexed) and runs a real
@@ -42,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-pub mod legacy;
 pub mod mux;
 pub mod reactor;
 pub mod runtime;

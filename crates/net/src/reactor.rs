@@ -83,9 +83,9 @@ struct PendingAck {
 ///
 /// The core pushes in emission order and the host must ship in that same
 /// order — deterministic transports assign delivery sequence numbers from
-/// it, which is what makes the reactor path bit-identical to the legacy
-/// loop. After shipping, [`FrameSink::recycle_all`] returns every buffer
-/// to the pool.
+/// it, so emission order *is* delivery order between equal-latency
+/// frames. After shipping, [`FrameSink::recycle_all`] returns every
+/// buffer to the pool.
 #[derive(Debug, Default)]
 pub struct FrameSink {
     frames: Vec<OutFrame>,
@@ -971,9 +971,9 @@ impl<P: DhtProtocol> ReactorCore<P> {
     }
 
     /// Fires every timer and retransmission due at or before `now`,
-    /// across all nodes in index order (the same order the legacy loop
-    /// pumped them, so deterministic runs stay bit-identical). Returns
-    /// whether anything fired.
+    /// across all nodes in index order — a fixed order, so what nodes
+    /// emit at the same instant reaches the sink (and hence the wire)
+    /// identically on every run. Returns whether anything fired.
     pub fn poll(
         &mut self,
         now: SimTime,

@@ -30,7 +30,7 @@
 //! transport signals readiness ([`Transport::wait`]). The loop never
 //! spins at a fixed cadence and never sleeps past a deadline; see
 //! [`LoopStats`] for the observable wake-up/park accounting the
-//! regression tests and the `net_throughput` bench assert on.
+//! regression tests assert on and the repo benchmark reports.
 
 use cam_overlay::dynamic::DhtProtocol;
 use cam_overlay::Member;
@@ -61,11 +61,11 @@ const IDLE_SLICE: std::time::Duration = std::time::Duration::from_micros(500);
 
 /// Observable scheduler accounting for the real-time wire loop.
 ///
-/// The legacy loop spun every 500µs regardless of work; the reactor loop
-/// parks exactly until the next deadline, so `wakeups` over an idle
-/// stretch collapses from thousands per second to one per timer. The
-/// deadline-sleep regression test and the `net_throughput` bench section
-/// (wake-ups/sec) both read these numbers.
+/// The loop parks exactly until the next deadline instead of polling on
+/// a fixed tick, so `wakeups` over an idle stretch is one per timer, not
+/// thousands per second. The deadline-sleep regression test
+/// (`tests/deadline.rs`) and the repo benchmark's `runtime.*` metrics
+/// both read these numbers.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LoopStats {
     /// Loop iterations in real-time mode (each one drains + polls).
@@ -534,9 +534,9 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
     }
 
     /// Virtual time: hop the clock to the next event instant (frame
-    /// delivery, timer, or RTO) and process everything due there —
-    /// identical, event for event, to the legacy loop, which is what the
-    /// parity suite certifies.
+    /// delivery, timer, or RTO) and process everything due there: frames
+    /// first, in delivery-sequence order, then timers and retransmissions.
+    /// The parity suite's golden table pins this event order.
     fn step_virtual(&mut self, deadline: SimTime) -> bool {
         let mut next = self.transport.next_ready();
         next = match (next, self.core.next_wake()) {
@@ -556,7 +556,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
                     );
                     // Flush after every frame: a response scheduled with
                     // zero latency must be pollable at this same instant,
-                    // exactly as when the legacy loop sent inline.
+                    // inside this very drain loop.
                     self.flush_sink();
                     self.transport.recycle(bytes);
                 }

@@ -112,9 +112,9 @@ pub trait Transport {
 
     /// Ships a batch of frames **in order** (sendmmsg-style aggregation
     /// where the transport supports it). Order matters: deterministic
-    /// transports assign delivery sequence from send order, which is what
-    /// keeps the reactor path bit-identical to the legacy inline-send
-    /// loop. The default simply loops [`Transport::send`].
+    /// transports assign delivery sequence from send order, so a batch
+    /// must land exactly as the same frames sent one by one would. The
+    /// default simply loops [`Transport::send`].
     fn send_batch(&mut self, now: SimTime, frames: &[OutFrame]) {
         for f in frames {
             self.send(now, f.from, f.to, &f.buf);

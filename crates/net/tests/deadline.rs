@@ -21,10 +21,11 @@ use cam_trace::{EventKind, RecordingTracer};
 
 const SPACE: IdSpace = IdSpace::PAPER;
 
-/// The legacy loop's polling period: it slept a flat 500 µs between
-/// polls, so *every* deadline could fire up to one tick late (and the
-/// loop woke 2000 times a second to achieve even that).
-const LEGACY_TICK_MICROS: u64 = 500;
+/// The period of a fixed-tick polling loop, the design these tests rule
+/// out: sleeping a flat 500 µs between polls, *every* deadline could fire
+/// up to one tick late, and the loop would wake 2000 times a second to
+/// achieve even that.
+const POLL_TICK_MICROS: u64 = 500;
 
 /// Both tests here measure wall-clock timing; running them concurrently
 /// makes each other's CPU use look like scheduler latency. Serialize.
@@ -124,7 +125,7 @@ fn rto_fires_on_the_computed_deadline() {
             let gap = t2 - t1;
             let err = gap.abs_diff(armed_rto);
             assert!(
-                err <= 10 * LEGACY_TICK_MICROS,
+                err <= 10 * POLL_TICK_MICROS,
                 "node {actor} frame {seq}: retransmit fired {gap} µs after the previous \
                  attempt, {err} µs off the armed {armed_rto} µs RTO — the loop is not \
                  sleeping to the computed deadline"
@@ -141,7 +142,7 @@ fn rto_fires_on_the_computed_deadline() {
 
 /// An idle cluster's wakeup budget: over half a second with only
 /// maintenance timers due, the loop must wake roughly once per due event
-/// — orders of magnitude below the legacy grid's 1000 wakeups — and the
+/// — well below a 500 µs polling grid's 1000 wakeups — and the
 /// time it didn't spend working must have been spent in computed-deadline
 /// sleeps.
 #[test]
@@ -155,9 +156,10 @@ fn idle_cluster_wakeups_are_deadline_bound() {
     cluster.run_for(Duration::from_millis(500));
     let stats = cluster.loop_stats();
 
-    // Legacy budget for the same window: 500 ms / 500 µs = 1000 wakeups,
-    // zero deadline sleeps. 8 nodes × 3 maintenance timers × ~5 rounds
-    // plus their ping traffic is a few hundred events at the very most.
+    // A polling grid's budget for the same window: 500 ms / 500 µs = 1000
+    // wakeups, zero deadline sleeps. 8 nodes × 3 maintenance timers × ~5
+    // rounds plus their ping traffic is a few hundred events at the very
+    // most.
     assert!(
         stats.wakeups < 800,
         "idle loop woke {} times in 500 ms — that is a polling grid, not a scheduler",

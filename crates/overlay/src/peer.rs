@@ -96,9 +96,9 @@ impl std::error::Error for BuildMemberSetError {}
 /// index that maps the high bits of an identifier to the first member at or
 /// past that bucket's start, so a query is one table lookup plus a short
 /// forward scan (expected length ≤ 1 for hash-uniform identifiers, since
-/// there are at least as many buckets as members). The original `O(log n)`
-/// binary-search forms remain available as `*_binsearch` — the bench
-/// harness and property tests compare the two.
+/// there are at least as many buckets as members). The `O(log n)`
+/// binary-search forms remain available as `*_binsearch`: they are the
+/// reference the bucket-index and property tests compare against.
 ///
 /// # Example
 ///
@@ -346,7 +346,7 @@ impl MemberSet {
     }
 
     /// [`owner_idx`](Self::owner_idx) by `O(log n)` binary search, without
-    /// the bucket index. Reference implementation for tests and benches.
+    /// the bucket index. Reference implementation for tests.
     pub fn owner_idx_binsearch(&self, k: Id) -> usize {
         let i = self.ids.partition_point(|&id| id < k.value());
         if i == self.ids.len() {

@@ -6,9 +6,9 @@
 //! `criterion_main!` macros — with plain wall-clock timing instead of the
 //! real crate's statistical machinery. Each benchmark runs a short warm-up,
 //! then `sample_size` timed batches, and prints the per-iteration mean and
-//! min. There are no HTML reports or regression baselines; the
-//! `BENCH_hotpath.json` harness (`cargo run -p cam-bench --bin hotpath`)
-//! is the tracked perf artifact.
+//! min. There are no HTML reports or regression baselines; the repo
+//! benchmark (`BENCHMARK.json`, `benchmark/`) is the tracked perf
+//! measurement.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
