@@ -454,7 +454,7 @@ mod tests {
                 trace_json: None,
             };
             let text = bundle.to_text();
-            assert!(text.contains(&format!("adversary=")), "header emitted");
+            assert!(text.contains("adversary="), "header emitted");
             assert!(text.contains(behavior.name()), "behavior name serialized");
             let parsed = ReplayBundle::from_text(&text).expect("parses");
             assert_eq!(parsed.plan, plan);

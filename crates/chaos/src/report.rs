@@ -169,11 +169,9 @@ pub fn render_report(rows: &[RobustnessRow], start_seed: u64, seeds: usize) -> S
             None => "n/a".to_string(),
         };
         // Integer-math ratio so the rendering is bit-stable.
-        let delivery = if r.required == 0 {
-            "n/a".to_string()
-        } else {
-            let ppm = r.delivered * 1_000_000 / r.required;
-            format!("{}.{:06}", ppm / 1_000_000, ppm % 1_000_000)
+        let delivery = match (r.delivered * 1_000_000).checked_div(r.required) {
+            Some(ppm) => format!("{}.{:06}", ppm / 1_000_000, ppm % 1_000_000),
+            None => "n/a".to_string(),
         };
         let oracles = if r.failed_seeds == 0 {
             format!("pass ({}/{})", r.seeds, r.seeds)

@@ -27,27 +27,13 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::concurrency::{check_lock_discipline, check_shard_merge_purity};
-use crate::rules::{
-    apply_suppressions, check_wire, run_rules_raw, FileCtx, Finding, Rule, WireSources,
-};
-use crate::symbols::Workspace;
+use crate::rules::{analyze_file, check_wire, FileCtx, Finding, Rule, WireSources};
 
 /// Crates whose protocol state machines must be deterministic.
 const PROTOCOL_CRATES: &[&str] = &["core", "overlay", "sim", "net", "trace", "chaos", "pubsub"];
 
 /// Crates whose non-test code must be panic-free.
 const PANIC_FREE_CRATES: &[&str] = &["net"];
-
-/// Crates that spawn threads (or plausibly will): every spawn closure in
-/// their `src/` must route captured state through an approved channel.
-/// `net` joined the set when the sharded reactor mode landed: its worker
-/// threads must build each reactor core locally, never capture one.
-const THREADED_CRATES: &[&str] = &["core", "sim", "overlay", "experiments", "net"];
-
-/// The crate that owns `CapacityLedger`; raw ledger field access anywhere
-/// else is a finding.
-const LEDGER_HOME: &str = "pubsub";
 
 /// The wire-exhaustiveness file set, relative to the workspace root.
 const WIRE_ENUM: &str = "crates/overlay/src/dynamic.rs";
@@ -97,29 +83,13 @@ fn rules_for(rel: &str) -> Vec<Rule> {
         if in_src && PANIC_FREE_CRATES.contains(&krate) {
             rules.push(Rule::PanicSafety);
         }
-        if in_src && THREADED_CRATES.contains(&krate) {
-            rules.push(Rule::ThreadSharedState);
-        }
-        if in_src && krate != LEDGER_HOME {
-            rules.push(Rule::LedgerEncapsulation);
-        }
         if rel == format!("crates/{krate}/src/lib.rs") {
             rules.push(Rule::UnsafeCode);
         }
     } else if rel == "src/lib.rs" {
         rules.push(Rule::UnsafeCode);
     }
-    // `lock_discipline` and `shard_merge_purity` are cross-file; the
-    // engine runs them over the whole workspace in `lint_tree`.
     rules
-}
-
-/// Whether a workspace-relative path is in `determinism` scope (used to
-/// avoid double-reporting ambient reads under `shard_merge_purity`).
-fn determinism_scoped(rel: &str) -> bool {
-    crate_of(rel).is_some_and(|krate| {
-        PROTOCOL_CRATES.contains(&krate) && rel.starts_with(&format!("crates/{krate}/src/"))
-    })
 }
 
 /// Lints the workspace rooted at `root`: every `src/` tree under
@@ -130,46 +100,18 @@ pub fn lint_tree(root: &Path) -> io::Result<Vec<Finding>> {
     rust_files(&root.join("crates"), &mut files)?;
     rust_files(&root.join("src"), &mut files)?;
 
-    // Pass 1: lex/parse every `src/` file once; integration tests and
-    // fixtures under `tests/` stay out of per-file scope — they may panic
-    // and iterate freely. (The round-trip suite is still cross-checked by
-    // the wire rule.)
-    let mut ctxs: Vec<FileCtx> = Vec::new();
+    // Integration tests and fixtures under `tests/` stay out of per-file
+    // scope — they may panic and iterate freely. (The round-trip suite is
+    // still cross-checked by the wire rule.)
+    let mut findings: Vec<Finding> = Vec::new();
     for path in &files {
         let rel = relative_label(root, path);
         if !rel.contains("/src/") && !rel.starts_with("src/") {
             continue;
         }
         let src = fs::read_to_string(path)?;
-        ctxs.push(FileCtx::new(&rel, &src));
+        findings.extend(analyze_file(&FileCtx::new(&rel, &src), &rules_for(&rel)));
     }
-
-    // Pass 2: per-file rules, raw (suppressions applied after the
-    // cross-file rules contribute their findings).
-    let mut raw: Vec<Finding> = Vec::new();
-    for ctx in &ctxs {
-        raw.extend(run_rules_raw(ctx, &rules_for(&ctx.file)));
-    }
-
-    // Pass 3: cross-file concurrency rules over the whole workspace.
-    let ws = Workspace::new(
-        ctxs.iter()
-            .map(|ctx| (ctx, determinism_scoped(&ctx.file)))
-            .collect(),
-    );
-    raw.extend(check_lock_discipline(&ws));
-    raw.extend(check_shard_merge_purity(&ws));
-
-    // Pass 4: apply each file's inline suppressions exactly once, over
-    // the union of per-file and cross-file findings.
-    let mut findings: Vec<Finding> = Vec::new();
-    for ctx in &ctxs {
-        let (mine, rest): (Vec<Finding>, Vec<Finding>) =
-            raw.into_iter().partition(|f| f.file == ctx.file);
-        raw = rest;
-        findings.extend(apply_suppressions(ctx, mine));
-    }
-    findings.extend(raw); // findings on files without a ctx pass through
 
     findings.extend(wire_check_from_tree(root)?);
     findings.sort_by(|a, b| {

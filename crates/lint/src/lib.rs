@@ -5,16 +5,13 @@
 //!
 //! The paper's evaluation is reproducible only if every run with a fixed
 //! seed yields a bit-identical timeline, a deployed node survives only if
-//! hostile or lossy wire input can never panic it, and the multi-threaded
-//! sharded event loop is honest only if no spawn closure can smuggle
-//! shared mutable state past the merge discipline. All of these are
+//! hostile or lossy wire input can never panic it, and a new wire message
+//! is safe only if every codec path handles it. All of these are
 //! invariants of the *source*, not of any particular test run — so this
 //! crate checks them statically, from scratch (no syn, no rustc
 //! internals): a small comment/string/attribute-aware lexer ([`lexer`])
-//! feeds an item/expression-level recovery parser ([`parser`]), a
-//! cross-file symbol table and call graph ([`symbols`]), and a rule
-//! engine ([`rules`], [`concurrency`]) scoped by a fixed workspace
-//! policy ([`engine`]).
+//! feeds a token-level rule engine ([`rules`]) scoped by a fixed
+//! workspace policy ([`engine`]).
 //!
 //! The rules:
 //!
@@ -24,10 +21,6 @@
 //! | `panic_safety` | `net` | no `unwrap`/`expect`/`panic!`-family/slice-index in non-test wire & runtime code |
 //! | `wire_exhaustive` | cross-file | every `DhtMsg` variant has encode, decode, size, and round-trip-test coverage |
 //! | `unsafe_code` | every library crate | `#![forbid(unsafe_code)]` at the crate root |
-//! | `thread_shared_state` | `src/` of `core`, `sim`, `overlay`, `experiments`, `net` | spawn closures route captured mutable state through an approved channel: disjoint `&mut` partitions (`iter_mut`/`split_at_mut`), atomics, channels, locks, or owned scratch moved into the closure |
-//! | `lock_discipline` | cross-file | `Mutex`/`RwLock` acquisition order is globally consistent; no guard is held across an agent-visible protocol callback |
-//! | `ledger_encapsulation` | every crate but `pubsub` | `CapacityLedger` state changes only through `commit`/`release`/`rebalance` — never raw field writes |
-//! | `shard_merge_purity` | cross-file | functions reachable from `ShardedEventQueue` pop-order code read no ambient state (wall clock, OS entropy) |
 //! | `suppression` | everywhere | every suppression carries a reason and suppresses something |
 //!
 //! Findings can be silenced inline — with a mandatory justification:
@@ -40,12 +33,9 @@
 //! output); the process exits nonzero if any finding survives
 //! suppression, which is what CI gates on.
 
-pub mod concurrency;
 pub mod engine;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
-pub mod symbols;
 
 pub use engine::{find_workspace_root, lint_tree};
 pub use rules::{Finding, Rule};

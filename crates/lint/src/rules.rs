@@ -31,19 +31,6 @@ pub enum Rule {
     WireExhaustive,
     /// Library crate roots must carry `#![forbid(unsafe_code)]`.
     UnsafeCode,
-    /// Spawned closures must not capture mutable or interior-mutable state
-    /// outside an approved channel (disjoint `&mut`, atomics, channels,
-    /// moved per-thread scratch).
-    ThreadSharedState,
-    /// `Mutex`/`RwLock` acquisition order must be globally consistent and
-    /// no guard may live across an agent-visible protocol callback.
-    LockDiscipline,
-    /// `CapacityLedger` state may only change through its own methods;
-    /// raw field writes outside `pubsub/src` are findings.
-    LedgerEncapsulation,
-    /// Functions reachable from `ShardedEventQueue` pop-order code must
-    /// not read ambient state (wall clock, OS entropy).
-    ShardMergePurity,
     /// Suppression-grammar violations (missing reason, malformed, unused).
     Suppression,
 }
@@ -56,10 +43,6 @@ impl Rule {
             Rule::PanicSafety => "panic_safety",
             Rule::WireExhaustive => "wire_exhaustive",
             Rule::UnsafeCode => "unsafe_code",
-            Rule::ThreadSharedState => "thread_shared_state",
-            Rule::LockDiscipline => "lock_discipline",
-            Rule::LedgerEncapsulation => "ledger_encapsulation",
-            Rule::ShardMergePurity => "shard_merge_purity",
             Rule::Suppression => "suppression",
         }
     }
@@ -71,26 +54,18 @@ impl Rule {
             "panic_safety" => Rule::PanicSafety,
             "wire_exhaustive" => Rule::WireExhaustive,
             "unsafe_code" => Rule::UnsafeCode,
-            "thread_shared_state" => Rule::ThreadSharedState,
-            "lock_discipline" => Rule::LockDiscipline,
-            "ledger_encapsulation" => Rule::LedgerEncapsulation,
-            "shard_merge_purity" => Rule::ShardMergePurity,
             "suppression" => Rule::Suppression,
             _ => return None,
         })
     }
 
     /// Every rule, for `--list-rules` style output.
-    pub fn all() -> [Rule; 9] {
+    pub fn all() -> [Rule; 5] {
         [
             Rule::Determinism,
             Rule::PanicSafety,
             Rule::WireExhaustive,
             Rule::UnsafeCode,
-            Rule::ThreadSharedState,
-            Rule::LockDiscipline,
-            Rule::LedgerEncapsulation,
-            Rule::ShardMergePurity,
             Rule::Suppression,
         ]
     }
@@ -217,8 +192,6 @@ pub struct FileCtx {
     /// Workspace-relative path, used in findings.
     pub file: String,
     lexed: Lexed,
-    /// Item-level structure recovered by [`crate::parser`].
-    parsed: crate::parser::ParsedFile,
     /// `(from_line, to_line)` ranges of `#[test]` / `#[cfg(test)]` items.
     excluded: Vec<(u32, u32)>,
     /// Token-index ranges (inclusive) of `#[...]` / `#![...]` attributes.
@@ -226,17 +199,14 @@ pub struct FileCtx {
 }
 
 impl FileCtx {
-    /// Lexes and parses `src` and precomputes attribute and test-item
-    /// spans.
+    /// Lexes `src` and precomputes attribute and test-item spans.
     pub fn new(file: &str, src: &str) -> Self {
         let lexed = lex(src);
-        let parsed = crate::parser::parse(&lexed.toks);
         let attrs = attribute_spans(&lexed.toks);
         let excluded = test_spans(&lexed.toks, &attrs);
         FileCtx {
             file: file.to_string(),
             lexed,
-            parsed,
             excluded,
             attrs,
         }
@@ -246,18 +216,8 @@ impl FileCtx {
         &self.lexed.toks
     }
 
-    /// The full token stream (for the cross-file concurrency rules).
-    pub fn tokens(&self) -> &[Tok] {
-        &self.lexed.toks
-    }
-
-    /// The item-level parse of this file.
-    pub fn parsed(&self) -> &crate::parser::ParsedFile {
-        &self.parsed
-    }
-
     /// Whether `line` falls inside a `#[test]` / `#[cfg(test)]` item.
-    pub fn in_test(&self, line: u32) -> bool {
+    fn in_test(&self, line: u32) -> bool {
         self.excluded.iter().any(|&(a, b)| line >= a && line <= b)
     }
 
@@ -401,7 +361,7 @@ const HASH_SINKS: &[&str] = &["HashMap", "HashSet"];
 
 /// Identifiers that smuggle wall-clock time or ambient entropy into
 /// protocol code.
-pub(crate) const AMBIENT_IDENTS: &[&str] = &[
+const AMBIENT_IDENTS: &[&str] = &[
     "Instant",
     "SystemTime",
     "thread_rng",
@@ -415,17 +375,10 @@ pub(crate) const AMBIENT_IDENTS: &[&str] = &[
 /// file: struct fields, `let` bindings, and fn parameters with a type
 /// annotation, plus `= HashMap::new()`-style initializations.
 fn map_idents(toks: &[Tok]) -> Vec<String> {
-    typed_idents(toks, &["HashMap", "HashSet"])
-}
-
-/// The identifiers bound to any of `types` in this file: struct fields,
-/// `let` bindings, and fn parameters with a type annotation, plus
-/// `= Type::new()`-style initializations.
-pub(crate) fn typed_idents(toks: &[Tok], types: &[&str]) -> Vec<String> {
     let mut out: Vec<String> = Vec::new();
     for i in 0..toks.len() {
         let t = &toks[i];
-        if t.kind != TokKind::Ident || !types.contains(&t.text.as_str()) {
+        if t.kind != TokKind::Ident || !HASH_SINKS.contains(&t.text.as_str()) {
             continue;
         }
         // `name = HashMap::new(...)`, walking back over `=`.
@@ -473,7 +426,7 @@ fn push_unique(v: &mut Vec<String>, s: &str) {
 
 /// Index of the token ending the statement containing token `i` (a `;` at
 /// the statement's depth, or the first token closing the enclosing block).
-pub(crate) fn stmt_end(toks: &[Tok], i: usize) -> usize {
+fn stmt_end(toks: &[Tok], i: usize) -> usize {
     let d = toks[i].depth;
     let cap = (i + 600).min(toks.len());
     for (j, t) in toks.iter().enumerate().take(cap).skip(i + 1) {
@@ -488,7 +441,7 @@ pub(crate) fn stmt_end(toks: &[Tok], i: usize) -> usize {
 }
 
 /// Index of the first token of the statement containing token `i`.
-pub(crate) fn stmt_start(toks: &[Tok], i: usize) -> usize {
+fn stmt_start(toks: &[Tok], i: usize) -> usize {
     let d = toks[i].depth;
     let floor = i.saturating_sub(600);
     let mut j = i;
@@ -506,7 +459,7 @@ pub(crate) fn stmt_start(toks: &[Tok], i: usize) -> usize {
 }
 
 /// Does the statement slice bind `let [mut] NAME`? Returns the name.
-pub(crate) fn let_binding(toks: &[Tok], start: usize, end: usize) -> Option<&str> {
+fn let_binding(toks: &[Tok], start: usize, end: usize) -> Option<&str> {
     if toks.get(start)?.text != "let" {
         return None;
     }
@@ -944,48 +897,24 @@ pub fn check_wire(src: &WireSources<'_>) -> Vec<Finding> {
 
 // ------------------------------------------------------------- application
 
-/// Runs `rules` over one file without applying suppressions. The single-
-/// file cross-capable rules (`lock_discipline`, `shard_merge_purity`) run
-/// here over a one-file workspace so fixtures can drive them through
-/// [`analyze_file`]; [`crate::engine`] runs them workspace-wide instead.
-pub(crate) fn run_rules_raw(ctx: &FileCtx, rules: &[Rule]) -> Vec<Finding> {
+/// Runs `rules` over one file, applies suppressions, and polices the
+/// suppressions themselves. Returns the surviving findings.
+pub fn analyze_file(ctx: &FileCtx, rules: &[Rule]) -> Vec<Finding> {
     let mut raw: Vec<Finding> = Vec::new();
     for r in rules {
         match r {
             Rule::Determinism => raw.extend(check_determinism(ctx)),
             Rule::PanicSafety => raw.extend(check_panic_safety(ctx)),
             Rule::UnsafeCode => raw.extend(check_unsafe_gate(ctx)),
-            Rule::ThreadSharedState => {
-                raw.extend(crate::concurrency::check_thread_shared_state(ctx))
-            }
-            Rule::LedgerEncapsulation => {
-                raw.extend(crate::concurrency::check_ledger_encapsulation(ctx))
-            }
-            Rule::LockDiscipline => {
-                let ws = crate::symbols::Workspace::new(vec![(ctx, false)]);
-                raw.extend(crate::concurrency::check_lock_discipline(&ws));
-            }
-            Rule::ShardMergePurity => {
-                let ws = crate::symbols::Workspace::new(vec![(ctx, false)]);
-                raw.extend(crate::concurrency::check_shard_merge_purity(&ws));
-            }
             Rule::WireExhaustive | Rule::Suppression => {}
         }
     }
-    raw
+    apply_suppressions(ctx, raw)
 }
 
-/// Runs `rules` over one file, applies suppressions, and polices the
-/// suppressions themselves. Returns the surviving findings.
-pub fn analyze_file(ctx: &FileCtx, rules: &[Rule]) -> Vec<Finding> {
-    apply_suppressions(ctx, run_rules_raw(ctx, rules))
-}
-
-/// Applies `ctx`'s inline suppressions to `raw` findings (which may come
-/// from per-file rules, cross-file rules, or both — but must all point at
-/// this file) and polices the directives themselves. Call exactly once
-/// per file: unused-suppression detection sees only the findings given.
-pub fn apply_suppressions(ctx: &FileCtx, raw: Vec<Finding>) -> Vec<Finding> {
+/// Applies `ctx`'s inline suppressions to `raw` findings and polices the
+/// directives themselves.
+fn apply_suppressions(ctx: &FileCtx, raw: Vec<Finding>) -> Vec<Finding> {
     let mut directives = parse_directives(&ctx.lexed.comments);
     let mut out = Vec::new();
     for f in raw {

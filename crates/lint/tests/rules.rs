@@ -311,187 +311,3 @@ fn roundtrip_gaps_are_reported_per_variant() {
         && x.message
             .contains("never exercised by the codec round-trip tests")));
 }
-
-// ------------------------------------------------------ thread_shared_state
-
-/// Atomic cursor + channel, `iter_mut` partition, rolling `split_at_mut`
-/// cursor, and moved owned scratch: every approved channel stays silent.
-#[test]
-fn thread_shared_pass_fixture_is_clean() {
-    let f = run(
-        "thread_shared_pass.rs",
-        include_str!("fixtures/thread_shared_pass.rs"),
-        &[Rule::ThreadSharedState],
-    );
-    assert!(f.is_empty(), "unexpected findings:\n{}", render(&f));
-}
-
-/// A `let mut` capture, a `RefCell` capture, and a `static mut` capture
-/// are each a distinct data race waiting for a schedule.
-#[test]
-fn thread_shared_fail_fixture_flags_every_capture() {
-    let f = run(
-        "thread_shared_fail.rs",
-        include_str!("fixtures/thread_shared_fail.rs"),
-        &[Rule::ThreadSharedState],
-    );
-    assert_eq!(f.len(), 3, "findings:\n{}", render(&f));
-    assert!(f.iter().all(|x| x.rule == Rule::ThreadSharedState));
-    assert!(f
-        .iter()
-        .any(|x| x.message.contains("`total`") && x.message.contains("declared `mut`")));
-    assert!(f
-        .iter()
-        .any(|x| x.message.contains("`cell`") && x.message.contains("interior-mutability")));
-    assert!(f
-        .iter()
-        .any(|x| x.message.contains("`static mut`") && x.message.contains("`HITS`")));
-}
-
-/// The new rules obey the same suppression grammar as the old ones.
-#[test]
-fn thread_shared_finding_can_be_suppressed_with_reason() {
-    let src = "pub fn f(s: &Scope) {\n\
-               let mut total = 0u64;\n\
-               // cam-lint: allow(thread_shared_state, reason = \"fixture: single worker owns it\")\n\
-               s.spawn(|| { total += 1; });\n\
-               }\n";
-    let f = run("inline.rs", src, &[Rule::ThreadSharedState]);
-    assert!(f.is_empty(), "unexpected findings:\n{}", render(&f));
-}
-
-// ---------------------------------------------------------- lock_discipline
-
-#[test]
-fn lock_discipline_pass_fixture_is_clean() {
-    let f = run(
-        "lock_discipline_pass.rs",
-        include_str!("fixtures/lock_discipline_pass.rs"),
-        &[Rule::LockDiscipline],
-    );
-    assert!(f.is_empty(), "unexpected findings:\n{}", render(&f));
-}
-
-/// One inverted nesting plus one callback under a held guard; the order
-/// violation is reported once, at the lexicographically smaller edge.
-#[test]
-fn lock_discipline_fail_fixture_flags_inversion_and_callback() {
-    let f = run(
-        "lock_discipline_fail.rs",
-        include_str!("fixtures/lock_discipline_fail.rs"),
-        &[Rule::LockDiscipline],
-    );
-    assert_eq!(f.len(), 2, "findings:\n{}", render(&f));
-    assert!(f.iter().all(|x| x.rule == Rule::LockDiscipline));
-    assert!(f
-        .iter()
-        .any(|x| x.message.contains("inconsistent lock order")));
-    assert!(f
-        .iter()
-        .any(|x| x.message.contains("protocol callback `on_message`")
-            && x.message.contains("`deliver`")));
-}
-
-// ------------------------------------------- reactor / sharded-mode shapes
-
-/// The concurrency rules cover the cam-net reactor's sharded mode: specs
-/// moved wholesale through `for`-pattern bindings into per-shard workers,
-/// cores built thread-locally, telemetry locks nested in one order, and
-/// guards dropped before protocol callbacks — all clean under both rules.
-#[test]
-fn reactor_shard_pass_fixture_is_clean() {
-    let f = run(
-        "reactor_shard_pass.rs",
-        include_str!("fixtures/reactor_shard_pass.rs"),
-        &[Rule::ThreadSharedState, Rule::LockDiscipline],
-    );
-    assert!(f.is_empty(), "unexpected findings:\n{}", render(&f));
-}
-
-/// The anti-shapes the sharding model forbids: one core (and one
-/// `RefCell` sink) mutated from two workers, inverted telemetry lock
-/// nesting, and the timer callback fired under a held route guard.
-#[test]
-fn reactor_shard_fail_fixture_flags_each_violation() {
-    let f = run(
-        "reactor_shard_fail.rs",
-        include_str!("fixtures/reactor_shard_fail.rs"),
-        &[Rule::ThreadSharedState, Rule::LockDiscipline],
-    );
-    assert_eq!(f.len(), 4, "findings:\n{}", render(&f));
-    assert!(f.iter().any(|x| x.rule == Rule::ThreadSharedState
-        && x.message.contains("`core`")
-        && x.message.contains("declared `mut`")));
-    assert!(f.iter().any(|x| x.rule == Rule::ThreadSharedState
-        && x.message.contains("`sink`")
-        && x.message.contains("interior-mutability")));
-    assert!(f.iter().any(
-        |x| x.rule == Rule::LockDiscipline && x.message.contains("inconsistent lock order")
-    ));
-    assert!(f.iter().any(|x| x.rule == Rule::LockDiscipline
-        && x.message.contains("protocol callback `on_timer`")
-        && x.message.contains("`fire`")));
-}
-
-// ----------------------------------------------------- ledger_encapsulation
-
-#[test]
-fn ledger_pass_fixture_is_clean() {
-    let f = run(
-        "ledger_pass.rs",
-        include_str!("fixtures/ledger_pass.rs"),
-        &[Rule::LedgerEncapsulation],
-    );
-    assert!(f.is_empty(), "unexpected findings:\n{}", render(&f));
-}
-
-#[test]
-fn ledger_fail_fixture_flags_every_bypass() {
-    let f = run(
-        "ledger_fail.rs",
-        include_str!("fixtures/ledger_fail.rs"),
-        &[Rule::LedgerEncapsulation],
-    );
-    assert_eq!(f.len(), 3, "findings:\n{}", render(&f));
-    assert!(f.iter().all(|x| x.rule == Rule::LedgerEncapsulation));
-    assert!(f
-        .iter()
-        .any(|x| x.message.contains("raw field write `ledger.charged`")));
-    assert!(f
-        .iter()
-        .any(|x| x.message.contains("raw field write `ledger.headroom`")));
-    assert!(f.iter().any(|x| x
-        .message
-        .contains("in-place mutation of `ledger.per_group`")));
-}
-
-// ----------------------------------------------------- shard_merge_purity
-
-#[test]
-fn purity_pass_fixture_is_clean() {
-    let f = run(
-        "purity_pass.rs",
-        include_str!("fixtures/purity_pass.rs"),
-        &[Rule::ShardMergePurity],
-    );
-    assert!(f.is_empty(), "unexpected findings:\n{}", render(&f));
-}
-
-/// Both ambient reads sit in helpers, not in `pop` itself: only the
-/// call-graph walk can see them.
-#[test]
-fn purity_fail_fixture_flags_reachable_ambient_reads() {
-    let f = run(
-        "purity_fail.rs",
-        include_str!("fixtures/purity_fail.rs"),
-        &[Rule::ShardMergePurity],
-    );
-    assert_eq!(f.len(), 2, "findings:\n{}", render(&f));
-    assert!(f.iter().all(|x| x.rule == Rule::ShardMergePurity));
-    assert!(f
-        .iter()
-        .any(|x| x.message.contains("`merge_heads` reads ambient `Instant`")));
-    assert!(f
-        .iter()
-        .any(|x| x.message.contains("`tie_break` reads ambient `SystemTime`")));
-}

@@ -19,7 +19,7 @@
 //!   per node on loopback, with queue-and-retry send backpressure.
 //! * [`mux`] — [`mux::MuxUdpTransport`], hundreds of nodes multiplexed
 //!   onto *one* socket with a 4-byte destination envelope, readiness
-//!   waits, and routable endpoints for cross-process sharding.
+//!   waits, and endpoints routable to another process's socket.
 //! * [`reactor`] — [`reactor::ReactorCore`], the pure poll-style
 //!   protocol state machine: `handle_frame(now, ..)` / `poll(now, ..)`
 //!   / `next_wake()`, with every I/O effect emitted through a
@@ -29,9 +29,6 @@
 //!   core: batched recv draining, deadline-computed sleeps (wake exactly
 //!   at `min(next timer, next RTO, socket readable)`), and scheduler
 //!   accounting in [`runtime::LoopStats`].
-//! * [`sharded`] — the multi-thread mode: one reactor per worker
-//!   thread, state owned thread-locally, certified by cam-lint's
-//!   concurrency rules.
 //!
 //! The `cam-node` binary (in `src/bin/`) stands up an N-node loopback
 //! UDP cluster (per-node sockets or multiplexed) and runs a real
@@ -43,7 +40,6 @@ pub mod codec;
 pub mod mux;
 pub mod reactor;
 pub mod runtime;
-pub mod sharded;
 pub mod transport;
 pub mod udp;
 
@@ -54,6 +50,5 @@ pub use codec::{
 pub use mux::MuxUdpTransport;
 pub use reactor::{FrameSink, ReactorCore};
 pub use runtime::{Cluster, LoopStats, NodeRuntime, RetransmitPolicy};
-pub use sharded::{run_shard, run_sharded, ShardOutcome, ShardSpec};
 pub use transport::{InMemoryTransport, OutFrame, Transport, WireCounters};
 pub use udp::UdpTransport;

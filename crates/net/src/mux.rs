@@ -6,9 +6,7 @@
 //! a transport-level detail the wire codec never sees. Endpoint routes
 //! default to the transport's own socket (the single-process mode that
 //! runs hundreds of nodes on one thread); [`MuxUdpTransport::set_route`]
-//! points an endpoint at another process's mux socket, which is how the
-//! sharded multi-thread mode (`crate::sharded`) would be wired across a
-//! real fabric.
+//! points an endpoint at another process's mux socket.
 //!
 //! One socket is what makes **readiness** expressible with std alone (the
 //! crate forbids `unsafe`, so no raw `epoll` over a socket set):

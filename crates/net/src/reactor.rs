@@ -18,13 +18,11 @@
 //! That contract — `poll(now) → frames out` plus `next_wake() → wake-at`
 //! — is what lets one protocol core serve every host with zero
 //! divergence: the virtual-time [`Cluster`](crate::runtime::Cluster) over
-//! the deterministic in-memory wire (sim and chaos parity), the same
+//! the deterministic in-memory wire (sim and chaos parity) and the same
 //! `Cluster` over real UDP where the wire loop sleeps *exactly* until
-//! `min(next_wake, socket readable, run deadline)` instead of spinning,
-//! and the sharded multi-thread mode ([`crate::sharded`]) where each
-//! worker owns one core outright. The `atm0s-sdn` exemplar's SAN-I/O
-//! architecture is the model: protocol logic is written once, transports
-//! are pluggable shells.
+//! `min(next_wake, socket readable, run deadline)` instead of spinning.
+//! The `atm0s-sdn` exemplar's SAN-I/O architecture is the model: protocol
+//! logic is written once, transports are pluggable shells.
 //!
 //! Outgoing frames are encoded into buffers drawn from the sink's pool
 //! ([`FrameSink::alloc`]) and recycled after the transport ships them, so
@@ -32,12 +30,13 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use cam_overlay::dynamic::{
-    CollectedEffects, DhtActor, DhtMsg, DhtProtocol, EffectDriver, SUCCESSOR_LIST_LEN,
+    converged_actors, CollectedEffects, DhtActor, DhtMsg, DhtProtocol, EffectDriver,
 };
 use cam_overlay::Member;
-use cam_ring::{Id, IdSpace, Segment};
+use cam_ring::{IdSpace, Segment};
 use cam_sim::rng::SimRng;
 use cam_sim::{ActorId, Duration, SimTime};
 use cam_trace::{DeliveryCensus, EventKind, GroupDeliveryCensus, NopTracer, Tracer};
@@ -268,18 +267,19 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) -> Self {
-        let mut sorted = members.to_vec();
-        sorted.sort_by_key(|m| m.id);
-        let n = sorted.len();
-        assert!(n > 0, "empty cluster");
+        let n = members.len();
         assert!(
             endpoints >= n,
             "transport has {endpoints} endpoints for {n} members"
         );
+        let nodes = converged_actors(space, members, &protocol)
+            .enumerate()
+            .map(|(i, actor)| NodeRuntime::new(i, actor, seed))
+            .collect();
         let mut core = ReactorCore {
             space,
-            protocol: protocol.clone(),
-            nodes: Vec::with_capacity(n),
+            protocol,
+            nodes,
             policy,
             endpoints,
             seed,
@@ -287,34 +287,6 @@ impl<P: DhtProtocol> ReactorCore<P> {
             effects: CollectedEffects::new(),
             tracer: Box::new(NopTracer),
         };
-
-        let directory: HashMap<u64, ActorId> = sorted
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.id.value(), ActorId(i)))
-            .collect();
-        let ids: Vec<Id> = sorted.iter().map(|m| m.id).collect();
-        // `partition_point` can return `n`; wrap to the ring's first
-        // member. `get`-based so the whole constructor stays index-safe.
-        let owner_of = |k: Id| -> Option<Member> {
-            let i = ids.partition_point(|&x| x < k);
-            sorted.get(if i == n { 0 } else { i }).copied()
-        };
-        for (i, m) in sorted.iter().enumerate() {
-            let mut actor = DhtActor::new(space, *m, protocol.clone());
-            let succs: Vec<Member> = (1..=SUCCESSOR_LIST_LEN.min(n.saturating_sub(1)).max(1))
-                .filter_map(|d| sorted.get((i + d) % n).copied())
-                .collect();
-            let pred = sorted.get((i + n - 1) % n).copied().unwrap_or(*m);
-            let targets = protocol.neighbor_targets(space, m);
-            let fingers: Vec<(Id, Member)> = targets
-                .iter()
-                .filter_map(|&t| owner_of(t).map(|owner| (t, owner)))
-                .collect();
-            actor.seed_state(succs, pred, fingers);
-            actor.set_directory(directory.clone());
-            core.nodes.push(NodeRuntime::new(i, actor, seed));
-        }
         for i in 0..n {
             core.arm_maintenance(SimTime::ZERO, i, i as u64 * 37, sink, counters);
         }
@@ -479,25 +451,35 @@ impl<P: DhtProtocol> ReactorCore<P> {
             return false;
         }
         let member = *self.node_at(i).actor.member();
-        let mut actor = DhtActor::new(self.space, member, self.protocol.clone());
-        let directory: HashMap<u64, ActorId> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(j, nd)| (nd.actor.member().id.value(), ActorId(j)))
-            .collect();
-        actor.set_directory(directory);
+        let actor = DhtActor::new(self.space, member, self.protocol.clone());
         let nd = self.node_at_mut(i);
         nd.actor = actor;
         nd.alive = true;
         nd.timers.clear();
         nd.awaiting_ack.clear();
+        self.reshare_directory();
         self.tracer
             .record(now.micros(), i as u64, EventKind::Restart);
         if let Some(bootstrap) = self.bootstrap_for(i) {
             self.send_join_request(now, i, bootstrap, sink, counters);
         }
         true
+    }
+
+    /// Rebuilds the id → endpoint directory from `self.nodes` and installs
+    /// the single shared allocation on every node (one `O(n)` book, not a
+    /// private copy per node).
+    fn reshare_directory(&mut self) {
+        let directory: Arc<HashMap<u64, ActorId>> = Arc::new(
+            self.nodes
+                .iter()
+                .enumerate()
+                .map(|(i, nd)| (nd.actor.member().id.value(), ActorId(i)))
+                .collect(),
+        );
+        for nd in &mut self.nodes {
+            nd.actor.set_directory(Arc::clone(&directory));
+        }
     }
 
     /// The lowest-numbered live, joined node other than `exclude` — the
@@ -554,19 +536,9 @@ impl<P: DhtProtocol> ReactorCore<P> {
             return None;
         }
         let bootstrap = self.nodes.iter().position(|nd| nd.alive)?;
-        let mut actor = DhtActor::new(self.space, member, self.protocol.clone());
-        let mut directory: HashMap<u64, ActorId> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, nd)| (nd.actor.member().id.value(), ActorId(i)))
-            .collect();
-        directory.insert(member.id.value(), ActorId(idx));
-        actor.set_directory(directory);
-        for nd in &mut self.nodes {
-            nd.actor.add_directory_entry(member.id, ActorId(idx));
-        }
+        let actor = DhtActor::new(self.space, member, self.protocol.clone());
         self.nodes.push(NodeRuntime::new(idx, actor, self.seed));
+        self.reshare_directory();
         self.send_join_request(now, idx, bootstrap, sink, counters);
         Some(idx)
     }

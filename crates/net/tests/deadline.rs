@@ -65,15 +65,18 @@ fn mux_cluster(
 
 /// Black-hole one node's wire route, multicast so a payload frame goes
 /// unacked, and check the retransmission schedule against the tracer's
-/// timestamps: consecutive retransmits of one frame must be separated by
-/// exactly the armed RTO, within a small scheduling tolerance. The old
-/// loop could only promise "within one 500 µs tick of the grid *it
-/// happened to be on*"; the reactor loop parks precisely until the RTO
-/// deadline, so the error stays well under that tick even though it
-/// sleeps thousands of times less often. The tolerance is 10 ticks
-/// (5 ms) to absorb OS scheduler noise on the sleeping thread, still an
-/// order of magnitude tighter than the retransmission intervals being
-/// measured.
+/// timestamps. Each retransmit re-arms the frame `armed_rto` past the
+/// instant it fired, so the gap to the next one is the armed RTO plus
+/// however late the loop woke. Two properties are pinned:
+///
+/// * a retransmit never fires *early* (beyond one tick of rounding) — the
+///   loop parks until the deadline, not until "about then";
+/// * the *median* lateness stays within 10 ticks (5 ms), an order of
+///   magnitude tighter than the intervals being measured. The median, not
+///   every gap: on a busy single-core host one descheduling of the
+///   sleeping thread makes one gap late by a scheduler quantum, which says
+///   nothing about where the loop computed its deadline — whereas a loop
+///   that does not sleep to the computed deadline is late on every gap.
 #[test]
 fn rto_fires_on_the_computed_deadline() {
     let _serial = WALL_CLOCK.lock().expect("serialize timing tests");
@@ -117,26 +120,32 @@ fn rto_fires_on_the_computed_deadline() {
                 .push((ev.at_micros, rto_micros));
         }
     }
-    let mut gaps_checked = 0u32;
+    let mut lateness: Vec<u64> = Vec::new();
     for ((actor, seq), events) in &by_frame {
         for pair in events.windows(2) {
             let (t1, armed_rto) = pair[0];
             let (t2, _) = pair[1];
             let gap = t2 - t1;
-            let err = gap.abs_diff(armed_rto);
             assert!(
-                err <= 10 * POLL_TICK_MICROS,
+                gap + POLL_TICK_MICROS >= armed_rto,
                 "node {actor} frame {seq}: retransmit fired {gap} µs after the previous \
-                 attempt, {err} µs off the armed {armed_rto} µs RTO — the loop is not \
-                 sleeping to the computed deadline"
+                 attempt, before the armed {armed_rto} µs RTO had elapsed"
             );
-            gaps_checked += 1;
+            lateness.push(gap.saturating_sub(armed_rto));
         }
     }
     assert!(
-        gaps_checked >= 2,
-        "expected at least two back-to-back retransmissions to measure, saw {gaps_checked} \
-         (frames: {by_frame:?})"
+        lateness.len() >= 2,
+        "expected at least two back-to-back retransmissions to measure, saw {} \
+         (frames: {by_frame:?})",
+        lateness.len()
+    );
+    lateness.sort_unstable();
+    let median = lateness[(lateness.len() - 1) / 2];
+    assert!(
+        median <= 10 * POLL_TICK_MICROS,
+        "median retransmit lateness {median} µs (all gaps: {lateness:?}) — the loop is not \
+         sleeping to the computed deadline"
     );
 }
 

@@ -370,6 +370,14 @@ pub enum DhtMsg {
     },
 }
 
+/// The fields [`DhtMsg::Multicast`] and [`DhtMsg::GroupPublish`] share.
+struct PayloadFrame {
+    payload: u64,
+    region: Option<Segment>,
+    hops: u32,
+    data: bytes::Bytes,
+}
+
 /// The rendezvous-root identifier for pub/sub group `group`: a
 /// deterministic hash of the group id mapped into the ring's identifier
 /// space. The owner of this identifier is the group's root — the node that
@@ -868,16 +876,14 @@ impl<P: DhtProtocol> DhtActor<P> {
                     }
                     reply = frozen.clone();
                 }
-                ByzantineBehavior::Replay => {
-                    if !adv.remembered.is_empty() && !replay_targets.is_empty() {
-                        let f =
-                            adv.rng.uniform_incl(0, adv.remembered.len() as u64 - 1) as usize;
-                        let t =
-                            adv.rng.uniform_incl(0, replay_targets.len() as u64 - 1) as usize;
-                        let (payload, region, hops, data) = adv.remembered[f].clone();
-                        replayed = Some((replay_targets[t], payload, region, hops, data));
-                        adv.acts += 1;
-                    }
+                ByzantineBehavior::Replay
+                    if !adv.remembered.is_empty() && !replay_targets.is_empty() =>
+                {
+                    let f = adv.rng.uniform_incl(0, adv.remembered.len() as u64 - 1) as usize;
+                    let t = adv.rng.uniform_incl(0, replay_targets.len() as u64 - 1) as usize;
+                    let (payload, region, hops, data) = adv.remembered[f].clone();
+                    replayed = Some((replay_targets[t], payload, region, hops, data));
+                    adv.acts += 1;
                 }
                 _ => {}
             }
@@ -1007,15 +1013,28 @@ impl<P: DhtProtocol> DhtActor<P> {
         );
     }
 
+    /// Handles [`DhtMsg::Multicast`] (`group == None`) and
+    /// [`DhtMsg::GroupPublish`] (`group == Some(g)`) — one forwarding
+    /// path: duplicate suppression, replay and region-violation detection,
+    /// the region split over the shared neighbor table (a per-group tree
+    /// is implicit) and the child fan-out. A grouped payload differs only
+    /// in that non-subscribers relay it without delivering it to the
+    /// application, every trace event carries the group, and the
+    /// adversary hooks leave it alone.
     fn handle_multicast<D: DhtDriver>(
         &mut self,
         ctx: &mut D,
         from: ActorId,
-        payload: u64,
-        region: Option<Segment>,
-        hops: u32,
-        data: bytes::Bytes,
+        group: Option<u64>,
+        frame: PayloadFrame,
     ) {
+        let PayloadFrame {
+            payload,
+            region,
+            hops,
+            data,
+        } = frame;
+        let trace_group = group.map(cam_trace::GroupId);
         if self.seen_payloads.contains_key(&payload) {
             // Replay evidence: a region-carrying copy arriving again from
             // a *different* sender than the first. Retransmits and wire
@@ -1038,21 +1057,36 @@ impl<P: DhtProtocol> DhtActor<P> {
             ctx.trace(EventKind::DuplicateSuppress {
                 payload,
                 hops,
-                group: None,
+                group: trace_group,
             });
             return; // duplicate
         }
-        ctx.trace(EventKind::MulticastReceive {
-            payload,
-            hops,
-            group: None,
-        });
         if region.is_some() {
             self.first_sender.insert(payload, from);
         }
         self.seen_payloads.insert(payload, hops);
-        self.received_log.push((payload, hops));
-        self.delivered_data.insert(payload, data.clone());
+        let delivers = match group {
+            None => {
+                self.received_log.push((payload, hops));
+                true
+            }
+            Some(g) => {
+                self.group_of.insert(payload, g);
+                let subscribed = self.subscriptions.contains(&g);
+                if subscribed {
+                    self.group_received_log.push((g, payload, hops));
+                }
+                subscribed
+            }
+        };
+        if delivers {
+            ctx.trace(EventKind::MulticastReceive {
+                payload,
+                hops,
+                group: trace_group,
+            });
+            self.delivered_data.insert(payload, data.clone());
+        }
         // Region honesty: CAM-Chord's split always delegates to child `c`
         // a segment beginning (exclusively) at `c` itself, and a source's
         // self-addressed frame carries `all_but(me)`, which also begins
@@ -1079,10 +1113,10 @@ impl<P: DhtProtocol> DhtActor<P> {
         let mut children = self
             .protocol
             .multicast_children(self.space, &self.me, &neighbors, &succ, region);
-        // Adversary hooks: all decisions draw from the adversary's own
-        // plan-seeded RNG, never from `ctx.random_index`, so chaos
-        // replays stay bit-identical.
-        if let Some(adv) = self.adversary.as_deref_mut() {
+        // Adversary hooks (ungrouped payloads only): all decisions draw
+        // from the adversary's own plan-seeded RNG, never from
+        // `ctx.random_index`, so chaos replays stay bit-identical.
+        if let (None, Some(adv)) = (group, self.adversary.as_deref_mut()) {
             match adv.behavior {
                 ByzantineBehavior::Replay => {
                     adv.remember(payload, region, hops, data.clone());
@@ -1148,19 +1182,25 @@ impl<P: DhtProtocol> DhtActor<P> {
                     to: child.value(),
                     hops: hops + 1,
                     segment: child_region.map(|s| (s.from.value(), s.to.value())),
-                    group: None,
+                    group: trace_group,
                 });
             }
-            self.send_to_member(
-                ctx,
-                child,
-                DhtMsg::Multicast {
+            let msg = match group {
+                None => DhtMsg::Multicast {
                     payload,
                     region: child_region,
                     hops: hops + 1,
                     data: data.clone(),
                 },
-            );
+                Some(group) => DhtMsg::GroupPublish {
+                    group,
+                    payload,
+                    region: child_region,
+                    hops: hops + 1,
+                    data: data.clone(),
+                },
+            };
+            self.send_to_member(ctx, child, msg);
         }
     }
 
@@ -1218,117 +1258,38 @@ impl<P: DhtProtocol> DhtActor<P> {
             self.send_to_member(ctx, succ.id, forward);
             return;
         }
-        let neighbors = self.neighbor_members();
-        let next = neighbors
-            .iter()
-            .chain(std::iter::once(&succ))
-            .filter(|m| self.space.in_segment(m.id, self.me.id, key))
-            .max_by_key(|m| self.space.seg_len(self.me.id, m.id))
-            .map_or(succ.id, |m| m.id);
-        let next = if next == self.me.id { succ.id } else { next };
+        let next = self.greedy_clockwise_toward(key, &succ, false);
         self.send_to_member(ctx, next, forward);
     }
 
-    /// Handles [`DhtMsg::GroupPublish`] — structurally `handle_multicast`
-    /// (same duplicate suppression, same region split over the shared
-    /// neighbor table: the per-group tree is implicit), except that only
-    /// subscribers deliver the payload to the application, and every trace
-    /// event carries the group.
-    fn handle_group_publish<D: DhtDriver>(
-        &mut self,
-        ctx: &mut D,
-        from: ActorId,
-        group: u64,
-        payload: u64,
-        region: Option<Segment>,
-        hops: u32,
-        data: bytes::Bytes,
-    ) {
-        use cam_trace::GroupId;
-        if self.seen_payloads.contains_key(&payload) {
-            if region.is_some()
-                && self
-                    .first_sender
-                    .get(&payload)
-                    .is_some_and(|&first| first != from)
-            {
-                self.detections.replay_suspects += 1;
-                ctx.trace(EventKind::AdversaryDetect {
-                    detector: "replay_suspect",
-                    suspect: from.0 as u64,
-                    payload,
-                });
-            }
-            ctx.trace(EventKind::DuplicateSuppress {
-                payload,
-                hops,
-                group: Some(GroupId(group)),
-            });
-            return; // duplicate
-        }
-        if region.is_some() {
-            self.first_sender.insert(payload, from);
-        }
-        self.seen_payloads.insert(payload, hops);
-        self.group_of.insert(payload, group);
-        if self.subscriptions.contains(&group) {
-            ctx.trace(EventKind::MulticastReceive {
-                payload,
-                hops,
-                group: Some(GroupId(group)),
-            });
-            self.group_received_log.push((group, payload, hops));
-            self.delivered_data.insert(payload, data.clone());
-        }
-        // Same region-honesty containment as `handle_multicast`.
-        if let Some(r) = region {
-            if r.from != self.me.id {
-                self.detections.region_violations += 1;
-                ctx.trace(EventKind::AdversaryDetect {
-                    detector: "region_violation",
-                    suspect: from.0 as u64,
-                    payload,
-                });
-                return;
-            }
-        }
-        let Some(succ) = self.successors.first().copied() else {
-            return;
-        };
-        let neighbors = self.neighbor_members();
-        let children = self
-            .protocol
-            .multicast_children(self.space, &self.me, &neighbors, &succ, region);
-        if ctx.trace_enabled() {
-            let split = children.iter().filter(|(_, r)| r.is_some()).count();
-            if split > 0 {
-                ctx.trace(EventKind::RegionSplit {
-                    payload,
-                    children: split as u32,
-                });
-            }
-        }
-        for (child, child_region) in children {
-            if ctx.trace_enabled() {
-                ctx.trace(EventKind::MulticastForward {
-                    payload,
-                    to: child.value(),
-                    hops: hops + 1,
-                    segment: child_region.map(|s| (s.from.value(), s.to.value())),
-                    group: Some(GroupId(group)),
-                });
-            }
-            self.send_to_member(
-                ctx,
-                child,
-                DhtMsg::GroupPublish {
-                    group,
-                    payload,
-                    region: child_region,
-                    hops: hops + 1,
-                    data: data.clone(),
-                },
-            );
+    /// One greedy clockwise hop toward `key`: the known member (neighbor
+    /// table or `succ`) farthest from `me` inside `(me, key]` — `(me, key)`
+    /// when `stop_short`, for a `key` that is itself a member id which must
+    /// not be routed to — falling back to `succ`.
+    ///
+    /// Deliberately NOT `protocol.next_hop`: the protocol's routing may
+    /// thread per-request state across hops (Koorde's absorbed-bit chain
+    /// rides in `Lookup.state`), and neither a JoinRequest nor a group
+    /// membership change has anywhere to carry it. Recomputing fresh state
+    /// each hop makes de Bruijn hops jump without converging — the request
+    /// can orbit the ring forever. Greedy clockwise progress is
+    /// protocol-agnostic and terminates: callers handle `key ∈ (me, succ]`
+    /// first, so the successor is always a candidate and every hop strictly
+    /// shrinks the distance to `key`.
+    fn greedy_clockwise_toward(&self, key: Id, succ: &Member, stop_short: bool) -> Id {
+        let next = self
+            .neighbor_members()
+            .iter()
+            .chain(std::iter::once(succ))
+            .filter(|m| {
+                self.space.in_segment(m.id, self.me.id, key) && !(stop_short && m.id == key)
+            })
+            .max_by_key(|m| self.space.seg_len(self.me.id, m.id))
+            .map_or(succ.id, |m| m.id);
+        if next == self.me.id {
+            succ.id
+        } else {
+            next
         }
     }
 
@@ -1723,7 +1684,17 @@ impl<P: DhtProtocol> DhtActor<P> {
                 region,
                 hops,
                 data,
-            } => self.handle_multicast(ctx, from, payload, region, hops, data),
+            } => self.handle_multicast(
+                ctx,
+                from,
+                None,
+                PayloadFrame {
+                    payload,
+                    region,
+                    hops,
+                    data,
+                },
+            ),
             DhtMsg::AntiEntropyDigest { have } => {
                 let their: std::collections::HashSet<u64> = have.iter().copied().collect();
                 // Push what they're missing… (sorted: deterministic order)
@@ -1840,28 +1811,9 @@ impl<P: DhtProtocol> DhtActor<P> {
                         );
                         return;
                     }
-                    // Greedy clockwise step, NOT `protocol.next_hop`: the
-                    // protocol's routing may thread per-request state
-                    // across hops (Koorde's absorbed-bit chain rides in
-                    // `Lookup.state`), and a JoinRequest has nowhere to
-                    // carry it. Recomputing fresh state each hop makes de
-                    // Bruijn hops jump without converging — the request
-                    // can orbit the ring forever. Greedy clockwise
-                    // progress is protocol-agnostic and terminates: every
-                    // hop strictly shrinks the distance to the joiner
-                    // (the successor is always in `(me, joiner)` here,
-                    // since `(me, succ]` was handled above).
-                    let neighbors = self.neighbor_members();
-                    let next = neighbors
-                        .iter()
-                        .chain(std::iter::once(&succ))
-                        .filter(|m| {
-                            self.space.in_segment(m.id, self.me.id, joiner.id)
-                                && m.id != joiner.id
-                        })
-                        .max_by_key(|m| self.space.seg_len(self.me.id, m.id))
-                        .map_or(succ.id, |m| m.id);
-                    let next = if next == self.me.id { succ.id } else { next };
+                    // Stop short of the joiner's own id: a table entry for
+                    // its pre-crash incarnation is not a forwarding target.
+                    let next = self.greedy_clockwise_toward(joiner.id, &succ, true);
                     self.send_to_member(
                         ctx,
                         next,
@@ -1911,7 +1863,17 @@ impl<P: DhtProtocol> DhtActor<P> {
                 region,
                 hops,
                 data,
-            } => self.handle_group_publish(ctx, from, group, payload, region, hops, data),
+            } => self.handle_multicast(
+                ctx,
+                from,
+                Some(group),
+                PayloadFrame {
+                    payload,
+                    region,
+                    hops,
+                    data,
+                },
+            ),
         }
     }
 
@@ -1956,6 +1918,61 @@ impl<P: DhtProtocol> Actor for DhtActor<P> {
     }
 }
 
+/// Yields the actors of a *converged* overlay over `members`, in ring
+/// order: every actor starts with the successors, predecessor and fingers
+/// that stabilization would eventually produce (resolved by an oracle over
+/// the sorted membership), and all of them share one id → actor directory
+/// in which the `i`-th actor yielded is `ActorId(i)` — one allocation, so
+/// address books cost `O(n)` in total rather than `O(n²)`. Both hosts
+/// ([`DynamicNetwork::converged`] and cam-net's `ReactorCore::converged`)
+/// bootstrap from this; actors are built lazily so a host can move each
+/// straight into its own table.
+///
+/// # Panics
+///
+/// Panics if `members` is empty.
+pub fn converged_actors<'a, P: DhtProtocol>(
+    space: IdSpace,
+    members: &[Member],
+    protocol: &'a P,
+) -> impl Iterator<Item = DhtActor<P>> + 'a {
+    let mut sorted = members.to_vec();
+    sorted.sort_by_key(|m| m.id);
+    let n = sorted.len();
+    assert!(n > 0, "empty network");
+
+    let directory: std::sync::Arc<HashMap<u64, ActorId>> = std::sync::Arc::new(
+        sorted
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.id.value(), ActorId(i)))
+            .collect(),
+    );
+    // A dense id column: the oracle's binary searches touch 8 bytes per
+    // probe instead of a whole `Member`.
+    let ids: Vec<Id> = sorted.iter().map(|m| m.id).collect();
+    (0..n).map(move |i| {
+        let owner_of = |k: Id| -> Member {
+            let j = ids.partition_point(|&x| x < k);
+            sorted[if j == n { 0 } else { j }]
+        };
+        let me = sorted[i];
+        let succs: Vec<Member> = (1..=SUCCESSOR_LIST_LEN.min(n.saturating_sub(1)).max(1))
+            .map(|d| sorted[(i + d) % n])
+            .collect();
+        let pred = sorted[(i + n - 1) % n];
+        let fingers: Vec<(Id, Member)> = protocol
+            .neighbor_targets(space, &me)
+            .into_iter()
+            .map(|t| (t, owner_of(t)))
+            .collect();
+        let mut actor = DhtActor::new(space, me, protocol.clone());
+        actor.seed_state(succs, pred, fingers);
+        actor.set_directory(std::sync::Arc::clone(&directory));
+        actor
+    })
+}
+
 /// A harness owning a simulation of [`DhtActor`]s plus the id → actor
 /// directory, with convenience operations for the churn experiments.
 pub struct DynamicNetwork<P: DhtProtocol> {
@@ -1978,41 +1995,10 @@ impl<P: DhtProtocol> DynamicNetwork<P> {
         seed: u64,
         latency: LatencyModel,
     ) -> Self {
-        let mut sorted = members.to_vec();
-        sorted.sort_by_key(|m| m.id);
-        let n = sorted.len();
-        assert!(n > 0, "empty network");
-
         let mut sim = Simulation::new(seed, latency);
-        let mut actors = Vec::with_capacity(n);
-        for m in &sorted {
-            let actor = DhtActor::new(space, *m, protocol.clone());
-            let id = sim.add_actor(actor);
-            actors.push((*m, id));
-        }
-        // One shared allocation for every actor's address book — the
-        // per-actor clone this replaces made 100k-node networks `O(n²)`.
-        let directory: std::sync::Arc<HashMap<u64, ActorId>> =
-            std::sync::Arc::new(actors.iter().map(|(m, a)| (m.id.value(), *a)).collect());
-
-        // Oracle resolution of every node's pointers.
-        let ids: Vec<Id> = sorted.iter().map(|m| m.id).collect();
-        let owner_of = |k: Id| -> Member {
-            let i = ids.partition_point(|&x| x < k);
-            sorted[if i == n { 0 } else { i }]
-        };
-        for (i, (m, actor_id)) in actors.iter().enumerate() {
-            let succs: Vec<Member> = (1..=SUCCESSOR_LIST_LEN.min(n.saturating_sub(1)).max(1))
-                .map(|d| sorted[(i + d) % n])
-                .collect();
-            let pred = sorted[(i + n - 1) % n];
-            let targets = protocol.neighbor_targets(space, m);
-            let fingers: Vec<(Id, Member)> =
-                targets.iter().map(|&t| (t, owner_of(t))).collect();
-            let a = sim.actor_mut(*actor_id).expect("just added");
-            a.seed_state(succs, pred, fingers);
-            a.set_directory(std::sync::Arc::clone(&directory));
-        }
+        let actors: Vec<(Member, ActorId)> = converged_actors(space, members, &protocol)
+            .map(|actor| (*actor.member(), sim.add_actor(actor)))
+            .collect();
         for (i, (_, actor_id)) in actors.iter().enumerate() {
             DhtActor::start_maintenance(&mut sim, *actor_id, i as u64 * 37);
         }

@@ -96,9 +96,9 @@ impl std::error::Error for BuildMemberSetError {}
 /// index that maps the high bits of an identifier to the first member at or
 /// past that bucket's start, so a query is one table lookup plus a short
 /// forward scan (expected length ≤ 1 for hash-uniform identifiers, since
-/// there are at least as many buckets as members). The `O(log n)`
-/// binary-search forms remain available as `*_binsearch`: they are the
-/// reference the bucket-index and property tests compare against.
+/// there are at least as many buckets as members). The bucket-index and
+/// property tests hold it to an `O(log n)` binary-search oracle
+/// (`tests/support/ring_oracle.rs`).
 ///
 /// # Example
 ///
@@ -338,38 +338,6 @@ impl MemberSet {
     #[inline]
     pub fn predecessor_idx(&self, k: Id) -> usize {
         let i = self.lower_bound(k);
-        if i == 0 {
-            self.ids.len() - 1
-        } else {
-            i - 1
-        }
-    }
-
-    /// [`owner_idx`](Self::owner_idx) by `O(log n)` binary search, without
-    /// the bucket index. Reference implementation for tests.
-    pub fn owner_idx_binsearch(&self, k: Id) -> usize {
-        let i = self.ids.partition_point(|&id| id < k.value());
-        if i == self.ids.len() {
-            0
-        } else {
-            i
-        }
-    }
-
-    /// [`successor_idx`](Self::successor_idx) by `O(log n)` binary search.
-    pub fn successor_idx_binsearch(&self, k: Id) -> usize {
-        let i = self.ids.partition_point(|&id| id <= k.value());
-        if i == self.ids.len() {
-            0
-        } else {
-            i
-        }
-    }
-
-    /// [`predecessor_idx`](Self::predecessor_idx) by `O(log n)` binary
-    /// search.
-    pub fn predecessor_idx_binsearch(&self, k: Id) -> usize {
-        let i = self.ids.partition_point(|&id| id < k.value());
         if i == 0 {
             self.ids.len() - 1
         } else {

@@ -1,16 +1,20 @@
 //! Property tests for the precomputed bucket index behind
 //! [`MemberSet::owner_idx`] / `successor_idx` / `predecessor_idx`.
 //!
-//! The binary-search resolvers (`*_binsearch`) are the reference: the
-//! indexed resolvers must agree with them on **every key of the identifier
-//! space** for arbitrary member sets — including the wrap-around region
-//! past the last member and single-member groups.
+//! The binary-search [`RingOracle`] is the reference: the indexed
+//! resolvers must agree with it on **every key of the identifier space**
+//! for arbitrary member sets — including the wrap-around region past the
+//! last member and single-member groups.
 
 use std::collections::BTreeSet;
 
 use cam_overlay::{Member, MemberSet};
 use cam_ring::{Id, IdSpace};
 use proptest::prelude::*;
+
+#[path = "support/ring_oracle.rs"]
+mod ring_oracle;
+use ring_oracle::RingOracle;
 
 fn build(bits: u32, raw_ids: Vec<u64>) -> MemberSet {
     let ids: BTreeSet<u64> = raw_ids.into_iter().collect();
@@ -24,21 +28,18 @@ fn build(bits: u32, raw_ids: Vec<u64>) -> MemberSet {
 }
 
 fn assert_resolvers_agree(group: &MemberSet) {
+    let oracle = RingOracle::new(group);
     for k in 0..group.space().size() {
         let k = Id(k);
-        assert_eq!(
-            group.owner_idx(k),
-            group.owner_idx_binsearch(k),
-            "owner of {k:?}"
-        );
+        assert_eq!(group.owner_idx(k), oracle.owner_idx(k), "owner of {k:?}");
         assert_eq!(
             group.successor_idx(k),
-            group.successor_idx_binsearch(k),
+            oracle.successor_idx(k),
             "successor of {k:?}"
         );
         assert_eq!(
             group.predecessor_idx(k),
-            group.predecessor_idx_binsearch(k),
+            oracle.predecessor_idx(k),
             "predecessor of {k:?}"
         );
     }

@@ -85,15 +85,15 @@ pub struct SimStats {
     pub bytes_received: u64,
 }
 
-pub(crate) enum Payload<M> {
+enum Payload<M> {
     Message { from: ActorId, msg: M },
     Timer { tag: u64 },
 }
 
-pub(crate) struct Event<M> {
-    pub(crate) at: SimTime,
-    pub(crate) to: ActorId,
-    pub(crate) payload: Payload<M>,
+struct Event<M> {
+    at: SimTime,
+    to: ActorId,
+    payload: Payload<M>,
 }
 
 /// The world handle an actor receives while handling an event.
@@ -101,15 +101,12 @@ pub(crate) struct Event<M> {
 /// All interaction with the simulated network — sending, timers, the clock,
 /// randomness — goes through the context.
 pub struct Context<'a, M> {
-    pub(crate) now: SimTime,
-    pub(crate) me: ActorId,
-    pub(crate) outbox: &'a mut Vec<(ActorId, ActorId, M, Option<Duration>)>,
-    pub(crate) timers: &'a mut Vec<(ActorId, Duration, u64)>,
-    /// `Some` on the serial path; `None` inside a worker thread of the
-    /// multi-threaded engine mode, where drawing from the global stream
-    /// out of order would break replay (see [`crate::mt`]).
-    pub(crate) rng: Option<&'a mut SimRng>,
-    pub(crate) tracer: &'a mut dyn Tracer,
+    now: SimTime,
+    me: ActorId,
+    outbox: &'a mut Vec<(ActorId, ActorId, M, Option<Duration>)>,
+    timers: &'a mut Vec<(ActorId, Duration, u64)>,
+    rng: &'a mut SimRng,
+    tracer: &'a mut dyn Tracer,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -143,20 +140,8 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// Deterministic randomness for protocol decisions.
-    ///
-    /// # Panics
-    ///
-    /// Panics inside the multi-threaded engine mode
-    /// ([`Simulation::run_to_completion_mt`]): handlers running on worker
-    /// threads cannot consume the simulation's global random stream
-    /// without making the draw order depend on the thread schedule. Draw
-    /// protocol randomness while still in serial mode (or derive it from
-    /// per-actor [`SimRng::split`] streams held in actor state).
     pub fn rng(&mut self) -> &mut SimRng {
-        self.rng.as_deref_mut().expect(
-            "ctx.rng() is not available in multi-threaded engine mode; \
-             draw randomness in serial mode or keep a per-actor SimRng split",
-        )
+        self.rng
     }
 
     /// True when the simulation's tracer is actually recording; lets
@@ -179,36 +164,31 @@ impl<'a, M> Context<'a, M> {
 ///
 /// See the [crate-level documentation](crate) for an example.
 pub struct Simulation<A: Actor> {
-    pub(crate) actors: Vec<Option<A>>,
+    actors: Vec<Option<A>>,
     /// Pending events, sharded by destination actor. The merge rule
     /// (`(at, seq)` with a globally unique `seq`; see [`crate::shard`])
     /// makes delivery order bit-identical for every shard count.
-    pub(crate) queue: ShardedEventQueue,
-    pub(crate) events: Vec<Option<Event<A::Msg>>>,
-    pub(crate) free_slots: Vec<usize>,
-    pub(crate) now: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) latency: LatencyModel,
-    pub(crate) rng: SimRng,
-    pub(crate) stats: SimStats,
+    queue: ShardedEventQueue,
+    events: Vec<Option<Event<A::Msg>>>,
+    free_slots: Vec<usize>,
+    now: SimTime,
+    seq: u64,
+    latency: LatencyModel,
+    rng: SimRng,
+    stats: SimStats,
     /// Probability in `[0, 1]` that any message is lost in transit.
-    pub(crate) loss_probability: f64,
+    loss_probability: f64,
     /// Directed actor pairs `(from, to)` whose traffic is silently dropped
     /// (asymmetric partition injection; see
     /// [`Simulation::set_link_blocked`]). Ordered so fault state never
     /// perturbs determinism.
-    pub(crate) blocked: BTreeSet<(usize, usize)>,
+    blocked: BTreeSet<(usize, usize)>,
     /// Optional per-message wire-size function feeding the byte counters
     /// in [`SimStats`] (e.g. `cam-net`'s encoded frame length).
-    pub(crate) wire_cost: Option<fn(&A::Msg) -> usize>,
+    wire_cost: Option<fn(&A::Msg) -> usize>,
     /// Event/telemetry sink handed to every [`Context`]; [`NopTracer`]
     /// (free) unless a recording tracer is installed.
-    pub(crate) tracer: Box<dyn Tracer>,
-    /// Lookahead window for the multi-threaded engine mode (see
-    /// [`crate::mt`]): a batch covers `[t_min, t_min + mt_lookahead]`.
-    /// Zero (the default) is the same-instant window, which is sound for
-    /// every workload.
-    pub(crate) mt_lookahead: Duration,
+    tracer: Box<dyn Tracer>,
 }
 
 impl<A: Actor> Simulation<A> {
@@ -240,7 +220,6 @@ impl<A: Actor> Simulation<A> {
             blocked: BTreeSet::new(),
             wire_cost: None,
             tracer: Box::new(NopTracer),
-            mt_lookahead: Duration::ZERO,
         }
     }
 
@@ -421,19 +400,6 @@ impl<A: Actor> Simulation<A> {
         self.run_inner(Some(deadline), u64::MAX)
     }
 
-    /// Sets the lookahead window for the multi-threaded engine mode.
-    ///
-    /// With a nonzero lookahead `L`, a parallel batch covers every pending
-    /// event in `[t_min, t_min + L]` instead of only the ties at `t_min`.
-    /// That is sound **only** when every handler-generated event lands
-    /// strictly beyond the window (e.g. the latency model's minimum delay
-    /// exceeds `L`); the engine verifies this at commit time and panics on
-    /// a violation rather than silently diverging from the serial order.
-    /// See [`crate::mt`] for the full safety argument.
-    pub fn set_mt_lookahead(&mut self, lookahead: Duration) {
-        self.mt_lookahead = lookahead;
-    }
-
     /// Processes every event until the simulation goes quiet.
     ///
     /// # Panics
@@ -479,7 +445,7 @@ impl<A: Actor> Simulation<A> {
                 me: ev.to,
                 outbox: &mut outbox,
                 timers: &mut timers,
-                rng: Some(&mut self.rng),
+                rng: &mut self.rng,
                 tracer: self.tracer.as_mut(),
             };
             match ev.payload {

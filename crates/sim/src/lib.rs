@@ -50,7 +50,6 @@
 pub mod bandwidth;
 pub mod engine;
 pub mod latency;
-pub mod mt;
 pub mod rng;
 pub mod shard;
 pub mod time;

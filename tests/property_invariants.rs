@@ -5,6 +5,9 @@ use cam::overlay::StaticOverlay;
 use cam::prelude::*;
 use proptest::prelude::*;
 
+#[path = "../crates/overlay/tests/support/ring_oracle.rs"]
+mod ring_oracle;
+
 /// Strategy: a random scenario small enough to exercise per-case in a
 /// property test, heterogeneous capacities included.
 fn scenario() -> impl Strategy<Value = (MemberSet, usize)> {
@@ -92,7 +95,7 @@ proptest! {
 
     /// The struct-of-arrays bucket index, the binary-search reference, and
     /// a linear ring scan all resolve every key to the same owner (and the
-    /// successor/predecessor pair agrees with its binsearch reference).
+    /// successor/predecessor pair agrees with its binsearch oracle).
     #[test]
     fn owner_resolution_paths_agree(
         (group, _member) in scenario(),
@@ -103,10 +106,11 @@ proptest! {
             .iter()
             .position(|m| m.id.value() >= key_raw)
             .unwrap_or(0);
+        let oracle = ring_oracle::RingOracle::new(&group);
         prop_assert_eq!(group.owner_idx(k), linear);
-        prop_assert_eq!(group.owner_idx_binsearch(k), linear);
-        prop_assert_eq!(group.successor_idx(k), group.successor_idx_binsearch(k));
-        prop_assert_eq!(group.predecessor_idx(k), group.predecessor_idx_binsearch(k));
+        prop_assert_eq!(oracle.owner_idx(k), linear);
+        prop_assert_eq!(group.successor_idx(k), oracle.successor_idx(k));
+        prop_assert_eq!(group.predecessor_idx(k), oracle.predecessor_idx(k));
     }
 
     /// Streaming tree statistics equal the materialized-tree path exactly

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use cam::net::runtime::{Cluster, RetransmitPolicy};
 use cam::net::transport::InMemoryTransport;
-use cam::overlay::dynamic::DynamicNetwork;
+use cam::overlay::dynamic::{DhtActor, DynamicNetwork};
 use cam::prelude::*;
 use cam::pubsub::GroupRegistry;
 use cam::sim::time::Duration;
@@ -119,6 +119,174 @@ fn sim_and_wire_hosts_agree_on_per_group_census() {
     }
     assert_eq!(sim_census, wire_census);
     assert_eq!(sim_census.len(), populated.len());
+}
+
+/// The operations the merged-forwarding-path tests below need from a host,
+/// with nodes addressed by ring position on both.
+trait Host {
+    fn subscribe(&mut self, node: usize, group: u64);
+    fn settle(&mut self, span: Duration);
+    /// Plain region-split multicast from `source`; returns the payload id.
+    fn multicast(&mut self, source: usize) -> u64;
+    /// Region-split publish to `group` from `source`; returns the payload id.
+    fn publish(&mut self, source: usize, group: u64) -> u64;
+    fn actor(&self, node: usize) -> &DhtActor<CamChordProtocol>;
+}
+
+impl Host for DynamicNetwork<CamChordProtocol> {
+    fn subscribe(&mut self, node: usize, group: u64) {
+        let actor = self.actors()[node].1;
+        DynamicNetwork::subscribe(self, actor, group);
+    }
+    fn settle(&mut self, span: Duration) {
+        self.sim.run_until(self.sim.now() + span);
+    }
+    fn multicast(&mut self, source: usize) -> u64 {
+        let actor = self.actors()[source].1;
+        self.start_multicast(actor, true)
+    }
+    fn publish(&mut self, source: usize, group: u64) -> u64 {
+        let actor = self.actors()[source].1;
+        self.start_group_publish(actor, group, true)
+    }
+    fn actor(&self, node: usize) -> &DhtActor<CamChordProtocol> {
+        self.sim
+            .actor(self.actors()[node].1)
+            .expect("node is alive")
+    }
+}
+
+impl Host for Cluster<CamChordProtocol, InMemoryTransport> {
+    fn subscribe(&mut self, node: usize, group: u64) {
+        Cluster::subscribe(self, node, group);
+    }
+    fn settle(&mut self, span: Duration) {
+        self.run_for(span);
+    }
+    fn multicast(&mut self, source: usize) -> u64 {
+        self.start_multicast(source, true, Bytes::new())
+    }
+    fn publish(&mut self, source: usize, group: u64) -> u64 {
+        self.start_group_publish(source, group, true, Bytes::new())
+    }
+    fn actor(&self, node: usize) -> &DhtActor<CamChordProtocol> {
+        self.node(node).actor()
+    }
+}
+
+/// A converged CAM-Chord ring on each host, nodes in ring order.
+fn both_hosts() -> [Box<dyn Host>; 2] {
+    let members = members();
+    [
+        Box::new(DynamicNetwork::converged(
+            IdSpace::PAPER,
+            &members,
+            CamChordProtocol,
+            SEED,
+            LatencyModel::default_wan(),
+        )),
+        Box::new(Cluster::converged(
+            IdSpace::PAPER,
+            &members,
+            CamChordProtocol,
+            SEED,
+            InMemoryTransport::new(N, SEED, LatencyModel::default_wan()),
+            RetransmitPolicy::default(),
+        )),
+    ]
+}
+
+/// A plain multicast from node 0, run to quiescence; returns every node's
+/// arrival hop count.
+fn plain_multicast_hops(host: &mut dyn Host) -> Vec<u32> {
+    let payload = host.multicast(0);
+    host.settle(Duration::from_secs(10));
+    (0..N)
+        .map(|i| {
+            host.actor(i)
+                .payload_hops(payload)
+                .expect("plain multicast reaches every node")
+        })
+        .collect()
+}
+
+/// Grouped and ungrouped payloads share one forwarding routine: a group
+/// that *every* node subscribes to must reach each node with exactly the
+/// hop count of a plain multicast from the same source on the same ring.
+#[test]
+fn all_subscriber_group_matches_plain_multicast_hop_for_hop() {
+    const GROUP: u64 = 7;
+    for mut host in both_hosts() {
+        let host = host.as_mut();
+        let plain = plain_multicast_hops(host);
+        assert!(
+            plain.iter().any(|&h| h >= 2),
+            "tree too shallow to mean anything"
+        );
+
+        for node in 0..N {
+            host.subscribe(node, GROUP);
+        }
+        host.settle(Duration::from_secs(5));
+        let publish = host.publish(0, GROUP);
+        host.settle(Duration::from_secs(10));
+
+        for (node, &hops) in plain.iter().enumerate() {
+            let actor = host.actor(node);
+            assert_eq!(actor.payload_hops(publish), Some(hops), "node {node}");
+            assert!(
+                actor.group_received_log.contains(&(GROUP, publish, hops)),
+                "node {node} is a subscriber and must deliver"
+            );
+        }
+    }
+}
+
+/// Only the deepest node of the tree subscribes, so every forwarder on its
+/// path is a non-subscriber: each must relay the publish (the subscriber
+/// receives it, at its plain-multicast depth) without recording a
+/// delivery of its own.
+#[test]
+fn non_subscribers_relay_a_publish_without_delivering_it() {
+    const GROUP: u64 = 11;
+    for mut host in both_hosts() {
+        let host = host.as_mut();
+        let plain = plain_multicast_hops(host);
+        let (subscriber, &depth) = plain
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &h)| h)
+            .expect("ring is non-empty");
+        assert!(
+            depth >= 2,
+            "no interior forwarder between source and subscriber"
+        );
+
+        host.subscribe(subscriber, GROUP);
+        host.settle(Duration::from_secs(5));
+        let publish = host.publish(0, GROUP);
+        host.settle(Duration::from_secs(10));
+
+        for (node, &hops) in plain.iter().enumerate() {
+            let actor = host.actor(node);
+            assert_eq!(
+                actor.payload_hops(publish),
+                Some(hops),
+                "node {node} relays on the plain-multicast tree"
+            );
+            assert_eq!(
+                actor.has_group_payload(GROUP, publish),
+                node == subscriber,
+                "node {node}: only the subscriber delivers"
+            );
+            assert_eq!(actor.payload_data(publish).is_some(), node == subscriber);
+            assert_eq!(
+                actor.received_log.len(),
+                1,
+                "only the plain multicast is logged"
+            );
+        }
+    }
 }
 
 /// Acceptance smoke: 1,000 groups over a 10,000-node universe through the
