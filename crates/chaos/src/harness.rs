@@ -24,13 +24,13 @@ use cam_core::cam_chord::CamChordProtocol;
 use cam_core::cam_koorde::CamKoordeProtocol;
 use cam_net::runtime::{Cluster, RetransmitPolicy};
 use cam_net::transport::{InMemoryTransport, Transport};
-use cam_overlay::dynamic::{DhtProtocol, DynamicNetwork};
+use cam_overlay::dynamic::{DhtActor, DhtProtocol, DynamicNetwork};
 use cam_overlay::{Member, MemberSet};
 use cam_pubsub::GroupRegistry;
 use cam_ring::IdSpace;
 use cam_sim::time::Duration;
 use cam_sim::LatencyModel;
-use cam_trace::{EventKind, RecordingTracer, TraceEvent};
+use cam_trace::{EventKind, RecordingTracer, TraceEvent, Tracer};
 
 use crate::oracle::{
     census_of, check_cleanup_degraded, check_cross_group_capacity, check_delivery_degraded,
@@ -137,33 +137,59 @@ impl Default for Fingerprint {
 /// attaches Chrome-trace JSON to the report (and enables the trace-based
 /// forward-cycle oracle).
 pub fn run_plan(plan: &FaultPlan, host: HostKind, record: bool) -> ChaosReport {
-    match (host, plan.protocol) {
-        (HostKind::Net, ProtocolChoice::Chord) => drive(
-            plan,
-            &mut NetHost::new(plan, CamChordProtocol, record),
-            host,
-        ),
-        (HostKind::Net, ProtocolChoice::Koorde) => drive(
-            plan,
-            &mut NetHost::new(plan, CamKoordeProtocol, record),
-            host,
-        ),
-        (HostKind::Sim, ProtocolChoice::Chord) => drive(
-            plan,
-            &mut SimHost::new(plan, CamChordProtocol, record),
-            host,
-        ),
-        (HostKind::Sim, ProtocolChoice::Koorde) => drive(
-            plan,
-            &mut SimHost::new(plan, CamKoordeProtocol, record),
-            host,
-        ),
+    match plan.protocol {
+        ProtocolChoice::Chord => run_with(plan, &CamChordProtocol, host, record),
+        ProtocolChoice::Koorde => run_with(plan, &CamKoordeProtocol, host, record),
     }
 }
 
-/// The operations the driver needs from a host, host-agnostically.
-trait ChaosHost {
-    fn len(&self) -> usize;
+fn run_with<P: DhtProtocol>(
+    plan: &FaultPlan,
+    protocol: &P,
+    kind: HostKind,
+    record: bool,
+) -> ChaosReport {
+    let members = plan.initial_members();
+    match kind {
+        HostKind::Net => {
+            let endpoints = plan.nodes + plan.join_count();
+            let transport = InMemoryTransport::new(endpoints, plan.seed, chaos_latency());
+            let mut cluster = Cluster::converged(
+                IdSpace::PAPER,
+                &members,
+                protocol.clone(),
+                plan.seed,
+                transport,
+                RetransmitPolicy::default(),
+            );
+            drive(plan, protocol, &mut cluster, kind, record)
+        }
+        HostKind::Sim => {
+            let mut net = DynamicNetwork::converged(
+                IdSpace::PAPER,
+                &members,
+                protocol.clone(),
+                plan.seed,
+                chaos_latency(),
+            );
+            drive(plan, protocol, &mut net, kind, record)
+        }
+    }
+}
+
+fn chaos_latency() -> LatencyModel {
+    LatencyModel::Uniform {
+        min: Duration::from_micros(10_000),
+        max: Duration::from_micros(60_000),
+    }
+}
+
+/// What the driver needs from a host of `DhtActor<P>`s. Only what differs
+/// between the two substrates lives behind this trait — how time runs, how
+/// faults reach the wire, how nodes come and go; everything the driver can
+/// do through an actor or the tracer it does itself, once.
+trait ChaosHost<P: DhtProtocol> {
+    fn nodes(&self) -> usize;
     fn now_micros(&self) -> u64;
     /// Advance virtual time by `span`; true if the fail-fast duplicate
     /// guard tripped.
@@ -172,24 +198,70 @@ trait ChaosHost {
     /// which has no frame layer to drain.
     fn run_quiet(&mut self, max: Duration);
     fn crash(&mut self, node: usize);
-    fn leave(&mut self, node: usize);
-    fn restart(&mut self, node: usize);
-    fn join(&mut self, member: Member);
+    /// A graceful departure. The wire runtime knows only silence, so it
+    /// is a crash there; the sim host traces the distinction.
+    fn leave(&mut self, node: usize) {
+        self.crash(node);
+    }
+    /// Restarts crashed `node` with fresh state; false if it is running.
+    fn restart_node(&mut self, node: usize, protocol: &P) -> bool;
+    /// Starts `member`'s join; the joiner's node index, if it was admitted.
+    fn join_member(&mut self, member: Member, protocol: &P) -> Option<usize>;
     fn set_links_blocked(&mut self, cut: &[(u32, u32)], blocked: bool);
     fn heal_partitions(&mut self);
     fn set_loss_per_mille(&mut self, pm: u16);
     fn set_dup_per_mille(&mut self, pm: u16);
-    fn start_multicast(&mut self) -> u64;
+    /// Multicasts from node 0; the payload id.
+    fn multicast(&mut self, region_split: bool) -> u64;
     fn retry_joins(&mut self);
+    /// The live actor at `node`, if any.
+    fn actor_mut(&mut self, node: usize) -> Option<&mut DhtActor<P>>;
     fn snapshots(&self) -> Vec<NodeSnapshot>;
-    fn neighbor_targets(&self, m: &Member) -> Vec<cam_ring::Id>;
     fn fold_counters(&self, h: &mut Fingerprint);
-    fn trace_events(&self) -> Vec<TraceEvent>;
-    fn trace_json(&self) -> Option<String>;
-    fn record_violations(&mut self, violations: &[Violation]);
+    fn install_tracer(&mut self, tracer: Box<dyn Tracer>);
+    fn tracer_mut(&mut self) -> &mut dyn Tracer;
 }
 
-fn drive<H: ChaosHost>(plan: &FaultPlan, host: &mut H, kind: HostKind) -> ChaosReport {
+/// The fail-fast guard: an application delivery log longer than the
+/// duplicate-suppression table means a payload was delivered twice.
+fn suppression_broken<P: DhtProtocol>(actor: &DhtActor<P>) -> bool {
+    actor.received_log.len() > actor.payloads_received()
+}
+
+/// Applies the plan's per-node settings to a fresh actor: anti-entropy
+/// when the plan runs with it, and the Byzantine behavior when this node
+/// is the planned adversary (re-attached with the planned seed after a
+/// restart, so replays remain deterministic).
+fn equip<P: DhtProtocol>(
+    actor: &mut DhtActor<P>,
+    anti_entropy: bool,
+    adversary: Option<AdversarySpec>,
+) {
+    if anti_entropy {
+        actor.set_anti_entropy(true);
+    }
+    if let Some(adv) = adversary {
+        actor.attach_adversary(adv.behavior, adv.seed);
+    }
+}
+
+fn drive<P: DhtProtocol, H: ChaosHost<P>>(
+    plan: &FaultPlan,
+    protocol: &P,
+    host: &mut H,
+    kind: HostKind,
+    record: bool,
+) -> ChaosReport {
+    if record {
+        host.install_tracer(Box::new(RecordingTracer::with_capacity(1 << 18)));
+    }
+    let adversary_at = |node: usize| plan.adversary.filter(|adv| adv.node as usize == node);
+    for node in 0..host.nodes() {
+        if let Some(actor) = host.actor_mut(node) {
+            equip(actor, plan.anti_entropy, adversary_at(node));
+        }
+    }
+
     let mut violations: Vec<Violation> = Vec::new();
     let mut payloads: Vec<u64> = Vec::new();
     let mut final_payload = None;
@@ -222,27 +294,36 @@ fn drive<H: ChaosHost>(plan: &FaultPlan, host: &mut H, kind: HostKind) -> ChaosR
         applied += 1;
         match &ev.kind {
             FaultKind::Crash { node } => {
-                if (*node as usize) < host.len() {
+                if (*node as usize) < host.nodes() {
                     host.crash(*node as usize);
                 }
             }
             FaultKind::Leave { node } => {
-                if (*node as usize) < host.len() {
+                if (*node as usize) < host.nodes() {
                     host.leave(*node as usize);
                 }
             }
             FaultKind::Restart { node } => {
-                if (*node as usize) < host.len() {
-                    host.restart(*node as usize);
+                let node = *node as usize;
+                if node < host.nodes() && host.restart_node(node, protocol) {
+                    if let Some(actor) = host.actor_mut(node) {
+                        equip(actor, plan.anti_entropy, adversary_at(node));
+                    }
                 }
             }
-            FaultKind::Join { member } => host.join(*member),
+            FaultKind::Join { member } => {
+                if let Some(node) = host.join_member(*member, protocol) {
+                    if let Some(actor) = host.actor_mut(node) {
+                        equip(actor, plan.anti_entropy, None);
+                    }
+                }
+            }
             FaultKind::PartitionStart { cut } => host.set_links_blocked(cut, true),
             FaultKind::PartitionHeal => host.heal_partitions(),
             FaultKind::LossBurst { per_mille } => host.set_loss_per_mille(*per_mille),
             FaultKind::LossRestore => host.set_loss_per_mille(plan.loss_base_per_mille),
             FaultKind::Duplicate { per_mille } => host.set_dup_per_mille(*per_mille),
-            FaultKind::Multicast => payloads.push(host.start_multicast()),
+            FaultKind::Multicast => payloads.push(host.multicast(plan.region_split)),
             // Group events mutate the shadow registry only; admission
             // rejections and unknown-group errors are legitimate outcomes
             // under a random schedule, not failures.
@@ -299,7 +380,7 @@ fn drive<H: ChaosHost>(plan: &FaultPlan, host: &mut H, kind: HostKind) -> ChaosR
             }
         }
         if !aborted {
-            let fp = host.start_multicast();
+            let fp = host.multicast(plan.region_split);
             payloads.push(fp);
             final_payload = Some(fp);
             aborted = host.run_guarded(Duration::from_micros(plan.final_wait_secs * 1_000_000));
@@ -310,7 +391,11 @@ fn drive<H: ChaosHost>(plan: &FaultPlan, host: &mut H, kind: HostKind) -> ChaosR
 
         let snaps = host.snapshots();
         violations.extend(check_duplicate_suppression(&snaps));
-        violations.extend(check_forward_cycles(&host.trace_events()));
+        let recorded: Vec<TraceEvent> = match host.tracer_mut().as_recording() {
+            Some(r) => r.events().cloned().collect(),
+            None => Vec::new(),
+        };
+        violations.extend(check_forward_cycles(&recorded));
         let required: Vec<u64> = if plan.anti_entropy {
             payloads.clone()
         } else {
@@ -326,7 +411,7 @@ fn drive<H: ChaosHost>(plan: &FaultPlan, host: &mut H, kind: HostKind) -> ChaosR
             violations.extend(check_ring_convergence_degraded(&snaps, adv));
             violations.extend(check_neighbor_ideal_degraded(
                 &snaps,
-                &|m| host.neighbor_targets(m),
+                &|m| protocol.neighbor_targets(IdSpace::PAPER, m),
                 adv,
             ));
             violations.extend(check_cleanup_degraded(&snaps, kind == HostKind::Net, adv));
@@ -336,7 +421,12 @@ fn drive<H: ChaosHost>(plan: &FaultPlan, host: &mut H, kind: HostKind) -> ChaosR
         let snaps = host.snapshots();
         violations.extend(check_duplicate_suppression(&snaps));
     }
-    host.record_violations(&violations);
+    let at = host.now_micros();
+    for v in &violations {
+        let node = v.node.unwrap_or(u64::MAX);
+        host.tracer_mut()
+            .record(at, node, EventKind::OracleViolation { oracle: v.oracle });
+    }
 
     let snaps = host.snapshots();
     let census: Vec<(u64, u64, u64)> = payloads
@@ -403,8 +493,10 @@ fn drive<H: ChaosHost>(plan: &FaultPlan, host: &mut H, kind: HostKind) -> ChaosR
     }
 
     let adversary_events: Vec<(u64, bool, &'static str)> = host
-        .trace_events()
-        .iter()
+        .tracer_mut()
+        .as_recording()
+        .into_iter()
+        .flat_map(RecordingTracer::events)
         .filter_map(|ev| match ev.kind {
             EventKind::AdversaryAct { behavior, .. } => Some((ev.at_micros, false, behavior)),
             EventKind::AdversaryDetect { detector, .. } => Some((ev.at_micros, true, detector)),
@@ -419,207 +511,109 @@ fn drive<H: ChaosHost>(plan: &FaultPlan, host: &mut H, kind: HostKind) -> ChaosR
         census,
         final_payload,
         events_applied: applied,
-        trace_json: host.trace_json(),
+        trace_json: host
+            .tracer_mut()
+            .as_recording()
+            .map(RecordingTracer::chrome_trace_json),
         snapshots: snaps,
         adversary_events,
     }
 }
 
-fn chaos_latency() -> LatencyModel {
-    LatencyModel::Uniform {
-        min: Duration::from_micros(10_000),
-        max: Duration::from_micros(60_000),
-    }
-}
-
 // ------------------------------------------------------------- net host
 
-struct NetHost<P: DhtProtocol> {
-    cluster: Cluster<P, InMemoryTransport>,
-    protocol: P,
-    region_split: bool,
-    anti_entropy: bool,
-    adversary: Option<AdversarySpec>,
-    recording: bool,
-}
-
-impl<P: DhtProtocol> NetHost<P> {
-    fn new(plan: &FaultPlan, protocol: P, record: bool) -> NetHost<P> {
-        let members = plan.initial_members();
-        let endpoints = plan.nodes + plan.join_count();
-        let transport = InMemoryTransport::new(endpoints, plan.seed, chaos_latency());
-        let mut cluster = Cluster::converged(
-            IdSpace::PAPER,
-            &members,
-            protocol.clone(),
-            plan.seed,
-            transport,
-            RetransmitPolicy::default(),
-        );
-        if record {
-            cluster.set_tracer(Box::new(RecordingTracer::with_capacity(1 << 18)));
-        }
-        if plan.anti_entropy {
-            for i in 0..cluster.len() {
-                cluster.node_mut(i).actor_mut().set_anti_entropy(true);
-            }
-        }
-        if let Some(adv) = plan.adversary {
-            if (adv.node as usize) < cluster.len() {
-                cluster
-                    .node_mut(adv.node as usize)
-                    .actor_mut()
-                    .attach_adversary(adv.behavior, adv.seed);
-            }
-        }
-        NetHost {
-            cluster,
-            protocol,
-            region_split: plan.region_split,
-            anti_entropy: plan.anti_entropy,
-            adversary: plan.adversary,
-            recording: record,
-        }
-    }
-}
-
-fn net_guard<P: DhtProtocol>(c: &Cluster<P, InMemoryTransport>) -> bool {
-    (0..c.len()).any(|i| {
-        let a = c.node(i).actor();
-        a.received_log.len() > a.payloads_received()
-    })
-}
-
-impl<P: DhtProtocol> ChaosHost for NetHost<P> {
-    fn len(&self) -> usize {
-        self.cluster.len()
+impl<P: DhtProtocol> ChaosHost<P> for Cluster<P, InMemoryTransport> {
+    fn nodes(&self) -> usize {
+        self.len()
     }
 
     fn now_micros(&self) -> u64 {
-        self.cluster.now().micros()
+        self.now().micros()
     }
 
     fn run_guarded(&mut self, span: Duration) -> bool {
-        self.cluster.run_until(span, net_guard)
+        self.run_until(span, |c| {
+            (0..c.len()).any(|i| suppression_broken(c.node(i).actor()))
+        })
     }
 
     fn run_quiet(&mut self, max: Duration) {
-        self.cluster.run_until(max, |c| {
+        self.run_until(max, |c| {
             (0..c.len()).all(|i| c.node(i).unacked_frames() == 0)
         });
     }
 
     fn crash(&mut self, node: usize) {
-        if self.cluster.node(node).is_alive() {
-            self.cluster.kill(node);
+        if self.node(node).is_alive() {
+            self.kill(node);
         }
     }
 
-    fn leave(&mut self, node: usize) {
-        // The wire runtime treats departure as crash (silence); the trace
-        // distinction only exists on the sim host.
-        self.crash(node);
+    fn restart_node(&mut self, node: usize, _protocol: &P) -> bool {
+        self.restart(node)
     }
 
-    fn restart(&mut self, node: usize) {
-        if self.cluster.restart(node) {
-            if self.anti_entropy {
-                self.cluster
-                    .node_mut(node)
-                    .actor_mut()
-                    .set_anti_entropy(true);
-            }
-            // A restarted adversary stays Byzantine: re-attach with the
-            // planned seed so replays remain deterministic.
-            if let Some(adv) = self.adversary {
-                if adv.node as usize == node {
-                    self.cluster
-                        .node_mut(node)
-                        .actor_mut()
-                        .attach_adversary(adv.behavior, adv.seed);
-                }
-            }
-        }
-    }
-
-    fn join(&mut self, member: Member) {
-        if let Some(i) = self.cluster.join(member) {
-            if self.anti_entropy {
-                self.cluster.node_mut(i).actor_mut().set_anti_entropy(true);
-            }
-        }
+    fn join_member(&mut self, member: Member, _protocol: &P) -> Option<usize> {
+        self.join(member)
     }
 
     fn set_links_blocked(&mut self, cut: &[(u32, u32)], blocked: bool) {
-        let n = self.cluster.transport().endpoints();
+        let n = self.transport().endpoints();
         for &(a, b) in cut {
             if (a as usize) < n && (b as usize) < n {
-                self.cluster
-                    .transport_mut()
+                self.transport_mut()
                     .set_link_blocked(a as usize, b as usize, blocked);
             }
         }
     }
 
     fn heal_partitions(&mut self) {
-        self.cluster.transport_mut().clear_blocked_links();
+        self.transport_mut().clear_blocked_links();
     }
 
     fn set_loss_per_mille(&mut self, pm: u16) {
-        self.cluster
-            .transport_mut()
+        self.transport_mut()
             .set_loss_probability(f64::from(pm) / 1000.0);
     }
 
     fn set_dup_per_mille(&mut self, pm: u16) {
-        self.cluster
-            .transport_mut()
+        self.transport_mut()
             .set_duplicate_probability(f64::from(pm) / 1000.0);
     }
 
-    fn start_multicast(&mut self) -> u64 {
-        self.cluster
-            .start_multicast(0, self.region_split, Bytes::new())
+    fn multicast(&mut self, region_split: bool) -> u64 {
+        self.start_multicast(0, region_split, Bytes::new())
     }
 
     fn retry_joins(&mut self) {
-        self.cluster.retry_stalled_joins();
+        self.retry_stalled_joins();
+    }
+
+    fn actor_mut(&mut self, node: usize) -> Option<&mut DhtActor<P>> {
+        let nd = self.node_mut(node);
+        nd.is_alive().then(|| nd.actor_mut())
     }
 
     fn snapshots(&self) -> Vec<NodeSnapshot> {
-        (0..self.cluster.len())
+        (0..self.len())
             .map(|i| {
-                let nd = self.cluster.node(i);
-                let a = nd.actor();
-                NodeSnapshot {
-                    index: i,
-                    member: *a.member(),
-                    alive: nd.is_alive(),
-                    joined: nd.is_alive() && a.is_joined(),
-                    successor: a.successor().map(|m| m.id),
-                    predecessor: a.predecessor().map(|m| m.id),
-                    fingers: a
-                        .finger_entries()
-                        .into_iter()
-                        .map(|(t, m)| (t, m.id))
-                        .collect(),
-                    received: a.received_log.clone(),
-                    seen: a.payloads_received(),
-                    unacked: nd.unacked_frames(),
-                    armed_timers: nd.armed_timers(),
-                    detections: a.detections(),
-                    adversary_acts: a.adversary().map_or(0, |s| s.acts),
-                }
+                let nd = self.node(i);
+                // A crashed node's runtime keeps its last actor state; the
+                // snapshot carries it, marked dead.
+                NodeSnapshot::capture(
+                    i,
+                    *nd.actor().member(),
+                    nd.is_alive(),
+                    Some(nd.actor()),
+                    nd.unacked_frames(),
+                    nd.armed_timers(),
+                )
             })
             .collect()
     }
 
-    fn neighbor_targets(&self, m: &Member) -> Vec<cam_ring::Id> {
-        self.protocol.neighbor_targets(self.cluster.space(), m)
-    }
-
     fn fold_counters(&self, h: &mut Fingerprint) {
-        let c = self.cluster.counters();
+        let c = self.counters();
         h.u64(c.bytes_sent);
         h.u64(c.bytes_received);
         h.u64(c.frames_encoded);
@@ -630,111 +624,40 @@ impl<P: DhtProtocol> ChaosHost for NetHost<P> {
         h.u64(c.frames_retransmitted);
     }
 
-    fn trace_events(&self) -> Vec<TraceEvent> {
-        self.cluster
-            .tracer()
-            .as_recording()
-            .map(|r| r.events().cloned().collect())
-            .unwrap_or_default()
+    fn install_tracer(&mut self, tracer: Box<dyn Tracer>) {
+        self.set_tracer(tracer);
     }
 
-    fn trace_json(&self) -> Option<String> {
-        self.cluster
-            .tracer()
-            .as_recording()
-            .map(RecordingTracer::chrome_trace_json)
-    }
-
-    fn record_violations(&mut self, violations: &[Violation]) {
-        if !self.recording {
-            return;
-        }
-        let at = self.cluster.now().micros();
-        for v in violations {
-            let node = v.node.unwrap_or(u64::MAX);
-            self.cluster.tracer_mut().record(
-                at,
-                node,
-                EventKind::OracleViolation { oracle: v.oracle },
-            );
-        }
+    fn tracer_mut(&mut self) -> &mut dyn Tracer {
+        Cluster::tracer_mut(self)
     }
 }
 
 // ------------------------------------------------------------- sim host
 
-struct SimHost<P: DhtProtocol> {
-    net: DynamicNetwork<P>,
-    protocol: P,
-    region_split: bool,
-    anti_entropy: bool,
-    adversary: Option<AdversarySpec>,
-    recording: bool,
-}
-
-impl<P: DhtProtocol> SimHost<P> {
-    fn new(plan: &FaultPlan, protocol: P, record: bool) -> SimHost<P> {
-        let members = plan.initial_members();
-        let mut net = DynamicNetwork::converged(
-            IdSpace::PAPER,
-            &members,
-            protocol.clone(),
-            plan.seed,
-            chaos_latency(),
-        );
-        if record {
-            net.sim
-                .set_tracer(Box::new(RecordingTracer::with_capacity(1 << 18)));
-        }
-        if plan.anti_entropy {
-            net.enable_anti_entropy();
-        }
-        if let Some(adv) = plan.adversary {
-            if let Some(&(_, aid)) = net.actors().get(adv.node as usize) {
-                if let Some(a) = net.sim.actor_mut(aid) {
-                    a.attach_adversary(adv.behavior, adv.seed);
-                }
-            }
-        }
-        SimHost {
-            net,
-            protocol,
-            region_split: plan.region_split,
-            anti_entropy: plan.anti_entropy,
-            adversary: plan.adversary,
-            recording: record,
-        }
-    }
-
-    fn guard(&self) -> bool {
-        self.net.actors().iter().any(|(_, a)| {
-            self.net
-                .sim
-                .actor(*a)
-                .is_some_and(|x| x.received_log.len() > x.payloads_received())
-        })
-    }
-}
-
-impl<P: DhtProtocol> ChaosHost for SimHost<P> {
-    fn len(&self) -> usize {
-        self.net.actors().len()
+impl<P: DhtProtocol> ChaosHost<P> for DynamicNetwork<P> {
+    fn nodes(&self) -> usize {
+        self.actors().len()
     }
 
     fn now_micros(&self) -> u64 {
-        self.net.sim.now().micros()
+        self.sim.now().micros()
     }
 
     fn run_guarded(&mut self, span: Duration) -> bool {
         // The event engine has no predicate hook; step in 100 ms slices
         // so the guard still fires long before a suppression-free flood
         // can melt the run.
-        let end = self.net.sim.now() + span;
-        let mut t = self.net.sim.now();
+        let end = self.sim.now() + span;
+        let mut t = self.sim.now();
         loop {
             t = (t + Duration::from_micros(100_000)).min(end);
-            self.net.sim.run_until(t);
-            if self.guard() {
+            self.sim.run_until(t);
+            let tripped = self
+                .actors()
+                .iter()
+                .any(|(_, a)| self.sim.actor(*a).is_some_and(suppression_broken));
+            if tripped {
                 return true;
             }
             if t >= end {
@@ -747,72 +670,47 @@ impl<P: DhtProtocol> ChaosHost for SimHost<P> {
         // No retransmit state to drain; a short settle slice keeps the
         // quiescent-point semantics aligned with the wire host.
         let span = Duration::from_micros(max.micros().min(1_000_000));
-        let deadline = self.net.sim.now() + span;
-        self.net.sim.run_until(deadline);
+        let deadline = self.sim.now() + span;
+        self.sim.run_until(deadline);
     }
 
     fn crash(&mut self, node: usize) {
-        let (_, a) = self.net.actors()[node];
-        if self.net.sim.is_alive(a) {
-            let at = self.net.sim.now().micros();
-            self.net.sim.kill(a);
-            self.net
-                .sim
-                .tracer_mut()
-                .record(at, a.0 as u64, EventKind::Crash);
-        }
+        let (_, a) = self.actors()[node];
+        DynamicNetwork::crash(self, a);
     }
 
     fn leave(&mut self, node: usize) {
-        let (m, _) = self.net.actors()[node];
-        self.net.remove_member(m.id);
+        let (m, _) = self.actors()[node];
+        self.remove_member(m.id);
     }
 
-    fn restart(&mut self, node: usize) {
-        let (m, _) = self.net.actors()[node];
-        if let Some(aid) = self.net.revive(m.id, self.protocol.clone()) {
-            if self.anti_entropy {
-                if let Some(a) = self.net.sim.actor_mut(aid) {
-                    a.set_anti_entropy(true);
-                }
-            }
-            if let Some(adv) = self.adversary {
-                if adv.node as usize == node {
-                    if let Some(a) = self.net.sim.actor_mut(aid) {
-                        a.attach_adversary(adv.behavior, adv.seed);
-                    }
-                }
-            }
-        }
+    fn restart_node(&mut self, node: usize, protocol: &P) -> bool {
+        let (m, _) = self.actors()[node];
+        self.revive(m.id, protocol.clone()).is_some()
     }
 
-    fn join(&mut self, member: Member) {
-        if let Some(aid) = self.net.inject_join(member, self.protocol.clone()) {
-            if self.anti_entropy {
-                if let Some(a) = self.net.sim.actor_mut(aid) {
-                    a.set_anti_entropy(true);
-                }
-            }
-        }
+    fn join_member(&mut self, member: Member, protocol: &P) -> Option<usize> {
+        self.inject_join(member, protocol.clone())
+            .map(|_| self.actors().len() - 1)
     }
 
     fn set_links_blocked(&mut self, cut: &[(u32, u32)], blocked: bool) {
-        let actors = self.net.actors().to_vec();
+        let actors = self.actors().to_vec();
         for &(x, y) in cut {
             if (x as usize) < actors.len() && (y as usize) < actors.len() {
                 let from = actors[x as usize].1;
                 let to = actors[y as usize].1;
-                self.net.sim.set_link_blocked(from, to, blocked);
+                self.sim.set_link_blocked(from, to, blocked);
             }
         }
     }
 
     fn heal_partitions(&mut self) {
-        self.net.sim.clear_blocked_links();
+        self.sim.clear_blocked_links();
     }
 
     fn set_loss_per_mille(&mut self, pm: u16) {
-        self.net.sim.set_loss_probability(f64::from(pm) / 1000.0);
+        self.sim.set_loss_probability(f64::from(pm) / 1000.0);
     }
 
     fn set_dup_per_mille(&mut self, _pm: u16) {
@@ -820,65 +718,33 @@ impl<P: DhtProtocol> ChaosHost for SimHost<P> {
         // fault and a documented no-op here.
     }
 
-    fn start_multicast(&mut self) -> u64 {
-        let source = self.net.actors()[0].1;
-        self.net.start_multicast(source, self.region_split)
+    fn multicast(&mut self, region_split: bool) -> u64 {
+        let source = self.actors()[0].1;
+        self.start_multicast(source, region_split)
     }
 
     fn retry_joins(&mut self) {
-        self.net.retry_stalled_joins();
+        self.retry_stalled_joins();
+    }
+
+    fn actor_mut(&mut self, node: usize) -> Option<&mut DhtActor<P>> {
+        let &(_, a) = self.actors().get(node)?;
+        self.sim.actor_mut(a)
     }
 
     fn snapshots(&self) -> Vec<NodeSnapshot> {
-        self.net
-            .actors()
+        self.actors()
             .iter()
             .enumerate()
-            .map(|(i, (m, aid))| match self.net.sim.actor(*aid) {
-                Some(a) => NodeSnapshot {
-                    index: i,
-                    member: *m,
-                    alive: true,
-                    joined: a.is_joined(),
-                    successor: a.successor().map(|s| s.id),
-                    predecessor: a.predecessor().map(|p| p.id),
-                    fingers: a
-                        .finger_entries()
-                        .into_iter()
-                        .map(|(t, x)| (t, x.id))
-                        .collect(),
-                    received: a.received_log.clone(),
-                    seen: a.payloads_received(),
-                    unacked: 0,
-                    armed_timers: 0,
-                    detections: a.detections(),
-                    adversary_acts: a.adversary().map_or(0, |s| s.acts),
-                },
-                None => NodeSnapshot {
-                    index: i,
-                    member: *m,
-                    alive: false,
-                    joined: false,
-                    successor: None,
-                    predecessor: None,
-                    fingers: Vec::new(),
-                    received: Vec::new(),
-                    seen: 0,
-                    unacked: 0,
-                    armed_timers: 0,
-                    detections: cam_overlay::DetectionCounters::default(),
-                    adversary_acts: 0,
-                },
+            .map(|(i, &(m, a))| {
+                let actor = self.sim.actor(a);
+                NodeSnapshot::capture(i, m, actor.is_some(), actor, 0, 0)
             })
             .collect()
     }
 
-    fn neighbor_targets(&self, m: &Member) -> Vec<cam_ring::Id> {
-        self.protocol.neighbor_targets(self.net.space(), m)
-    }
-
     fn fold_counters(&self, h: &mut Fingerprint) {
-        let s = self.net.sim.stats();
+        let s = self.sim.stats();
         h.u64(s.sent);
         h.u64(s.delivered);
         h.u64(s.dropped);
@@ -887,36 +753,12 @@ impl<P: DhtProtocol> ChaosHost for SimHost<P> {
         h.u64(s.bytes_sent);
     }
 
-    fn trace_events(&self) -> Vec<TraceEvent> {
-        self.net
-            .sim
-            .tracer()
-            .as_recording()
-            .map(|r| r.events().cloned().collect())
-            .unwrap_or_default()
+    fn install_tracer(&mut self, tracer: Box<dyn Tracer>) {
+        self.sim.set_tracer(tracer);
     }
 
-    fn trace_json(&self) -> Option<String> {
-        self.net
-            .sim
-            .tracer()
-            .as_recording()
-            .map(RecordingTracer::chrome_trace_json)
-    }
-
-    fn record_violations(&mut self, violations: &[Violation]) {
-        if !self.recording {
-            return;
-        }
-        let at = self.net.sim.now().micros();
-        for v in violations {
-            let node = v.node.unwrap_or(u64::MAX);
-            self.net.sim.tracer_mut().record(
-                at,
-                node,
-                EventKind::OracleViolation { oracle: v.oracle },
-            );
-        }
+    fn tracer_mut(&mut self) -> &mut dyn Tracer {
+        self.sim.tracer_mut()
     }
 }
 

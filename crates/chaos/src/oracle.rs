@@ -55,6 +55,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use cam_overlay::dynamic::{DhtActor, DhtProtocol};
 use cam_overlay::{ByzantineBehavior, DetectionCounters, Member};
 use cam_pubsub::CapacityLedger;
 use cam_ring::Id;
@@ -94,6 +95,41 @@ pub struct NodeSnapshot {
     /// Misbehaviors this node itself performed — nonzero only on a
     /// planned adversary that actually activated.
     pub adversary_acts: u64,
+}
+
+impl NodeSnapshot {
+    /// Freezes the node at table slot `index`. `state` is the actor whose
+    /// routing tables and logs the snapshot carries: `None` leaves them
+    /// empty (the sim host drops a dead actor's state; the wire host still
+    /// holds it and passes it with `alive == false`).
+    pub(crate) fn capture<P: DhtProtocol>(
+        index: usize,
+        member: Member,
+        alive: bool,
+        state: Option<&DhtActor<P>>,
+        unacked: usize,
+        armed_timers: usize,
+    ) -> NodeSnapshot {
+        let finger_ids = |a: &DhtActor<P>| -> Vec<(u64, Id)> {
+            let fingers = a.finger_entries();
+            fingers.into_iter().map(|(t, m)| (t, m.id)).collect()
+        };
+        NodeSnapshot {
+            index,
+            member,
+            alive,
+            joined: alive && state.is_some_and(DhtActor::is_joined),
+            successor: state.and_then(|a| Some(a.successor()?.id)),
+            predecessor: state.and_then(|a| Some(a.predecessor()?.id)),
+            fingers: state.map(finger_ids).unwrap_or_default(),
+            received: state.map(|a| a.received_log.clone()).unwrap_or_default(),
+            seen: state.map_or(0, DhtActor::payloads_received),
+            unacked,
+            armed_timers,
+            detections: state.map(DhtActor::detections).unwrap_or_default(),
+            adversary_acts: state.and_then(DhtActor::adversary).map_or(0, |s| s.acts),
+        }
+    }
 }
 
 /// One oracle violation, with a deterministic human-readable detail.

@@ -36,7 +36,7 @@ const PROTOCOL_CRATES: &[&str] = &["core", "overlay", "sim", "net", "trace", "ch
 const PANIC_FREE_CRATES: &[&str] = &["net"];
 
 /// The wire-exhaustiveness file set, relative to the workspace root.
-const WIRE_ENUM: &str = "crates/overlay/src/dynamic.rs";
+const WIRE_ENUM: &str = "crates/overlay/src/dynamic/msg.rs";
 const WIRE_CODEC: &str = "crates/net/src/codec.rs";
 const WIRE_ROUNDTRIP: &str = "crates/net/tests/codec_roundtrip.rs";
 /// Codec functions that must each handle every `DhtMsg` variant.

@@ -64,8 +64,8 @@ fn pristine_tree_is_clean() {
 #[test]
 fn injected_hash_iteration_fails_the_tree() {
     let dst = fresh_copy("determinism");
-    let path = dst.join("crates/overlay/src/dynamic.rs");
-    let mut src = fs::read_to_string(&path).expect("read dynamic.rs");
+    let path = dst.join("crates/overlay/src/dynamic/actor.rs");
+    let mut src = fs::read_to_string(&path).expect("read dynamic/actor.rs");
     src.push_str(
         "\npub fn cam_lint_probe(m: &std::collections::HashMap<u64, u32>) -> u64 {\n    \
          let mut acc = 0;\n    for (k, _) in m {\n        acc ^= *k;\n    }\n    acc\n}\n",
@@ -75,7 +75,7 @@ fn injected_hash_iteration_fails_the_tree() {
     assert!(
         findings
             .iter()
-            .any(|f| f.rule == Rule::Determinism && f.file.ends_with("dynamic.rs")),
+            .any(|f| f.rule == Rule::Determinism && f.file.ends_with("dynamic/actor.rs")),
         "unsorted HashMap iteration must be flagged; got:\n{}",
         render(&findings)
     );
@@ -85,8 +85,8 @@ fn injected_hash_iteration_fails_the_tree() {
 #[test]
 fn new_variant_without_codec_arms_fails_the_tree() {
     let dst = fresh_copy("wire");
-    let path = dst.join("crates/overlay/src/dynamic.rs");
-    let src = fs::read_to_string(&path).expect("read dynamic.rs");
+    let path = dst.join("crates/overlay/src/dynamic/msg.rs");
+    let src = fs::read_to_string(&path).expect("read dynamic/msg.rs");
     let mutated = src.replacen(
         "pub enum DhtMsg {",
         "pub enum DhtMsg {\n    CamLintProbe,",

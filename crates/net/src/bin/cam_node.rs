@@ -3,16 +3,15 @@
 //!
 //! Every node is a full `DhtActor` (the same protocol logic the simulator
 //! and the paper experiments use) hosted by the `cam-net` reactor, either
-//! over non-blocking UDP sockets on `127.0.0.1` (one per node by default,
-//! or all nodes multiplexed on a single socket with `--mux`) or over the
-//! deterministic in-memory wire (`--mem`), which also supports seeded
-//! frame-loss injection (`--loss`). The tool bootstraps the cluster, lets
-//! stabilization run, multicasts a payload from node 0, and reports
-//! delivery ratio, hop counts, and wire-level byte/frame counters.
+//! over real UDP on `127.0.0.1` (all nodes multiplexed on one non-blocking
+//! socket) or over the deterministic in-memory wire (`--mem`), which also
+//! supports seeded frame-loss injection (`--loss`). The tool bootstraps the
+//! cluster, lets stabilization run, multicasts a payload from node 0, and
+//! reports delivery ratio, hop counts, and wire-level byte/frame counters.
 //!
 //! ```text
 //! cam-node [N] [--koorde] [--payload BYTES] [--seed SEED]
-//!          [--mem] [--mux] [--loss P] [--trace-out FILE]
+//!          [--mem] [--loss P] [--trace-out FILE]
 //! ```
 //!
 //! `--trace-out FILE` installs a recording tracer and writes the run's
@@ -27,7 +26,6 @@ use cam_core::cam_koorde::CamKoordeProtocol;
 use cam_net::mux::MuxUdpTransport;
 use cam_net::runtime::{Cluster, RetransmitPolicy};
 use cam_net::transport::{InMemoryTransport, Transport};
-use cam_net::udp::UdpTransport;
 use cam_overlay::dynamic::DhtProtocol;
 use cam_overlay::Member;
 use cam_ring::{Id, IdSpace};
@@ -41,13 +39,12 @@ struct Options {
     payload: usize,
     seed: u64,
     mem: bool,
-    mux: bool,
     loss: f64,
     trace_out: Option<String>,
 }
 
 const USAGE: &str = "usage: cam-node [N] [--koorde] [--payload BYTES] [--seed SEED] \
-     [--mem] [--mux] [--loss P] [--trace-out FILE]";
+     [--mem] [--loss P] [--trace-out FILE]";
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
@@ -56,7 +53,6 @@ fn parse_args() -> Result<Options, String> {
         payload: 256,
         seed: 42,
         mem: false,
-        mux: false,
         loss: 0.0,
         trace_out: None,
     };
@@ -67,7 +63,6 @@ fn parse_args() -> Result<Options, String> {
             "--koorde" => opts.koorde = true,
             "--chord" => opts.koorde = false,
             "--mem" => opts.mem = true,
-            "--mux" => opts.mux = true,
             "--payload" => {
                 let v = args.next().ok_or("--payload needs a byte count")?;
                 opts.payload = v.parse().map_err(|_| format!("bad --payload {v:?}"))?;
@@ -102,9 +97,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.loss > 0.0 && !opts.mem {
         return Err("--loss needs --mem (loss injection is in-memory only)".to_string());
-    }
-    if opts.mem && opts.mux {
-        return Err("--mux runs on real UDP; drop --mem".to_string());
     }
     Ok(opts)
 }
@@ -234,11 +226,11 @@ fn run_with_transport<P: DhtProtocol>(
             opts.seed,
         );
         run(opts, protocol, region_split, t)
-    } else if opts.mux {
+    } else {
         let t = match MuxUdpTransport::bind(opts.n) {
             Ok(t) => t,
             Err(e) => {
-                eprintln!("cam-node: cannot bind the multiplexed socket: {e}");
+                eprintln!("cam-node: cannot bind the loopback socket: {e}");
                 return ExitCode::FAILURE;
             }
         };
@@ -246,21 +238,6 @@ fn run_with_transport<P: DhtProtocol>(
             "cam-node: {} nodes ({name}) multiplexed on one socket at {}",
             opts.n,
             t.local_addr(),
-        );
-        run(opts, protocol, region_split, t)
-    } else {
-        let t = match UdpTransport::bind(opts.n) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cam-node: cannot bind {} loopback sockets: {e}", opts.n);
-                return ExitCode::FAILURE;
-            }
-        };
-        println!(
-            "cam-node: {} nodes ({name}) on 127.0.0.1, ports {}..{}",
-            opts.n,
-            t.addr(0).port(),
-            t.addr(opts.n - 1).port(),
         );
         run(opts, protocol, region_split, t)
     }

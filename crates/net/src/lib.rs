@@ -15,11 +15,10 @@
 //!   send/recv, readiness waits, backpressure flushing) plus
 //!   [`transport::InMemoryTransport`], a deterministic in-process wire
 //!   with injectable loss and the simulator's latency models.
-//! * [`udp`] — [`udp::UdpTransport`], one real non-blocking UDP socket
-//!   per node on loopback, with queue-and-retry send backpressure.
-//! * [`mux`] — [`mux::MuxUdpTransport`], hundreds of nodes multiplexed
-//!   onto *one* socket with a 4-byte destination envelope, readiness
-//!   waits, and endpoints routable to another process's socket.
+//! * [`mux`] — [`mux::MuxUdpTransport`], the real-socket transport:
+//!   hundreds of nodes multiplexed onto *one* non-blocking UDP socket with
+//!   a 4-byte destination envelope, queue-and-retry send backpressure,
+//!   readiness waits, and endpoints routable to another process's socket.
 //! * [`reactor`] — [`reactor::ReactorCore`], the pure poll-style
 //!   protocol state machine: `handle_frame(now, ..)` / `poll(now, ..)`
 //!   / `next_wake()`, with every I/O effect emitted through a
@@ -31,8 +30,7 @@
 //!   accounting in [`runtime::LoopStats`].
 //!
 //! The `cam-node` binary (in `src/bin/`) stands up an N-node loopback
-//! UDP cluster (per-node sockets or multiplexed) and runs a real
-//! multicast through it.
+//! UDP cluster and runs a real multicast through it.
 
 #![warn(missing_docs)]
 
@@ -41,7 +39,6 @@ pub mod mux;
 pub mod reactor;
 pub mod runtime;
 pub mod transport;
-pub mod udp;
 
 pub use codec::{
     decode_frame, encode_frame, encode_frame_into, wire_cost, Frame, WireError, MAX_FRAME,
@@ -51,4 +48,3 @@ pub use mux::MuxUdpTransport;
 pub use reactor::{FrameSink, ReactorCore};
 pub use runtime::{Cluster, LoopStats, NodeRuntime, RetransmitPolicy};
 pub use transport::{InMemoryTransport, OutFrame, Transport, WireCounters};
-pub use udp::UdpTransport;

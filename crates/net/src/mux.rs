@@ -16,10 +16,12 @@
 //! wire loop's idle wake-up rate collapses to one per timer. The frame
 //! received during the park is stashed and handed to the next `poll`.
 //!
-//! Send-side backpressure follows the same rules as
-//! [`crate::udp::UdpTransport`]: `WouldBlock` parks the frame for retry
-//! ([`WireCounters::send_backpressure`]); only hard errors and retry-queue
-//! overflow are [`WireCounters::frames_dropped`].
+//! **Backpressure, not loss**: a `send_to` returning
+//! `ErrorKind::WouldBlock` means the socket's buffer is momentarily full,
+//! not that the datagram died. Such frames go into a bounded retry queue
+//! ([`WireCounters::send_backpressure`]) and are re-offered on
+//! [`Transport::flush_backpressure`]; only a hard send error or the retry
+//! queue overflowing counts as [`WireCounters::frames_dropped`].
 
 use std::collections::VecDeque;
 use std::io::ErrorKind;
@@ -29,7 +31,14 @@ use cam_sim::SimTime;
 
 use crate::codec::MAX_FRAME;
 use crate::transport::{Transport, WireCounters};
-use crate::udp::{MAX_BACKPRESSURE, RECV_POOL_CAP};
+
+/// Bound on frames parked awaiting socket writability before the oldest
+/// is dropped for real (a slow receiver must not grow memory without
+/// limit — at that point it *is* loss).
+const MAX_BACKPRESSURE: usize = 8192;
+
+/// Bound on pooled receive buffers (see [`Transport::recycle`]).
+const RECV_POOL_CAP: usize = 256;
 
 /// Bytes of destination-endpoint envelope ahead of each codec frame.
 const ENVELOPE_LEN: usize = 4;
@@ -105,6 +114,20 @@ impl MuxUdpTransport {
         self.pending.len()
     }
 
+    /// Queues an enveloped datagram for retry; the oldest parked frame
+    /// makes room once the queue is full, and that one is lost for real.
+    fn park(&mut self, to: usize, bytes: &[u8]) {
+        self.counters.send_backpressure += 1;
+        if self.pending.len() >= MAX_BACKPRESSURE {
+            self.counters.frames_dropped += 1;
+            self.pending.pop_front();
+        }
+        self.pending.push_back(Queued {
+            to,
+            bytes: bytes.to_vec(),
+        });
+    }
+
     /// One send attempt of an already-enveloped datagram. Returns whether
     /// the frame was consumed (sent, or counted as lost).
     fn offer(&mut self, to: usize, bytes: &[u8], queue_on_block: bool) -> bool {
@@ -117,15 +140,7 @@ impl MuxUdpTransport {
             Ok(_) => true,
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 if queue_on_block {
-                    self.counters.send_backpressure += 1;
-                    if self.pending.len() >= MAX_BACKPRESSURE {
-                        self.counters.frames_dropped += 1;
-                        self.pending.pop_front();
-                    }
-                    self.pending.push_back(Queued {
-                        to,
-                        bytes: bytes.to_vec(),
-                    });
+                    self.park(to, bytes);
                 }
                 false
             }
@@ -182,8 +197,8 @@ impl Transport for MuxUdpTransport {
     }
 
     fn send(&mut self, _now: SimTime, _from: usize, to: usize, frame: &[u8]) {
-        // Count codec-frame bytes (envelope excluded) so mux and
-        // multi-socket runs stay byte-comparable.
+        // Count codec-frame bytes (envelope excluded) so real-socket and
+        // in-memory runs stay byte-comparable.
         self.counters.bytes_sent += frame.len() as u64;
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
@@ -194,15 +209,7 @@ impl Transport for MuxUdpTransport {
         } else {
             // Park behind the queue so per-link order survives
             // backpressure, then try to drain.
-            self.counters.send_backpressure += 1;
-            if self.pending.len() >= MAX_BACKPRESSURE {
-                self.counters.frames_dropped += 1;
-                self.pending.pop_front();
-            }
-            self.pending.push_back(Queued {
-                to,
-                bytes: scratch.clone(),
-            });
+            self.park(to, &scratch);
             self.flush_backpressure(_now);
         }
         self.scratch = scratch;

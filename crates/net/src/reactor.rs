@@ -33,13 +33,14 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use cam_overlay::dynamic::{
-    converged_actors, CollectedEffects, DhtActor, DhtMsg, DhtProtocol, EffectDriver,
+    converged_actors, host, CollectedEffects, DhtActor, DhtDriver, DhtMsg, DhtProtocol,
+    EffectDriver,
 };
 use cam_overlay::Member;
-use cam_ring::{IdSpace, Segment};
+use cam_ring::IdSpace;
 use cam_sim::rng::SimRng;
 use cam_sim::{ActorId, Duration, SimTime};
-use cam_trace::{DeliveryCensus, EventKind, GroupDeliveryCensus, NopTracer, Tracer};
+use cam_trace::{EventKind, GroupDeliveryCensus, NopTracer, Tracer};
 
 use crate::codec::{decode_frame, encode_frame_into, Frame};
 use crate::transport::{OutFrame, WireCounters};
@@ -288,40 +289,51 @@ impl<P: DhtProtocol> ReactorCore<P> {
             tracer: Box::new(NopTracer),
         };
         for i in 0..n {
-            core.arm_maintenance(SimTime::ZERO, i, i as u64 * 37, sink, counters);
+            core.with_actor(SimTime::ZERO, i, sink, counters, |_, drv| {
+                for (delay, tag) in host::maintenance_schedule(i) {
+                    drv.set_timer(delay, tag);
+                }
+            });
         }
         core
     }
 
-    /// Arms node `i`'s maintenance timers (used at bootstrap).
-    fn arm_maintenance(
+    /// Runs `f` on node `i`'s actor through an [`EffectDriver`] stamped
+    /// with `now`, then turns the effects it buffered into timer-heap
+    /// entries and frames in `sink`. The one place an actor is called; an
+    /// out-of-range `i` is counted in `internal_errors` and `f` never
+    /// runs.
+    fn with_actor(
         &mut self,
         now: SimTime,
         i: usize,
-        jitter: u64,
         sink: &mut FrameSink,
         counters: &mut WireCounters,
+        f: impl FnOnce(&mut DhtActor<P>, &mut EffectDriver<'_>),
     ) {
         let mut fx = std::mem::take(&mut self.effects);
-        {
-            let ReactorCore { nodes, tracer, .. } = self;
-            let Some(nd) = nodes.get_mut(i) else {
-                counters.internal_errors += 1;
-                self.effects = fx;
-                return;
-            };
-            let mut drv = EffectDriver {
-                me: ActorId(i),
-                effects: &mut fx,
-                rng: &mut nd.rng,
-                tracer: tracer.as_mut(),
-                now_micros: now.micros(),
-            };
-            nd.actor.arm_maintenance(&mut drv, jitter);
+        match self.nodes.get_mut(i) {
+            Some(nd) => {
+                let mut drv = EffectDriver {
+                    me: ActorId(i),
+                    effects: &mut fx,
+                    rng: &mut nd.rng,
+                    tracer: self.tracer.as_mut(),
+                    now_micros: now.micros(),
+                };
+                f(&mut nd.actor, &mut drv);
+                self.flush_effects(now, i, &mut fx, sink, counters);
+                fx.clear();
+            }
+            None => counters.internal_errors += 1,
         }
-        self.flush_effects(now, i, &mut fx, sink, counters);
-        fx.clear();
         self.effects = fx;
+    }
+
+    /// The node table as [`host`] sees it: one slot per node in index
+    /// order, `None` where the node is crash-killed.
+    fn slots(&self) -> impl Iterator<Item = Option<&DhtActor<P>>> + Clone {
+        self.nodes.iter().map(|nd| nd.alive.then_some(&nd.actor))
     }
 
     /// Sets the base maintenance period on every node (see
@@ -348,14 +360,19 @@ impl<P: DhtProtocol> ReactorCore<P> {
     }
 
     /// The runtime hosting node `i` (in ring order for seeded nodes, then
-    /// join order).
+    /// join order). With [`ReactorCore::node_mut`], the only raw
+    /// `nodes[…]` index in the reactor: internal callers pass an index from
+    /// a `0..self.nodes.len()` loop or an iterator position, and
+    /// wire-derived indices are bounds-checked before reaching here
+    /// ([`ReactorCore::handle_frame`]).
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.len()` — node indices are part of the caller's
     /// contract, exactly like slice indexing.
     pub fn node(&self, i: usize) -> &NodeRuntime<P> {
-        self.node_at(i)
+        // cam-lint: allow(panic_safety, reason = "single audited index; callers pass loop-bounded or pre-checked indices, never raw wire input")
+        &self.nodes[i]
     }
 
     /// Exclusive access to node `i`; same contract as
@@ -365,23 +382,6 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ///
     /// Panics if `i >= self.len()`.
     pub fn node_mut(&mut self, i: usize) -> &mut NodeRuntime<P> {
-        self.node_at_mut(i)
-    }
-
-    /// Shared access to node `i`. The only raw `nodes[…]` index in the
-    /// reactor: every internal caller passes an index from a
-    /// `0..self.nodes.len()` loop or an iterator position, wire-derived
-    /// indices are bounds-checked before reaching here
-    /// ([`ReactorCore::handle_frame`]), and public entry points document
-    /// the panic as their caller contract.
-    fn node_at(&self, i: usize) -> &NodeRuntime<P> {
-        // cam-lint: allow(panic_safety, reason = "single audited index; callers pass loop-bounded or pre-checked indices, never raw wire input")
-        &self.nodes[i]
-    }
-
-    /// Exclusive access to node `i`; same index contract as
-    /// [`ReactorCore::node_at`].
-    fn node_at_mut(&mut self, i: usize) -> &mut NodeRuntime<P> {
         // cam-lint: allow(panic_safety, reason = "single audited index; callers pass loop-bounded or pre-checked indices, never raw wire input")
         &mut self.nodes[i]
     }
@@ -422,7 +422,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ///
     /// Panics if `i >= self.len()`.
     pub fn kill(&mut self, now: SimTime, i: usize) {
-        let nd = self.node_at_mut(i);
+        let nd = self.node_mut(i);
         nd.alive = false;
         nd.timers.clear();
         nd.awaiting_ack.clear();
@@ -447,12 +447,12 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) -> bool {
-        if self.node_at(i).alive {
+        if self.node(i).alive {
             return false;
         }
-        let member = *self.node_at(i).actor.member();
+        let member = *self.node(i).actor.member();
         let actor = DhtActor::new(self.space, member, self.protocol.clone());
-        let nd = self.node_at_mut(i);
+        let nd = self.node_mut(i);
         nd.actor = actor;
         nd.alive = true;
         nd.timers.clear();
@@ -460,9 +460,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
         self.reshare_directory();
         self.tracer
             .record(now.micros(), i as u64, EventKind::Restart);
-        if let Some(bootstrap) = self.bootstrap_for(i) {
-            self.send_join_request(now, i, bootstrap, sink, counters);
-        }
+        self.resend_join_request(now, i, sink, counters);
         true
     }
 
@@ -470,24 +468,15 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// the single shared allocation on every node (one `O(n)` book, not a
     /// private copy per node).
     fn reshare_directory(&mut self) {
-        let directory: Arc<HashMap<u64, ActorId>> = Arc::new(
+        let directory = host::shared_directory(
             self.nodes
                 .iter()
                 .enumerate()
-                .map(|(i, nd)| (nd.actor.member().id.value(), ActorId(i)))
-                .collect(),
+                .map(|(i, nd)| (nd.actor.member().id, ActorId(i))),
         );
         for nd in &mut self.nodes {
             nd.actor.set_directory(Arc::clone(&directory));
         }
-    }
-
-    /// The lowest-numbered live, joined node other than `exclude` — the
-    /// bootstrap peer for joins and restarts.
-    fn bootstrap_for(&self, exclude: usize) -> Option<usize> {
-        (0..self.nodes.len()).find(|&j| {
-            j != exclude && self.node_at(j).alive && self.node_at(j).actor.is_joined()
-        })
     }
 
     /// Re-sends a join request for every live node whose join has not
@@ -500,17 +489,11 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) -> usize {
-        let mut retried = 0;
-        for i in 0..self.nodes.len() {
-            if !self.node_at(i).alive || self.node_at(i).actor.is_joined() {
-                continue;
-            }
-            if let Some(bootstrap) = self.bootstrap_for(i) {
-                self.send_join_request(now, i, bootstrap, sink, counters);
-                retried += 1;
-            }
+        let stalled = host::stalled_joins(self.slots());
+        for &(joiner, bootstrap) in &stalled {
+            self.send_join_request(now, joiner, bootstrap, sink, counters);
         }
-        retried
+        stalled.len()
     }
 
     /// Adds `member` as a fresh node on the next free endpoint and starts
@@ -535,7 +518,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
         if idx >= self.endpoints {
             return None;
         }
-        let bootstrap = self.nodes.iter().position(|nd| nd.alive)?;
+        let bootstrap = host::join_bootstrap(self.slots())?;
         let actor = DhtActor::new(self.space, member, self.protocol.clone());
         self.nodes.push(NodeRuntime::new(idx, actor, self.seed));
         self.reshare_directory();
@@ -553,7 +536,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) -> bool {
-        let Some(bootstrap) = self.bootstrap_for(joiner) else {
+        let joiner_id = self.node(joiner).actor.member().id;
+        let Some(bootstrap) = host::rejoin_bootstrap(self.slots(), joiner_id) else {
             return false;
         };
         self.send_join_request(now, joiner, bootstrap, sink, counters);
@@ -568,10 +552,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        let msg = DhtMsg::JoinRequest {
-            joiner: *self.node_at(joiner).actor.member(),
-            joiner_actor: ActorId(joiner),
-        };
+        let msg = host::join_request(self.node(joiner).actor.member(), ActorId(joiner));
         self.send_msg(now, joiner, ActorId(bootstrap), msg, sink, counters);
     }
 
@@ -591,23 +572,28 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) -> u64 {
+        self.originate(now, source, None, region_split, data, sink, counters)
+    }
+
+    /// Feeds the origin message of a multicast (`group == None`) or a
+    /// group publish to node `source` itself and returns the fresh payload
+    /// id.
+    #[allow(clippy::too_many_arguments)]
+    fn originate(
+        &mut self,
+        now: SimTime,
+        source: usize,
+        group: Option<u64>,
+        region_split: bool,
+        data: bytes::Bytes,
+        sink: &mut FrameSink,
+        counters: &mut WireCounters,
+    ) -> u64 {
         let payload = self.next_payload;
         self.next_payload += 1;
-        let member_id = self.node_at(source).actor.member().id;
-        let region = region_split.then(|| Segment::all_but(self.space, member_id));
-        self.dispatch(
-            now,
-            source,
-            ActorId(source),
-            DhtMsg::Multicast {
-                payload,
-                region,
-                hops: 0,
-                data,
-            },
-            sink,
-            counters,
-        );
+        let member = self.node(source).actor.member();
+        let msg = host::origin_message(self.space, member, payload, group, region_split, data);
+        self.dispatch(now, source, ActorId(source), msg, sink, counters);
         payload
     }
 
@@ -627,15 +613,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        let member = self.node_at(subscriber).actor.member().id.value();
-        self.dispatch(
-            now,
-            subscriber,
-            ActorId(subscriber),
-            DhtMsg::GroupSubscribe { group, member },
-            sink,
-            counters,
-        );
+        let msg = host::membership_message(self.node(subscriber).actor.member(), group, true);
+        self.dispatch(now, subscriber, ActorId(subscriber), msg, sink, counters);
     }
 
     /// Removes node `subscriber`'s subscription to `group` (routed like
@@ -652,15 +631,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        let member = self.node_at(subscriber).actor.member().id.value();
-        self.dispatch(
-            now,
-            subscriber,
-            ActorId(subscriber),
-            DhtMsg::GroupUnsubscribe { group, member },
-            sink,
-            counters,
-        );
+        let msg = host::membership_message(self.node(subscriber).actor.member(), group, false);
+        self.dispatch(now, subscriber, ActorId(subscriber), msg, sink, counters);
     }
 
     /// Initiates a publish in `group` at node `source`, returning the
@@ -681,25 +653,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) -> u64 {
-        let payload = self.next_payload;
-        self.next_payload += 1;
-        let member_id = self.node_at(source).actor.member().id;
-        let region = region_split.then(|| Segment::all_but(self.space, member_id));
-        self.dispatch(
-            now,
-            source,
-            ActorId(source),
-            DhtMsg::GroupPublish {
-                group,
-                payload,
-                region,
-                hops: 0,
-                data,
-            },
-            sink,
-            counters,
-        );
-        payload
+        self.originate(now, source, Some(group), region_split, data, sink, counters)
     }
 
     /// Folds the given `(group, payload)` publishes into a per-group
@@ -707,53 +661,26 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// same fold as the sim harness's `group_delivery_census`, so equal
     /// seeds produce bit-identical censuses across hosts.
     pub fn group_delivery_census(&self, publishes: &[(u64, u64)]) -> GroupDeliveryCensus {
-        let mut census = GroupDeliveryCensus::new();
-        for nd in &self.nodes {
-            if nd.alive {
-                for &(group, payload) in publishes {
-                    if nd.actor.is_subscribed(group) {
-                        census.observe(group, true, nd.actor.has_group_payload(group, payload));
-                    }
-                }
-            }
-        }
-        census
+        host::group_delivery_census(self.slots(), publishes)
     }
 
-    /// Fraction of live nodes that have received `payload`, under the
-    /// same [`DeliveryCensus`] rules the sim harness uses, so ratios from
-    /// both hosts are directly comparable.
+    /// Fraction of live nodes that have received `payload`
+    /// ([`host::delivery_census`], the fold the sim harness uses, so ratios
+    /// from both hosts are directly comparable).
     pub fn delivery_ratio(&self, payload: u64) -> f64 {
-        let mut census = DeliveryCensus::new();
-        for nd in &self.nodes {
-            census.observe(nd.alive, nd.actor.payload_hops(payload).is_some());
-        }
-        census.ratio()
+        host::delivery_census(self.slots(), payload).ratio()
     }
 
-    /// Mean overlay hop count of `payload` over nodes that received it.
+    /// Mean overlay hop count of `payload` over live nodes that received
+    /// it.
     pub fn mean_hops(&self, payload: u64) -> f64 {
-        let (mut total, mut count) = (0u64, 0u64);
-        for nd in &self.nodes {
-            if let Some(h) = nd.actor.payload_hops(payload) {
-                total += u64::from(h);
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            total as f64 / count as f64
-        }
+        host::hop_stats(self.slots(), payload).0
     }
 
-    /// Maximum overlay hop count of `payload` over nodes that received it.
+    /// Maximum overlay hop count of `payload` over live nodes that
+    /// received it.
     pub fn max_hops(&self, payload: u64) -> u32 {
-        self.nodes
-            .iter()
-            .filter_map(|nd| nd.actor.payload_hops(payload))
-            .max()
-            .unwrap_or(0)
+        host::hop_stats(self.slots(), payload).1
     }
 
     /// The earliest instant [`ReactorCore::poll`] has work — the minimum
@@ -793,7 +720,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
             Err(_) => counters.frames_rejected += 1,
             Ok(Frame::Ack { seq, .. }) => {
                 counters.frames_decoded += 1;
-                self.node_at_mut(to).awaiting_ack.remove(&seq);
+                self.node_mut(to).awaiting_ack.remove(&seq);
             }
             Ok(Frame::Data {
                 from,
@@ -830,7 +757,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
                         }
                     }
                 }
-                if self.node_at(to).alive {
+                if self.node(to).alive {
                     self.dispatch(now, to, ActorId(from), msg, sink, counters);
                 }
             }
@@ -847,26 +774,9 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        let mut fx = std::mem::take(&mut self.effects);
-        {
-            let ReactorCore { nodes, tracer, .. } = self;
-            let Some(nd) = nodes.get_mut(i) else {
-                counters.internal_errors += 1;
-                self.effects = fx;
-                return;
-            };
-            let mut drv = EffectDriver {
-                me: ActorId(i),
-                effects: &mut fx,
-                rng: &mut nd.rng,
-                tracer: tracer.as_mut(),
-                now_micros: now.micros(),
-            };
-            nd.actor.deliver(&mut drv, from, msg);
-        }
-        self.flush_effects(now, i, &mut fx, sink, counters);
-        fx.clear();
-        self.effects = fx;
+        self.with_actor(now, i, sink, counters, |actor, drv| {
+            actor.deliver(drv, from, msg)
+        });
     }
 
     /// Turns collected effects into frames in the sink and timer-heap
@@ -881,7 +791,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ) {
         for (delay, tag) in fx.timers.drain(..) {
             let at = now + delay;
-            self.node_at_mut(i).push_timer(at, tag);
+            self.node_mut(i).push_timer(at, tag);
         }
         for (to, msg) in fx.sends.drain(..) {
             self.send_msg(now, i, to, msg, sink, counters);
@@ -907,7 +817,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
             msg,
             DhtMsg::Multicast { .. } | DhtMsg::PayloadPush { .. } | DhtMsg::GroupPublish { .. }
         );
-        let nd = self.node_at_mut(i);
+        let nd = self.node_mut(i);
         let seq = nd.next_seq;
         nd.next_seq += 1;
         let frame = Frame::Data {
@@ -935,7 +845,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
                         rto: self.policy.initial_rto,
                         next_at: now + self.policy.initial_rto,
                     };
-                    self.node_at_mut(i).awaiting_ack.insert(seq, pending);
+                    self.node_mut(i).awaiting_ack.insert(seq, pending);
                 }
                 sink.push(i, to, buf);
             }
@@ -969,41 +879,24 @@ impl<P: DhtProtocol> ReactorCore<P> {
         counters: &mut WireCounters,
     ) -> bool {
         let mut did = false;
-        while let Some(&Reverse((at, _, tag))) = self.node_at(i).timers.peek() {
+        while let Some(&Reverse((at, _, tag))) = self.node(i).timers.peek() {
             if at > now {
                 break;
             }
-            self.node_at_mut(i).timers.pop();
-            if !self.node_at(i).alive {
+            self.node_mut(i).timers.pop();
+            if !self.node(i).alive {
                 continue;
             }
             did = true;
-            let mut fx = std::mem::take(&mut self.effects);
-            {
-                let ReactorCore { nodes, tracer, .. } = self;
-                let Some(nd) = nodes.get_mut(i) else {
-                    counters.internal_errors += 1;
-                    self.effects = fx;
-                    return did;
-                };
-                let mut drv = EffectDriver {
-                    me: ActorId(i),
-                    effects: &mut fx,
-                    rng: &mut nd.rng,
-                    tracer: tracer.as_mut(),
-                    now_micros: now.micros(),
-                };
-                nd.actor.deliver_timer(&mut drv, tag);
-            }
-            self.flush_effects(now, i, &mut fx, sink, counters);
-            fx.clear();
-            self.effects = fx;
+            self.with_actor(now, i, sink, counters, |actor, drv| {
+                actor.deliver_timer(drv, tag)
+            });
         }
-        if !self.node_at(i).alive {
+        if !self.node(i).alive {
             return did;
         }
         let mut due: Vec<u64> = self
-            .node_at(i)
+            .node(i)
             .awaiting_ack
             .iter()
             .filter(|(_, p)| p.next_at <= now)
@@ -1015,11 +908,11 @@ impl<P: DhtProtocol> ReactorCore<P> {
         for seq in due {
             did = true;
             let policy = self.policy;
-            let Some(p) = self.node_at_mut(i).awaiting_ack.get_mut(&seq) else {
+            let Some(p) = self.node_mut(i).awaiting_ack.get_mut(&seq) else {
                 continue; // acked between collection and retransmission
             };
             if p.attempts >= policy.max_attempts {
-                self.node_at_mut(i).awaiting_ack.remove(&seq);
+                self.node_mut(i).awaiting_ack.remove(&seq);
                 continue;
             }
             p.attempts += 1;

@@ -53,12 +53,6 @@ const RECV_BATCH: usize = 64;
 /// no writable-readiness signal).
 const BACKPRESSURE_RETRY: Duration = Duration(500);
 
-/// Idle park cap for real transports without readiness wake-ups
-/// (multi-socket UDP): the loop still computes the deadline sleep but
-/// re-probes the sockets at least this often. Readiness-capable
-/// transports (the mux) sleep the exact deadline instead.
-const IDLE_SLICE: std::time::Duration = std::time::Duration::from_micros(500);
-
 /// Observable scheduler accounting for the real-time wire loop.
 ///
 /// The loop parks exactly until the next deadline instead of polling on
@@ -138,6 +132,22 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         };
         cluster.flush_sink();
         cluster
+    }
+
+    /// Runs `f` on the core at the current instant, then ships whatever
+    /// it queued — the shape of every pass-through below.
+    fn with_core<R>(
+        &mut self,
+        f: impl FnOnce(&mut ReactorCore<P>, SimTime, &mut FrameSink, &mut WireCounters) -> R,
+    ) -> R {
+        let result = f(
+            &mut self.core,
+            self.now,
+            &mut self.sink,
+            self.transport.counters_mut(),
+        );
+        self.flush_sink();
+        result
     }
 
     /// Ships every queued frame from the sink in emission order and
@@ -298,11 +308,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
     ///
     /// Panics if `i >= self.len()`.
     pub fn restart(&mut self, i: usize) -> bool {
-        let ok = self
-            .core
-            .restart(self.now, i, &mut self.sink, self.transport.counters_mut());
-        self.flush_sink();
-        ok
+        self.with_core(|core, now, sink, counters| core.restart(now, i, sink, counters))
     }
 
     /// Re-sends a join request for every live node whose join has not
@@ -312,13 +318,9 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
     /// same way [`Cluster::join_and_wait`] retries inline. Returns how many
     /// requests were re-sent.
     pub fn retry_stalled_joins(&mut self) -> usize {
-        let n = self.core.retry_stalled_joins(
-            self.now,
-            &mut self.sink,
-            self.transport.counters_mut(),
-        );
-        self.flush_sink();
-        n
+        self.with_core(|core, now, sink, counters| {
+            core.retry_stalled_joins(now, sink, counters)
+        })
     }
 
     /// Adds `member` as a fresh node on the next free transport endpoint
@@ -330,14 +332,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
     /// Returns the new node's index, or `None` if the id is taken, no
     /// live bootstrap exists, or the transport is out of endpoints.
     pub fn join(&mut self, member: Member) -> Option<usize> {
-        let idx = self.core.join(
-            self.now,
-            member,
-            &mut self.sink,
-            self.transport.counters_mut(),
-        );
-        self.flush_sink();
-        idx
+        self.with_core(|core, now, sink, counters| core.join(now, member, sink, counters))
     }
 
     /// Runs until node `i` completes its join, re-sending the join
@@ -365,13 +360,9 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
             if self.node(idx).actor().is_joined() {
                 return true;
             }
-            self.core.resend_join_request(
-                self.now,
-                idx,
-                &mut self.sink,
-                self.transport.counters_mut(),
-            );
-            self.flush_sink();
+            self.with_core(|core, now, sink, counters| {
+                core.resend_join_request(now, idx, sink, counters)
+            });
         }
         self.node(idx).actor().is_joined()
     }
@@ -389,16 +380,9 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         region_split: bool,
         data: bytes::Bytes,
     ) -> u64 {
-        let payload = self.core.start_multicast(
-            self.now,
-            source,
-            region_split,
-            data,
-            &mut self.sink,
-            self.transport.counters_mut(),
-        );
-        self.flush_sink();
-        payload
+        self.with_core(|core, now, sink, counters| {
+            core.start_multicast(now, source, region_split, data, sink, counters)
+        })
     }
 
     /// Subscribes node `subscriber` to pub/sub group `group`: its local
@@ -410,14 +394,9 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
     ///
     /// Panics if `subscriber >= self.len()`.
     pub fn subscribe(&mut self, subscriber: usize, group: u64) {
-        self.core.subscribe(
-            self.now,
-            subscriber,
-            group,
-            &mut self.sink,
-            self.transport.counters_mut(),
-        );
-        self.flush_sink();
+        self.with_core(|core, now, sink, counters| {
+            core.subscribe(now, subscriber, group, sink, counters)
+        });
     }
 
     /// Removes node `subscriber`'s subscription to `group` (routed like
@@ -427,14 +406,9 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
     ///
     /// Panics if `subscriber >= self.len()`.
     pub fn unsubscribe(&mut self, subscriber: usize, group: u64) {
-        self.core.unsubscribe(
-            self.now,
-            subscriber,
-            group,
-            &mut self.sink,
-            self.transport.counters_mut(),
-        );
-        self.flush_sink();
+        self.with_core(|core, now, sink, counters| {
+            core.unsubscribe(now, subscriber, group, sink, counters)
+        });
     }
 
     /// Initiates a publish in `group` at node `source`, returning the
@@ -451,17 +425,9 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         region_split: bool,
         data: bytes::Bytes,
     ) -> u64 {
-        let payload = self.core.start_group_publish(
-            self.now,
-            source,
-            group,
-            region_split,
-            data,
-            &mut self.sink,
-            self.transport.counters_mut(),
-        );
-        self.flush_sink();
-        payload
+        self.with_core(|core, now, sink, counters| {
+            core.start_group_publish(now, source, group, region_split, data, sink, counters)
+        })
     }
 
     /// Folds the given `(group, payload)` publishes into a per-group
@@ -515,6 +481,16 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         }
     }
 
+    /// Hands one received frame to the core and ships the response at
+    /// once: a response scheduled with zero latency must be pollable at
+    /// this same instant, inside the caller's drain loop.
+    fn deliver_frame(&mut self, to: usize, bytes: Vec<u8>) {
+        self.with_core(|core, now, sink, counters| {
+            core.handle_frame(now, to, &bytes, sink, counters)
+        });
+        self.transport.recycle(bytes);
+    }
+
     fn horizon(&mut self, span: Duration) -> SimTime {
         if let Some(epoch) = self.epoch {
             SimTime(epoch.elapsed().as_micros() as u64) + span
@@ -547,22 +523,9 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
             Some(t) if t <= deadline => {
                 self.now = self.now.max(t);
                 while let Some((to, bytes)) = self.transport.poll(self.now) {
-                    self.core.handle_frame(
-                        self.now,
-                        to,
-                        &bytes,
-                        &mut self.sink,
-                        self.transport.counters_mut(),
-                    );
-                    // Flush after every frame: a response scheduled with
-                    // zero latency must be pollable at this same instant,
-                    // inside this very drain loop.
-                    self.flush_sink();
-                    self.transport.recycle(bytes);
+                    self.deliver_frame(to, bytes);
                 }
-                self.core
-                    .poll(self.now, &mut self.sink, self.transport.counters_mut());
-                self.flush_sink();
+                self.with_core(|core, now, sink, counters| core.poll(now, sink, counters));
                 true
             }
             _ => {
@@ -590,15 +553,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
             }
             busy = true;
             for (to, bytes) in batch.drain(..) {
-                self.core.handle_frame(
-                    self.now,
-                    to,
-                    &bytes,
-                    &mut self.sink,
-                    self.transport.counters_mut(),
-                );
-                self.flush_sink();
-                self.transport.recycle(bytes);
+                self.deliver_frame(to, bytes);
             }
         }
         self.rx_batch = batch;
@@ -606,10 +561,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         // takes real time, and events fired below must be stamped with
         // the instant they actually run at, not the iteration start.
         self.now = self.now.max(SimTime(epoch.elapsed().as_micros() as u64));
-        busy |= self
-            .core
-            .poll(self.now, &mut self.sink, self.transport.counters_mut());
-        self.flush_sink();
+        busy |= self.with_core(|core, now, sink, counters| core.poll(now, sink, counters));
         busy |= self.transport.flush_backpressure(self.now);
         if !busy {
             // Nothing ready: park until the earliest instant work exists.
@@ -624,10 +576,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
                 until = until.min(self.now + BACKPRESSURE_RETRY);
             }
             if until > self.now {
-                let mut dur = std::time::Duration::from_micros(until.since(self.now).micros());
-                if !self.transport.supports_readiness() {
-                    dur = dur.min(IDLE_SLICE);
-                }
+                let dur = std::time::Duration::from_micros(until.since(self.now).micros());
                 self.stats.sleeps += 1;
                 self.stats.slept_micros += dur.as_micros() as u64;
                 if self.transport.wait(dur) {

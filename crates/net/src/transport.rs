@@ -2,8 +2,8 @@
 //!
 //! A [`Transport`] moves opaque, already-encoded frames between numbered
 //! endpoints. The runtime above it neither knows nor cares whether frames
-//! cross a deterministic in-memory wire ([`InMemoryTransport`]) or real
-//! loopback UDP sockets ([`crate::udp::UdpTransport`]) — the same
+//! cross a deterministic in-memory wire ([`InMemoryTransport`]) or a real
+//! loopback UDP socket ([`crate::mux::MuxUdpTransport`]) — the same
 //! protocol logic runs over both, which is the whole point of the layer.
 
 use std::cmp::Reverse;
@@ -148,17 +148,17 @@ pub trait Transport {
     fn recycle(&mut self, _buf: Vec<u8>) {}
 
     /// Parks the calling thread until a frame may be readable or `dur`
-    /// elapses, returning `true` if woken by readiness. Transports without
-    /// a readiness mechanism just sleep (`supports_readiness` stays
-    /// `false` and the wire loop caps the park so sockets are re-probed).
+    /// elapses, returning `true` if woken by readiness. The wire loop
+    /// parks for exactly `min(next timer, next RTO, deadline)`, so a real
+    /// transport must wake early when a frame arrives; the default (a
+    /// plain sleep) only suits transports that never park — virtual-time
+    /// ones.
     fn wait(&mut self, dur: std::time::Duration) -> bool {
         std::thread::sleep(dur);
         false
     }
 
-    /// Whether [`Transport::wait`] wakes early when a frame arrives. When
-    /// `true`, the wire loop sleeps exactly until
-    /// `min(next timer, next RTO, deadline)` with no polling cadence.
+    /// Whether [`Transport::wait`] wakes early when a frame arrives.
     fn supports_readiness(&self) -> bool {
         false
     }

@@ -1,14 +1,15 @@
 //! End-to-end integration over real loopback UDP: a 32-node CAM-Chord
-//! cluster (24 bootstrap-seeded, 8 joining over the wire) converges and a
-//! multicast reaches every live node as real kernel datagrams.
+//! cluster (24 bootstrap-seeded, 8 joining over the wire) on one
+//! multiplexed socket converges and a multicast reaches every live node as
+//! real kernel datagrams.
 //!
 //! Real sockets and real time, so the test uses generous internal
 //! deadlines but normally finishes in a few wall-clock seconds.
 
 use bytes::Bytes;
 use cam_core::cam_chord::CamChordProtocol;
+use cam_net::mux::MuxUdpTransport;
 use cam_net::runtime::{Cluster, RetransmitPolicy};
-use cam_net::udp::UdpTransport;
 use cam_overlay::Member;
 use cam_ring::{Id, IdSpace};
 use cam_sim::rng::SimRng;
@@ -37,7 +38,7 @@ fn members(n: usize, seed: u64) -> Vec<Member> {
 #[test]
 fn thirty_two_nodes_bootstrap_join_and_multicast_over_loopback_udp() {
     let all = members(TOTAL, 2005);
-    let transport = UdpTransport::bind(TOTAL).expect("bind 32 loopback sockets");
+    let transport = MuxUdpTransport::bind(TOTAL).expect("bind the loopback socket");
     let mut cluster = Cluster::converged(
         SPACE,
         &all[..SEEDED],

@@ -1,0 +1,322 @@
+//! The data plane: forwarding a payload down the implicit tree
+//! (`MULTICAST(msg, k)` region splits for CAM-Chord, duplicate-suppressed
+//! flooding for CAM-Koorde), pub/sub group membership, and the
+//! anti-entropy repair that backs best-effort forwarding.
+
+use cam_ring::Id;
+use cam_sim::engine::ActorId;
+use cam_trace::EventKind;
+
+use super::maintenance::TIMER_ANTI_ENTROPY;
+use super::msg::PayloadFrame;
+use super::{group_root_id, DhtActor, DhtDriver, DhtMsg, DhtProtocol};
+
+impl<P: DhtProtocol> DhtActor<P> {
+    /// Handles [`DhtMsg::Multicast`] (`group == None`) and
+    /// [`DhtMsg::GroupPublish`] (`group == Some(g)`) — one forwarding
+    /// path: duplicate suppression, replay and region-violation detection,
+    /// the region split over the shared neighbor table (a per-group tree
+    /// is implicit) and the child fan-out. A grouped payload differs only
+    /// in that non-subscribers relay it without delivering it to the
+    /// application, every trace event carries the group, and the
+    /// adversary hooks leave it alone.
+    pub(super) fn handle_multicast<D: DhtDriver>(
+        &mut self,
+        ctx: &mut D,
+        from: ActorId,
+        group: Option<u64>,
+        frame: PayloadFrame,
+    ) {
+        let PayloadFrame {
+            payload,
+            region,
+            hops,
+            ref data,
+        } = frame;
+        let trace_group = group.map(cam_trace::GroupId);
+        if self.seen_payloads.contains_key(&payload) {
+            // Replay evidence: a region-carrying copy arriving again from
+            // a *different* sender than the first. Retransmits and wire
+            // duplicates re-arrive from the original sender, and the
+            // region-split tree hands each payload to a child exactly
+            // once, so a second region-carrying sender replayed the frame.
+            if region.is_some()
+                && self
+                    .first_sender
+                    .get(&payload)
+                    .is_some_and(|&first| first != from)
+            {
+                self.detections.replay_suspects += 1;
+                ctx.trace(EventKind::AdversaryDetect {
+                    detector: "replay_suspect",
+                    suspect: from.0 as u64,
+                    payload,
+                });
+            }
+            ctx.trace(EventKind::DuplicateSuppress {
+                payload,
+                hops,
+                group: trace_group,
+            });
+            return; // duplicate
+        }
+        if region.is_some() {
+            self.first_sender.insert(payload, from);
+        }
+        self.seen_payloads.insert(payload, hops);
+        let delivers = match group {
+            None => {
+                self.received_log.push((payload, hops));
+                true
+            }
+            Some(g) => {
+                self.group_of.insert(payload, g);
+                let subscribed = self.subscriptions.contains(&g);
+                if subscribed {
+                    self.group_received_log.push((g, payload, hops));
+                }
+                subscribed
+            }
+        };
+        if delivers {
+            ctx.trace(EventKind::MulticastReceive {
+                payload,
+                hops,
+                group: trace_group,
+            });
+            self.delivered_data.insert(payload, data.clone());
+        }
+        // Region honesty: CAM-Chord's split always delegates to child `c`
+        // a segment beginning (exclusively) at `c` itself, and a source's
+        // self-addressed frame carries `all_but(me)`, which also begins
+        // at `me` — so on every honest region-carrying frame,
+        // `region.from == me`. A frame violating that was misrouted:
+        // deliver locally (the bytes are real) but do NOT forward, since
+        // splitting someone else's segment would spray the wrong subtree.
+        // Anti-entropy repairs the starved region.
+        if let Some(r) = region {
+            if r.from != self.me.id {
+                self.detections.region_violations += 1;
+                ctx.trace(EventKind::AdversaryDetect {
+                    detector: "region_violation",
+                    suspect: from.0 as u64,
+                    payload,
+                });
+                return;
+            }
+        }
+        let Some(succ) = self.successors.first().copied() else {
+            return;
+        };
+        let neighbors = self.neighbor_members();
+        let mut children = self
+            .protocol
+            .multicast_children(self.space, &self.me, &neighbors, &succ, region);
+        if group.is_none() {
+            self.tamper_with_children(ctx, &frame, &mut children);
+        }
+        if ctx.trace_enabled() {
+            let split = children.iter().filter(|(_, r)| r.is_some()).count();
+            if split > 0 {
+                ctx.trace(EventKind::RegionSplit {
+                    payload,
+                    children: split as u32,
+                });
+            }
+        }
+        for (child, child_region) in children {
+            if ctx.trace_enabled() {
+                ctx.trace(EventKind::MulticastForward {
+                    payload,
+                    to: child.value(),
+                    hops: hops + 1,
+                    segment: child_region.map(|s| (s.from.value(), s.to.value())),
+                    group: trace_group,
+                });
+            }
+            let forwarded = PayloadFrame {
+                payload,
+                region: child_region,
+                hops: hops + 1,
+                data: data.clone(),
+            };
+            self.send_to_member(ctx, child, forwarded.into_msg(group));
+        }
+    }
+
+    /// Handles a pub/sub membership change ([`DhtMsg::GroupSubscribe`] /
+    /// [`DhtMsg::GroupUnsubscribe`]).
+    ///
+    /// Three roles, all served by one message as it travels:
+    /// * at the subscriber itself (`member == me`) the local subscription
+    ///   flag flips — delivery filtering needs no root round-trip;
+    /// * at the group's rendezvous root the membership set is updated;
+    /// * anywhere else the message takes one greedy clockwise hop toward
+    ///   the root (the same protocol-agnostic walk JoinRequest uses, for
+    ///   the same reason: there is nowhere to carry per-protocol routing
+    ///   state).
+    pub(super) fn handle_group_membership<D: DhtDriver>(
+        &mut self,
+        ctx: &mut D,
+        group: u64,
+        member: u64,
+        subscribe: bool,
+    ) {
+        if member == self.me.id.value() {
+            if subscribe {
+                self.subscriptions.insert(group);
+            } else {
+                self.subscriptions.remove(&group);
+            }
+        }
+        let key = group_root_id(self.space, group);
+        let is_root = key == self.me.id
+            || self
+                .predecessor
+                .as_ref()
+                .is_some_and(|p| self.space.in_segment(key, p.id, self.me.id));
+        if is_root {
+            if subscribe {
+                self.group_members.entry(group).or_default().insert(member);
+            } else if let Some(set) = self.group_members.get_mut(&group) {
+                set.remove(&member);
+                if set.is_empty() {
+                    self.group_members.remove(&group);
+                }
+            }
+            return;
+        }
+        let forward = if subscribe {
+            DhtMsg::GroupSubscribe { group, member }
+        } else {
+            DhtMsg::GroupUnsubscribe { group, member }
+        };
+        let Some(succ) = self.successors.first().copied() else {
+            return; // isolated: membership is lost, like any best-effort send
+        };
+        if self.space.in_segment(key, self.me.id, succ.id) {
+            self.send_to_member(ctx, succ.id, forward);
+            return;
+        }
+        let next = self.greedy_clockwise_toward(key, &succ, false);
+        self.send_to_member(ctx, next, forward);
+    }
+
+    pub(super) fn handle_anti_entropy_timer<D: DhtDriver>(&mut self, ctx: &mut D) {
+        if self.anti_entropy {
+            // Sorted so the digest is identical across runs (hash order
+            // would otherwise perturb downstream message ordering). Group
+            // publishes are excluded: epidemic repair through non-subscriber
+            // relays would deliver them without their group attribution.
+            let mut have: Vec<u64> = self
+                .seen_payloads
+                .keys()
+                .filter(|p| !self.group_of.contains_key(p))
+                .copied()
+                .collect();
+            have.sort_unstable();
+            let mut targets: Vec<Id> = Vec::new();
+            if let Some(succ) = self.successors.first() {
+                targets.push(succ.id);
+            }
+            let neighbors = self.neighbor_members();
+            if !neighbors.is_empty() {
+                let pick = ctx.random_index(neighbors.len());
+                targets.push(neighbors[pick].id);
+            }
+            for t in targets {
+                self.send_to_member(ctx, t, DhtMsg::AntiEntropyDigest { have: have.clone() });
+            }
+        }
+        // Always re-arm so enabling anti-entropy later takes effect.
+        ctx.set_timer(self.stabilize_every.saturating_mul(2), TIMER_ANTI_ENTROPY);
+    }
+
+    /// Handles [`DhtMsg::AntiEntropyDigest`]: pushes what the sender is
+    /// missing and pulls what this node is missing.
+    pub(super) fn on_digest<D: DhtDriver>(
+        &mut self,
+        ctx: &mut D,
+        from: ActorId,
+        have: Vec<u64>,
+    ) {
+        let their: std::collections::HashSet<u64> = have.iter().copied().collect();
+        // Push what they're missing… (sorted: deterministic order)
+        let mut missing: Vec<(u64, u32)> = self
+            .seen_payloads
+            .iter()
+            .filter(|(p, _)| !their.contains(p))
+            .map(|(&p, &hops)| (p, hops))
+            .collect();
+        missing.sort_unstable();
+        for (p, hops) in missing {
+            self.push_payload(ctx, from, p, hops);
+        }
+        // …and pull what we're missing.
+        let want: Vec<u64> = have
+            .into_iter()
+            .filter(|p| !self.seen_payloads.contains_key(p))
+            .collect();
+        if !want.is_empty() {
+            ctx.send(from, DhtMsg::PayloadPullReq { want });
+        }
+    }
+
+    /// Handles [`DhtMsg::PayloadPullReq`].
+    pub(super) fn on_pull_request<D: DhtDriver>(
+        &mut self,
+        ctx: &mut D,
+        from: ActorId,
+        want: Vec<u64>,
+    ) {
+        for p in want {
+            if let Some(&hops) = self.seen_payloads.get(&p) {
+                self.push_payload(ctx, from, p, hops);
+            }
+        }
+    }
+
+    /// Sends `to` the payload this node received at `hops`, one hop on.
+    fn push_payload<D: DhtDriver>(&self, ctx: &mut D, to: ActorId, payload: u64, hops: u32) {
+        let data = self
+            .delivered_data
+            .get(&payload)
+            .cloned()
+            .unwrap_or_default();
+        ctx.send(
+            to,
+            DhtMsg::PayloadPush {
+                payload,
+                hops: hops + 1,
+                data,
+            },
+        );
+    }
+
+    /// Handles [`DhtMsg::PayloadPush`]: records a payload recovered by
+    /// anti-entropy (not re-flooded).
+    pub(super) fn on_payload_push<D: DhtDriver>(
+        &mut self,
+        ctx: &mut D,
+        payload: u64,
+        hops: u32,
+        data: bytes::Bytes,
+    ) {
+        if let std::collections::hash_map::Entry::Vacant(e) = self.seen_payloads.entry(payload)
+        {
+            e.insert(hops);
+            self.received_log.push((payload, hops));
+            self.delivered_data.insert(payload, data);
+            // Tree delivery failed for this payload and epidemic repair
+            // recovered it — the observable footprint of dropped/misrouted
+            // forwards upstream. Unattributable to a specific peer, hence
+            // suspect 0.
+            self.detections.repair_recoveries += 1;
+            ctx.trace(EventKind::AdversaryDetect {
+                detector: "repair_recovery",
+                suspect: 0,
+                payload,
+            });
+        }
+    }
+}

@@ -195,20 +195,9 @@ impl<A: Actor> Simulation<A> {
     /// Creates an empty simulation with the given seed and latency model,
     /// using [`DEFAULT_EVENT_SHARDS`] queue shards.
     pub fn new(seed: u64, latency: LatencyModel) -> Self {
-        Simulation::with_shards(seed, latency, DEFAULT_EVENT_SHARDS)
-    }
-
-    /// [`Simulation::new`] with an explicit event-queue shard count.
-    ///
-    /// `shards = 1` is the classic single-heap engine; any other count
-    /// delivers the *same events in the same order* (the queue's merge rule
-    /// is shard-count-independent — see [`crate::shard`]), so this knob
-    /// trades queue-arena locality against merge-scan width without ever
-    /// changing results.
-    pub fn with_shards(seed: u64, latency: LatencyModel, shards: usize) -> Self {
         Simulation {
             actors: Vec::new(),
-            queue: ShardedEventQueue::new(shards),
+            queue: ShardedEventQueue::new(DEFAULT_EVENT_SHARDS),
             events: Vec::new(),
             free_slots: Vec::new(),
             now: SimTime::ZERO,
@@ -387,11 +376,6 @@ impl<A: Actor> Simulation<A> {
             }
         };
         self.queue.push(to.0, EventKey { at, seq, slot });
-    }
-
-    /// Number of event-queue shards (see [`Simulation::with_shards`]).
-    pub fn shard_count(&self) -> usize {
-        self.queue.shard_count()
     }
 
     /// Processes events until the queue is empty or `deadline` is passed.
@@ -619,43 +603,6 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42).0, run(43).0, "different seeds, different delays");
-    }
-
-    /// The sharded queue's acceptance bar: for a lossy, jittery workload,
-    /// every shard count must reproduce the single-heap run bit for bit —
-    /// same final clock, same counters, same per-actor state.
-    #[test]
-    fn shard_count_never_changes_results() {
-        let run = |shards: usize| {
-            let mut s: Simulation<PingPong> = Simulation::with_shards(
-                42,
-                LatencyModel::Uniform {
-                    min: Duration::from_millis(5),
-                    max: Duration::from_millis(50),
-                },
-                shards,
-            );
-            s.set_loss_probability(0.1);
-            let ids: Vec<ActorId> = (0..9)
-                .map(|_| s.add_actor(PingPong { received: 0 }))
-                .collect();
-            for (i, &a) in ids.iter().enumerate() {
-                s.post(a, ids[(i + 4) % ids.len()], 40 + i as u32);
-            }
-            s.run_to_completion();
-            let received: Vec<u64> =
-                ids.iter().map(|&a| s.actor(a).unwrap().received).collect();
-            (s.now(), s.stats(), received)
-        };
-        let reference = run(1);
-        for shards in [2, 3, 8, 17] {
-            assert_eq!(run(shards), reference, "shards={shards}");
-        }
-        assert_eq!(
-            Simulation::<PingPong>::new(0, LatencyModel::Constant(Duration::ZERO))
-                .shard_count(),
-            crate::shard::DEFAULT_EVENT_SHARDS
-        );
     }
 
     #[test]

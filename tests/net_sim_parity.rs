@@ -153,4 +153,35 @@ fn delivery_ratio_follows_shared_census_rules_on_both_hosts() {
         );
     }
     assert_eq!(census.ratio(), cluster.delivery_ratio(wire_payload));
+
+    // The hop fold follows the same rule on both hosts: the victims leave
+    // `mean_hops` (and the wire host's `max_hops`) with their copies of the
+    // payload, exactly as they left the delivery ratio.
+    let mean =
+        |hops: &[u32]| hops.iter().map(|&h| f64::from(h)).sum::<f64>() / hops.len() as f64;
+    let sim_live: Vec<u32> = net
+        .actors()
+        .iter()
+        .filter_map(|&(_, a)| net.sim.actor(a)?.payload_hops(sim_payload))
+        .collect();
+    let wire_hops = |with_dead: bool| -> Vec<u32> {
+        (0..cluster.len())
+            .map(|i| cluster.node(i))
+            .filter(|nd| with_dead || nd.is_alive())
+            .filter_map(|nd| nd.actor().payload_hops(wire_payload))
+            .collect()
+    };
+    let (wire_live, wire_all) = (wire_hops(false), wire_hops(true));
+    assert_eq!((wire_live.len(), wire_all.len()), (N - 3, N));
+    assert_ne!(
+        mean(&wire_live),
+        mean(&wire_all),
+        "victims must move the mean"
+    );
+    assert_eq!(net.mean_hops(sim_payload), mean(&sim_live));
+    assert_eq!(cluster.mean_hops(wire_payload), mean(&wire_live));
+    assert_eq!(
+        Some(cluster.max_hops(wire_payload)),
+        wire_live.iter().copied().max()
+    );
 }
