@@ -34,7 +34,8 @@
 //! # Ok::<(), cam_overlay::peer::BuildMemberSetError>(())
 //! ```
 
-use cam_overlay::{LookupResult, MemberSet, MulticastTree, StaticOverlay};
+use cam_overlay::stream::{adopt_owner, region_walk, RegionChild};
+use cam_overlay::{DeliverySink, LookupResult, MemberSet, StaticOverlay};
 use cam_ring::math::level_and_seq;
 use cam_ring::Id;
 
@@ -89,16 +90,15 @@ impl Chord {
         out
     }
 
-    /// El-Ansary broadcast children of `x_idx` for segment `(x, limit]`:
-    /// every distinct finger owner inside the segment, paired with the end
-    /// of the sub-segment it becomes responsible for.
-    pub fn broadcast_children(&self, x_idx: usize, limit: Id) -> Vec<(usize, Id)> {
+    /// El-Ansary broadcast children of `x_idx` for segment `(x, limit]`,
+    /// appended to `out`: every distinct finger owner inside the segment,
+    /// paired with the end of the sub-segment it becomes responsible for.
+    pub fn broadcast_children(&self, x_idx: usize, limit: Id, out: &mut Vec<RegionChild>) {
         let space = self.group.space();
         let x = self.group.member(x_idx).id;
         if space.seg_len(x, limit) == 0 {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::new();
         let mut k_prime = limit;
         // Walk fingers from the farthest clockwise down to the successor;
         // each accepted child covers (child, k'] and k' then retreats to
@@ -109,17 +109,11 @@ impl Chord {
             if space.seg_len(x, target) > space.seg_len(x, k_prime) {
                 continue; // finger beyond the remaining segment
             }
-            let child_idx = self.group.owner_idx(target);
-            let child_id = self.group.member(child_idx).id;
-            if space.in_segment(child_id, x, k_prime) {
-                out.push((child_idx, k_prime));
-            }
-            k_prime = space.sub(target, 1);
+            adopt_owner(&self.group, x, target, &mut k_prime, out);
             if k_prime == x {
                 break;
             }
         }
-        out
     }
 }
 
@@ -139,18 +133,10 @@ impl StaticOverlay for Chord {
                 path.len() <= self.group.len() + 1,
                 "Chord lookup exceeded n hops — routing loop"
             );
-            let x = self.group.member(cur).id;
-            let pred = self.group.member(self.group.prev_idx(cur)).id;
-            if key == x || space.in_segment(key, pred, x) || self.group.len() == 1 {
-                return LookupResult { owner: cur, path };
+            if let Some(owner) = self.group.local_owner(cur, key) {
+                return LookupResult { owner, path };
             }
-            let succ_idx = self.group.next_idx(cur);
-            if space.in_segment(key, x, self.group.member(succ_idx).id) {
-                return LookupResult {
-                    owner: succ_idx,
-                    path,
-                };
-            }
+            let x = self.group.id_at(cur);
             let dist = space.seg_len(x, key);
             let (i, j) = level_and_seq(dist, u64::from(self.base));
             let target = space.add(
@@ -170,21 +156,10 @@ impl StaticOverlay for Chord {
         }
     }
 
-    fn multicast_tree(&self, source: usize) -> MulticastTree {
-        let space = self.group.space();
-        let mut tree = MulticastTree::new(self.group.len(), source);
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back((source, space.sub(self.group.member(source).id, 1)));
-        while let Some((node, limit)) = queue.pop_front() {
-            for (child, sub_limit) in self.broadcast_children(node, limit) {
-                let fresh = tree.deliver(node, child);
-                debug_assert!(fresh, "duplicate delivery in El-Ansary broadcast");
-                if fresh {
-                    queue.push_back((child, sub_limit));
-                }
-            }
-        }
-        tree
+    fn multicast_into(&self, source: usize, sink: &mut dyn DeliverySink) {
+        region_walk(&self.group, source, sink, |node, limit, picks| {
+            self.broadcast_children(node, limit, picks)
+        });
     }
 
     fn neighbor_count(&self, member: usize) -> usize {

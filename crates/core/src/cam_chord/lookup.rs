@@ -42,23 +42,13 @@ pub fn lookup(group: &MemberSet, origin: usize, key: Id) -> LookupResult {
             path.len() <= hop_limit,
             "CAM-Chord lookup exceeded {hop_limit} hops — routing loop"
         );
-        let x = group.member(cur).id;
-        let c = group.member(cur).capacity;
-
-        // k ∈ (predecessor(x), x] → x is responsible.
-        let pred = group.member(group.prev_idx(cur)).id;
-        if key == x || space.in_segment(key, pred, x) || group.len() == 1 {
-            return LookupResult { owner: cur, path };
+        // k ∈ (predecessor(x), x] → x is responsible; line 1:
+        // k ∈ (x, successor(x)] → successor.
+        if let Some(owner) = group.local_owner(cur, key) {
+            return LookupResult { owner, path };
         }
-        // Line 1: k ∈ (x, successor(x)] → successor.
-        let succ_idx = group.next_idx(cur);
-        let succ = group.member(succ_idx).id;
-        if space.in_segment(key, x, succ) {
-            return LookupResult {
-                owner: succ_idx,
-                path,
-            };
-        }
+        let x = group.id_at(cur);
+        let c = group.capacity_at(cur);
         // Lines 4–5: level and sequence number of k w.r.t. x.
         let (i, j) = level_seq_of(space, x, c, key);
         let target = space.add(x, j * pow_saturating(u64::from(c), i));

@@ -25,14 +25,14 @@
 //!   ablation benchmark. The sequence numbers are computed exactly as
 //!   `⌈c(c−j−t)/(c−j)⌉` (resp. `⌊·⌋`) in integer arithmetic.
 //! * A selected neighbor identifier may resolve (via `owner`) to a node
-//!   *outside* the remaining region `(x, k']`; such a child is skipped —
-//!   but `k'` still shrinks past its identifier, which is safe because the
-//!   skipped gap `(x_{i,m}−1, k']` provably contains no member. Without
-//!   this check a message could escape its region and be delivered twice.
+//!   *outside* the remaining region `(x, k']`; such a child is skipped but
+//!   `k'` still shrinks past its identifier — the shared step
+//!   [`adopt_owner`], which says why both halves are needed.
 
-use cam_overlay::{DeliverySink, MemberSet, MulticastTree, StreamingTreeStats, TreeStats};
+use cam_overlay::stream::{adopt_owner, region_walk, RegionChild};
+use cam_overlay::{DeliverySink, MemberSet};
 use cam_ring::math::pow_saturating;
-use cam_ring::Id;
+use cam_ring::{Id, IdSpace};
 
 use super::neighbors::level_seq_of;
 
@@ -50,10 +50,6 @@ pub enum ChildSelection {
     Floor,
 }
 
-/// One selected multicast child: the member index and the end (inclusive)
-/// of the region it becomes responsible for.
-pub type ChildAssignment = (usize, Id);
-
 /// Selects the children (and their sub-regions) that member `x_idx` uses to
 /// cover the region `(x, k]` — the decision procedure of `MULTICAST`
 /// lines 4–15.
@@ -69,34 +65,23 @@ pub fn select_children(
     x_idx: usize,
     k: Id,
     selection: ChildSelection,
-) -> Vec<ChildAssignment> {
+) -> Vec<RegionChild> {
     let mut out = Vec::new();
-    select_children_into(group, x_idx, k, selection, &mut out);
+    select_children_capped_into(
+        group,
+        x_idx,
+        k,
+        group.capacity_at(x_idx),
+        selection,
+        &mut out,
+    );
     out
 }
 
-/// [`select_children`] writing into a caller-owned buffer.
-///
-/// Clears `out` and fills it with the selections. The multicast driver
-/// reuses one buffer across every node of the tree, making child selection
-/// allocation-free on the hot path.
-///
-/// # Panics
-///
-/// Panics if `x_idx` is out of range.
-pub fn select_children_into(
-    group: &MemberSet,
-    x_idx: usize,
-    k: Id,
-    selection: ChildSelection,
-    out: &mut Vec<ChildAssignment>,
-) {
-    select_children_capped_into(group, x_idx, k, group.capacity_at(x_idx), selection, out);
-}
-
-/// [`select_children_into`] with an explicit capacity cap instead of the
-/// member's full `c_x` — the primitive behind cross-group *residual*
-/// capacity (cam-pubsub's `CapacityLedger`).
+/// [`select_children`] into a caller-owned buffer (cleared first; the walk
+/// reuses one across every node of a tree), with an explicit capacity cap
+/// instead of the member's full `c_x` — the primitive behind cross-group
+/// *residual* capacity (cam-pubsub's `CapacityLedger`).
 ///
 /// * `cap >= 2` runs the paper's level/sequence selection with `c = cap`.
 /// * `cap <= 1` degrades to **chain mode**: the entire region is handed to
@@ -118,7 +103,7 @@ pub fn select_children_capped_into(
     k: Id,
     cap: u32,
     selection: ChildSelection,
-    out: &mut Vec<ChildAssignment>,
+    out: &mut Vec<RegionChild>,
 ) {
     out.clear();
     let space = group.space();
@@ -128,36 +113,22 @@ pub fn select_children_capped_into(
         return; // Lines 1–2: empty region.
     }
 
+    let mut k_prime = k;
+    // Every selection below is one `adopt_owner` step: owner(target) takes
+    // the tail (target, k'] and k' moves to target − 1 (lines 9 and 14).
+    let mut consider = |target: Id| adopt_owner(group, x, target, &mut k_prime, out);
+
     if cap < 2 {
-        // Chain mode: one child (the successor's owner) covers everything.
-        let target = space.add(x, 1);
-        let child_idx = group.owner_idx(target);
-        let child_id = group.member(child_idx).id;
-        if space.in_segment(child_id, x, k) {
-            out.push((child_idx, k));
-        }
+        // Chain mode: line 15 alone — the successor covers everything.
+        consider(space.add(x, 1));
         return;
     }
-
     let (i, j) = level_seq_of(space, x, cap, k);
-    let mut k_prime = k;
-
-    // Tries to adopt owner(target) as a child for the tail region
-    // (target, k']; always moves k' to target − 1 afterwards (line 9/14:
-    // the gap (x_{i,m}, x̂_{i,m}) is node-free by definition of owner).
-    let consider = |target: Id, k_prime: &mut Id, out: &mut Vec<ChildAssignment>| {
-        let child_idx = group.owner_idx(target);
-        let child_id = group.member(child_idx).id;
-        if space.in_segment(child_id, x, *k_prime) {
-            out.push((child_idx, *k_prime));
-        }
-        *k_prime = space.sub(target, 1);
-    };
 
     // Lines 6–9: level-i neighbors m = j down to 1.
     let ci = pow_saturating(c, i);
     for m in (1..=j).rev() {
-        consider(space.add(x, m * ci), &mut k_prime, out);
+        consider(space.add(x, m * ci));
     }
 
     // Lines 10–14: c − j − 1 evenly spaced level-(i−1) neighbors.
@@ -175,12 +146,12 @@ pub fn select_children_capped_into(
             if seq == 0 {
                 continue; // floor rounding can hit 0 only in degenerate cases
             }
-            consider(space.add(x, seq * ci1), &mut k_prime, out);
+            consider(space.add(x, seq * ci1));
         }
     }
 
     // Line 15: the successor x̂_{0,1}.
-    consider(space.add(x, 1), &mut k_prime, out);
+    consider(space.add(x, 1));
 
     debug_assert!(
         out.len() <= c as usize,
@@ -189,128 +160,91 @@ pub fn select_children_capped_into(
     );
 }
 
-/// Runs the full distributed `MULTICAST` from `source` over a resolved
-/// group, returning the implicit dissemination tree.
+/// Splits the region `(x, k]` across candidate cut points — the child rule
+/// of the two *table-driven* CAM-Chord variants
+/// ([`CamChordProtocol`](super::CamChordProtocol) over a live neighbor
+/// table, [`ProximityCamChord`](super::ProximityCamChord) over a
+/// delay-chosen one), where children are whatever the table holds rather
+/// than recomputed `x_{i,j}` identifiers.
 ///
-/// The initial call covers `(source, source − 1]` — the whole ring minus
-/// the source — exactly as `x.MULTICAST(x − 1, msg)` in the paper.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range, or (via `debug_assert`) if region
-/// bookkeeping ever attempts a duplicate delivery.
-pub fn multicast_tree(
-    group: &MemberSet,
-    source: usize,
-    selection: ChildSelection,
-) -> MulticastTree {
-    let mut tree = MulticastTree::new(group.len(), source);
-    multicast_into(group, source, selection, &mut tree);
-    tree
+/// `cuts` are the candidates inside `(x, k]`, in any order. They are sorted
+/// by clockwise offset from `x`, deduplicated and thinned in place to at
+/// most `c`, spread evenly over the candidate list; the nearest candidate
+/// is always kept so the region's head is covered. Each kept cut is then
+/// emitted with the end of its sub-region — just below the next kept cut,
+/// the last one running to `k` — the same disjoint-partition shape as the
+/// paper's lines 6–15.
+pub(crate) fn split_at_cuts<T: Copy + PartialEq>(
+    space: IdSpace,
+    x: Id,
+    k: Id,
+    c: usize,
+    cuts: &mut Vec<T>,
+    id_of: impl Fn(T) -> Id,
+    mut emit: impl FnMut(T, Id),
+) {
+    cuts.sort_by_key(|&cut| space.seg_len(x, id_of(cut)));
+    cuts.dedup();
+    let len = cuts.len();
+    if len > c {
+        // Even positions over [0, len), index 0 included. Reads run ahead
+        // of writes (t·len/c ≥ t), so thinning in place loses nothing.
+        for t in 0..c {
+            cuts[t] = cuts[t * len / c];
+        }
+        cuts.truncate(c);
+        cuts.dedup();
+    }
+    for (pos, &cut) in cuts.iter().enumerate() {
+        let end = cuts
+            .get(pos + 1)
+            .map_or(k, |&next| space.sub(id_of(next), 1));
+        emit(cut, end);
+    }
 }
 
 /// Runs the full distributed `MULTICAST` from `source`, reporting every
-/// delivery to `sink` instead of returning a data structure.
+/// delivery to `sink`, with a per-node capacity cap supplied by `cap_of`.
 ///
-/// This is the single BFS driver behind both the materialized
-/// ([`multicast_tree`]) and streaming ([`multicast_stats`]) paths.
-/// Deliveries are emitted grouped by parent (each node's children
-/// back-to-back, each node processed once) — the contract
-/// [`StreamingTreeStats`] relies on. A delivery the sink reports as
-/// duplicate (`false`) is not expanded further; the region partition makes
-/// that unreachable for CAM-Chord, and the debug assertion enforces it.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range, or (via `debug_assert`) if region
-/// bookkeeping ever attempts a duplicate delivery.
-pub fn multicast_into<S: DeliverySink>(
-    group: &MemberSet,
-    source: usize,
-    selection: ChildSelection,
-    sink: &mut S,
-) {
-    multicast_into_capped(group, source, selection, |i| group.capacity_at(i), sink);
-}
-
-/// [`multicast_into`] with a per-node capacity cap supplied by `cap_of`
-/// instead of each member's full `c_x`.
-///
-/// This is how cam-pubsub builds per-group trees against *residual*
-/// capacity: `cap_of(i)` returns what member `i` has left after its child
-/// commitments to every other group. Caps below 2 degrade that node to
-/// chain mode (see [`select_children_capped_into`]); the region partition —
-/// and therefore exactly-once delivery — holds for any cap assignment.
+/// [`CamChord`](super::CamChord) passes each member's full `c_x`;
+/// cam-pubsub builds per-group trees against *residual* capacity, where
+/// `cap_of(i)` is what member `i` has left after its child commitments to
+/// every other group. Caps below 2 degrade that node to chain mode (see
+/// [`select_children_capped_into`]); the region partition — and therefore
+/// exactly-once delivery — holds for any cap assignment.
 ///
 /// # Panics
 ///
 /// Panics if `source` is out of range, or (via `debug_assert`) if region
 /// bookkeeping ever attempts a duplicate delivery.
-pub fn multicast_into_capped<S: DeliverySink, F: Fn(usize) -> u32>(
+pub fn multicast_into_capped<S: DeliverySink + ?Sized, F: Fn(usize) -> u32>(
     group: &MemberSet,
     source: usize,
     selection: ChildSelection,
     cap_of: F,
     sink: &mut S,
 ) {
-    use std::cell::RefCell;
-    use std::collections::VecDeque;
-
-    // Work queue of (member, region end, hop distance) — the recursion of
-    // the paper, iteratively — plus the child-selection buffer.
-    // Thread-local so the capacity learned on one tree is reused by every
-    // later tree built on this thread (the experiment harness builds
-    // thousands per sweep).
-    type Scratch = (VecDeque<(usize, Id, u32)>, Vec<ChildAssignment>);
-    thread_local! {
-        static SCRATCH: RefCell<Scratch> =
-            const { RefCell::new((VecDeque::new(), Vec::new())) };
-    }
-
-    let space = group.space();
-    SCRATCH.with(|scratch| {
-        let (queue, picks) = &mut *scratch.borrow_mut();
-        queue.clear();
-        queue.push_back((source, space.sub(group.member(source).id, 1), 0));
-
-        while let Some((node, k, hops)) = queue.pop_front() {
-            select_children_capped_into(group, node, k, cap_of(node), selection, picks);
-            for &(child, region_end) in picks.iter() {
-                let fresh = sink.deliver(node, child, hops + 1);
-                debug_assert!(fresh, "duplicate delivery to member {child} — region leak");
-                if fresh {
-                    queue.push_back((child, region_end, hops + 1));
-                }
-            }
-        }
+    region_walk(group, source, sink, |node, k, picks| {
+        select_children_capped_into(group, node, k, cap_of(node), selection, picks)
     });
-}
-
-/// Runs the multicast from `source` and streams the summary statistics,
-/// never materializing the tree: `O(depth)` extra memory per run.
-///
-/// Returns the same `(TreeStats, bottleneck kbps)` pair — bit for bit — as
-/// building [`multicast_tree`] and summarizing it; see
-/// [`cam_overlay::stream`] for the exactness argument.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range.
-pub fn multicast_stats(
-    group: &MemberSet,
-    source: usize,
-    selection: ChildSelection,
-) -> (TreeStats, f64) {
-    let mut sink = StreamingTreeStats::new(group);
-    multicast_into(group, source, selection, &mut sink);
-    sink.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cam_overlay::Member;
+    use crate::CamChord;
+    use cam_overlay::{Member, MulticastTree, StaticOverlay};
     use cam_ring::IdSpace;
+
+    fn multicast_tree(
+        g: &MemberSet,
+        source: usize,
+        selection: ChildSelection,
+    ) -> MulticastTree {
+        CamChord::new(g.clone())
+            .with_selection(selection)
+            .multicast_tree(source)
+    }
 
     fn fig2_group() -> MemberSet {
         MemberSet::new(
@@ -487,44 +421,6 @@ mod tests {
             multicast_into_capped(&g, src, ChildSelection::Ceil, |i| (i % 5) as u32, &mut tree);
             assert!(tree.is_complete(), "source {src} missed members");
             tree.check_invariants(&g).unwrap();
-        }
-    }
-
-    /// With cap equal to the member's capacity, the capped selection is the
-    /// uncapped selection, child for child and region for region.
-    #[test]
-    fn full_cap_matches_uncapped_selection() {
-        let g = fig2_group();
-        let mut capped = Vec::new();
-        for x in 0..g.len() {
-            let k = g.space().sub(g.member(x).id, 1);
-            let uncapped = select_children(&g, x, k, ChildSelection::Ceil);
-            select_children_capped_into(
-                &g,
-                x,
-                k,
-                g.capacity_at(x),
-                ChildSelection::Ceil,
-                &mut capped,
-            );
-            assert_eq!(uncapped, capped);
-        }
-    }
-
-    #[test]
-    fn two_member_group() {
-        let g = MemberSet::new(
-            IdSpace::new(5),
-            vec![
-                Member::with_capacity(Id(3), 3),
-                Member::with_capacity(Id(20), 3),
-            ],
-        )
-        .unwrap();
-        for src in 0..2 {
-            let t = multicast_tree(&g, src, ChildSelection::Ceil);
-            assert!(t.is_complete());
-            assert_eq!(t.stats().depth, 1);
         }
     }
 }

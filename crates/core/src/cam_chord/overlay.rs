@@ -1,11 +1,9 @@
 //! [`CamChord`]: the resolved CAM-Chord overlay.
 
-use cam_overlay::{LookupResult, MemberSet, MulticastTree, StaticOverlay, TreeStats};
+use cam_overlay::{DeliverySink, LookupResult, MemberSet, StaticOverlay};
 use cam_ring::Id;
 
-use super::multicast::{
-    multicast_stats, multicast_tree, select_children, ChildAssignment, ChildSelection,
-};
+use super::multicast::{multicast_into_capped, ChildSelection};
 use super::neighbors::for_each_neighbor_target;
 
 /// A CAM-Chord overlay resolved against full membership — the converged
@@ -38,12 +36,6 @@ impl CamChord {
     pub fn selection(&self) -> ChildSelection {
         self.selection
     }
-
-    /// The children member `x_idx` would forward a region-`(x, k]`
-    /// multicast to, with their sub-regions.
-    pub fn multicast_children(&self, x_idx: usize, k: Id) -> Vec<ChildAssignment> {
-        select_children(&self.group, x_idx, k, self.selection)
-    }
 }
 
 impl StaticOverlay for CamChord {
@@ -55,15 +47,9 @@ impl StaticOverlay for CamChord {
         super::lookup::lookup(&self.group, origin, key)
     }
 
-    fn multicast_tree(&self, source: usize) -> MulticastTree {
-        multicast_tree(&self.group, source, self.selection)
-    }
-
-    fn multicast_stats(&self, source: usize) -> (TreeStats, f64) {
-        // True streaming: the trait default would materialize the tree
-        // first. Bit-identical by the `cam_overlay::stream` argument, and
-        // checked by `streaming_stats_match_materialized` below.
-        multicast_stats(&self.group, source, self.selection)
+    fn multicast_into(&self, source: usize, sink: &mut dyn DeliverySink) {
+        let full = |i| self.group.capacity_at(i);
+        multicast_into_capped(&self.group, source, self.selection, full, sink);
     }
 
     fn neighbor_count(&self, member: usize) -> usize {
@@ -134,41 +120,6 @@ mod tests {
         assert!(t.is_complete());
         let r = dyn_overlay.lookup(0, Id(25));
         assert_eq!(dyn_overlay.members().member(r.owner).id, Id(26));
-    }
-
-    /// The streaming override must be bit-identical to the trait default
-    /// (materialize, then summarize) — every field, f64 bits included.
-    #[test]
-    fn streaming_stats_match_materialized() {
-        let heterogeneous = CamChord::new(
-            MemberSet::new(
-                IdSpace::new(12),
-                (0..700u64)
-                    .map(|i| Member {
-                        id: Id(i * 5 + 2),
-                        capacity: 2 + (i % 7) as u32,
-                        upload_kbps: 200.0 + (i % 13) as f64 * 97.0,
-                    })
-                    .collect(),
-            )
-            .unwrap(),
-        );
-        for overlay in [&fig2_overlay(), &heterogeneous] {
-            for src in [0usize, 1, overlay.members().len() - 1] {
-                let tree = overlay.multicast_tree(src);
-                let expected = (
-                    tree.stats(),
-                    tree.bottleneck_throughput_kbps(overlay.members()),
-                );
-                let got = overlay.multicast_stats(src);
-                assert_eq!(got.0, expected.0, "stats diverged at source {src}");
-                assert_eq!(
-                    got.1.to_bits(),
-                    expected.1.to_bits(),
-                    "throughput diverged at source {src}"
-                );
-            }
-        }
     }
 
     /// CAM-Chord with capacity c has more neighbors than CAM-Koorde's c —

@@ -18,6 +18,7 @@ use cam_overlay::dynamic::DhtProtocol;
 use cam_overlay::Member;
 use cam_ring::{Id, IdSpace, Segment};
 
+use super::multicast::split_at_cuts;
 use super::neighbors::neighbor_targets;
 
 /// The CAM-Chord plug-in for dynamic simulations.
@@ -63,47 +64,24 @@ impl DhtProtocol for CamChordProtocol {
             return Vec::new();
         }
         // Candidate cut points: resolved neighbors inside the region, plus
-        // the successor (the paper's line 15), sorted by clockwise offset.
+        // the successor (the paper's line 15).
         let mut cuts: Vec<Id> = neighbors
             .iter()
             .map(|m| m.id)
             .chain(std::iter::once(successor.id))
             .filter(|&id| region.contains(space, id))
             .collect();
-        cuts.sort_by_key(|&id| space.seg_len(me.id, id));
-        cuts.dedup();
-        if cuts.is_empty() {
-            return Vec::new();
-        }
-
-        // Keep at most c_x cuts, spread evenly across the candidate list.
-        // The nearest candidate (the successor, when it is in the region)
-        // is always kept so the region's head is covered.
         let c = me.capacity as usize;
-        let chosen: Vec<Id> = if cuts.len() <= c {
-            cuts
-        } else {
-            let mut chosen = Vec::with_capacity(c);
-            for t in 0..c {
-                // Even positions over [0, len): includes index 0.
-                let idx = t * cuts.len() / c;
-                chosen.push(cuts[idx]);
-            }
-            chosen.dedup();
-            chosen
-        };
-
-        // Assign each chosen child the sub-region from itself up to just
-        // below the next chosen child (the last child runs to the region
-        // end) — the same disjoint-partition shape as the static routine.
-        let mut out = Vec::with_capacity(chosen.len());
-        for (pos, &child) in chosen.iter().enumerate() {
-            let end = match chosen.get(pos + 1) {
-                Some(&next) => space.sub(next, 1),
-                None => region.to,
-            };
-            out.push((child, Some(Segment::new(child, end))));
-        }
+        let mut out = Vec::with_capacity(cuts.len().min(c));
+        split_at_cuts(
+            space,
+            me.id,
+            region.to,
+            c,
+            &mut cuts,
+            |id| id,
+            |child, end| out.push((child, Some(Segment::new(child, end)))),
+        );
         out
     }
 }

@@ -18,8 +18,11 @@
 //! The Ext-G experiment measures what this buys: same hop counts, a
 //! sizeable reduction in *weighted* (delay) path length.
 
-use cam_overlay::{LookupResult, MemberSet, MulticastTree, StaticOverlay};
+use cam_overlay::stream::region_walk;
+use cam_overlay::{DeliverySink, LookupResult, MemberSet, MulticastTree, StaticOverlay};
 use cam_ring::Id;
+
+use super::multicast::split_at_cuts;
 
 /// Pairwise one-way delay between member *indices*, in milliseconds.
 pub type DelayFn<'a> = dyn Fn(usize, usize) -> f64 + Sync + 'a;
@@ -161,18 +164,10 @@ impl StaticOverlay for ProximityCamChord<'_> {
                 path.len() <= self.group.len() + 1,
                 "proximity lookup exceeded n hops"
             );
-            let x = self.group.member(cur).id;
-            let pred = self.group.member(self.group.prev_idx(cur)).id;
-            if key == x || space.in_segment(key, pred, x) || self.group.len() == 1 {
-                return LookupResult { owner: cur, path };
+            if let Some(owner) = self.group.local_owner(cur, key) {
+                return LookupResult { owner, path };
             }
-            let succ_idx = self.group.next_idx(cur);
-            if space.in_segment(key, x, self.group.member(succ_idx).id) {
-                return LookupResult {
-                    owner: succ_idx,
-                    path,
-                };
-            }
+            let x = self.group.id_at(cur);
             // Furthest chosen neighbor that still precedes the key.
             let dist = space.seg_len(x, key);
             let next = self.table[cur]
@@ -183,7 +178,7 @@ impl StaticOverlay for ProximityCamChord<'_> {
                     let off = space.seg_len(x, self.group.member(idx).id);
                     off >= 1 && off < dist
                 })
-                .unwrap_or(succ_idx);
+                .unwrap_or_else(|| self.group.next_idx(cur));
             debug_assert_ne!(next, cur);
             cur = next;
             path.push(cur);
@@ -193,49 +188,33 @@ impl StaticOverlay for ProximityCamChord<'_> {
     /// Region-splitting multicast across the chosen cut points (the same
     /// disjoint-partition scheme as the base routine, but each cut is the
     /// proximity-chosen member of its slot).
-    fn multicast_tree(&self, source: usize) -> MulticastTree {
+    fn multicast_into(&self, source: usize, sink: &mut dyn DeliverySink) {
         let space = self.group.space();
-        let mut tree = MulticastTree::new(self.group.len(), source);
-        let mut queue: std::collections::VecDeque<(usize, Id)> = Default::default();
-        queue.push_back((source, space.sub(self.group.member(source).id, 1)));
-
-        while let Some((node, k)) = queue.pop_front() {
-            let x = self.group.member(node).id;
-            if space.seg_len(x, k) == 0 {
-                continue;
-            }
-            let c = self.group.member(node).capacity as usize;
+        let mut cuts: Vec<usize> = Vec::new();
+        region_walk(&self.group, source, sink, |node, k, picks| {
+            let x = self.group.id_at(node);
             // Candidate cuts: chosen neighbors inside (x, k], plus the
-            // successor; keep at most c, evenly spaced, nearest first.
-            let mut cuts: Vec<usize> = self.table[node]
-                .iter()
-                .map(|&(_, idx)| idx)
-                .chain(std::iter::once(self.group.next_idx(node)))
-                .filter(|&idx| idx != node && space.in_segment(self.group.member(idx).id, x, k))
-                .collect();
-            cuts.sort_by_key(|&idx| space.seg_len(x, self.group.member(idx).id));
-            cuts.dedup();
-            let chosen: Vec<usize> = if cuts.len() <= c {
-                cuts
-            } else {
-                let mut picked = Vec::with_capacity(c);
-                for t in 0..c {
-                    picked.push(cuts[t * cuts.len() / c]);
-                }
-                picked.dedup();
-                picked
-            };
-            for (pos, &child) in chosen.iter().enumerate() {
-                let end = match chosen.get(pos + 1) {
-                    Some(&nxt) => space.sub(self.group.member(nxt).id, 1),
-                    None => k,
-                };
-                if tree.deliver(node, child) {
-                    queue.push_back((child, end));
-                }
-            }
-        }
-        tree
+            // successor.
+            cuts.clear();
+            cuts.extend(
+                self.table[node]
+                    .iter()
+                    .map(|&(_, idx)| idx)
+                    .chain(std::iter::once(self.group.next_idx(node)))
+                    .filter(|&idx| {
+                        idx != node && space.in_segment(self.group.id_at(idx), x, k)
+                    }),
+            );
+            split_at_cuts(
+                space,
+                x,
+                k,
+                self.group.capacity_at(node) as usize,
+                &mut cuts,
+                |idx| self.group.id_at(idx),
+                |child, end| picks.push((child, end)),
+            );
+        });
     }
 
     fn neighbor_count(&self, member: usize) -> usize {

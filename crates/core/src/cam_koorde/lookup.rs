@@ -121,21 +121,12 @@ pub fn lookup(group: &MemberSet, origin: usize, key: Id) -> LookupResult {
     let spacing = (space.size() / group.len() as u64).max(1);
 
     loop {
-        let x = group.member(cur).id;
-        // Line 1: k ∈ (predecessor(x), x] → x.
-        let pred = group.member(group.prev_idx(cur)).id;
-        if key == x || space.in_segment(key, pred, x) || group.len() == 1 {
-            return LookupResult { owner: cur, path };
+        // Line 1: k ∈ (predecessor(x), x] → x; line 3:
+        // k ∈ (x, successor(x)] → successor.
+        if let Some(owner) = group.local_owner(cur, key) {
+            return LookupResult { owner, path };
         }
-        // Line 3: k ∈ (x, successor(x)] → successor.
-        let succ_idx = group.next_idx(cur);
-        let succ = group.member(succ_idx).id;
-        if space.in_segment(key, x, succ) {
-            return LookupResult {
-                owner: succ_idx,
-                path,
-            };
-        }
+        let x = group.id_at(cur);
 
         // Chain exhausted but the walk landed far from the key: the match
         // was destroyed mid-chain; restart it from this node's genuine

@@ -13,7 +13,7 @@
 //!   of "all neighbors" over bidirectional connections). This can push a
 //!   node's fan-out past `c_x` — quantified in the ablation experiment.
 
-use cam_overlay::{MemberSet, MulticastTree};
+use cam_overlay::MemberSet;
 
 /// Which edges a node floods on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -25,17 +25,10 @@ pub enum FloodEdges {
     Bidirectional,
 }
 
-/// The resolved out-neighbor member indices of `idx`: predecessor,
-/// successor, and the owners of all derived targets, deduplicated, self
-/// excluded. Never larger than the member's capacity.
-pub fn out_neighbors(group: &MemberSet, idx: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    out_neighbors_into(group, idx, &mut out);
-    out
-}
-
-/// [`out_neighbors`] writing into a caller-owned buffer (cleared first), so
-/// whole-group adjacency construction reuses one allocation per thread.
+/// Writes the resolved out-neighbor member indices of `idx` into `out`
+/// (cleared first): predecessor, successor, and the owners of all derived
+/// targets, sorted, deduplicated, self excluded. Never more than the
+/// member's capacity.
 pub fn out_neighbors_into(group: &MemberSet, idx: usize, out: &mut Vec<usize>) {
     out.clear();
     let m = group.member(idx);
@@ -63,29 +56,44 @@ pub struct FloodAdjacency {
 impl FloodAdjacency {
     /// Builds the adjacency for the group under the given edge policy.
     pub fn new(group: &MemberSet, edges: FloodEdges) -> Self {
-        let n = group.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neighbors = Vec::new();
-        offsets.push(0u32);
-        match edges {
-            FloodEdges::Out => {
-                // Members are emitted in index order, so the CSR can be
-                // appended directly without a counting pass.
-                let mut buf = Vec::new();
-                for i in 0..n {
-                    out_neighbors_into(group, i, &mut buf);
-                    neighbors.extend_from_slice(&buf);
-                    offsets.push(neighbors.len() as u32);
+        // Members are emitted in index order, so the CSR is appended
+        // directly without a counting pass.
+        let mut adj = FloodAdjacency::empty();
+        let mut buf = Vec::new();
+        for i in 0..group.len() {
+            out_neighbors_into(group, i, &mut buf);
+            adj.push_list(&buf);
+        }
+        if edges == FloodEdges::Bidirectional {
+            // Every out-edge `from → to` is also flooded as `to → from`.
+            let mut lists: Vec<Vec<usize>> = (0..adj.len())
+                .map(|m| adj.neighbors_of(m).to_vec())
+                .collect();
+            for from in 0..adj.len() {
+                for &to in adj.neighbors_of(from) {
+                    lists[to].push(from);
                 }
             }
-            FloodEdges::Bidirectional => {
-                for list in adjacency(group, edges) {
-                    neighbors.extend_from_slice(&list);
-                    offsets.push(neighbors.len() as u32);
-                }
+            adj = FloodAdjacency::empty();
+            for list in &mut lists {
+                list.sort_unstable();
+                list.dedup();
+                adj.push_list(list);
             }
         }
-        FloodAdjacency { offsets, neighbors }
+        adj
+    }
+
+    fn empty() -> Self {
+        FloodAdjacency {
+            offsets: vec![0],
+            neighbors: Vec::new(),
+        }
+    }
+
+    fn push_list(&mut self, list: &[usize]) {
+        self.neighbors.extend_from_slice(list);
+        self.offsets.push(self.neighbors.len() as u32);
     }
 
     /// Number of members.
@@ -105,90 +113,16 @@ impl FloodAdjacency {
     }
 }
 
-/// The full flooding adjacency for the group (out edges, plus reverse
-/// edges when `edges` is [`FloodEdges::Bidirectional`]).
-pub fn adjacency(group: &MemberSet, edges: FloodEdges) -> Vec<Vec<usize>> {
-    let n = group.len();
-    let mut adj: Vec<Vec<usize>> = (0..n).map(|i| out_neighbors(group, i)).collect();
-    if edges == FloodEdges::Bidirectional {
-        let forward = adj.clone();
-        for (from, nbrs) in forward.iter().enumerate() {
-            for &to in nbrs {
-                adj[to].push(from);
-            }
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-            list.dedup();
-        }
-    }
-    adj
-}
-
-/// Floods a message from `source` and returns the implicit (BFS) multicast
-/// tree: each member's parent is the neighbor whose copy arrived first.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range.
-pub fn multicast_tree(group: &MemberSet, source: usize, edges: FloodEdges) -> MulticastTree {
-    let adj = FloodAdjacency::new(group, edges);
-    multicast_tree_with_flood_adjacency(group, source, &adj)
-}
-
-/// Same as [`multicast_tree`], but reusing a precomputed adjacency — the
-/// experiments flood from many sources over one topology.
-pub fn multicast_tree_with_adjacency(
-    group: &MemberSet,
-    source: usize,
-    adj: &[Vec<usize>],
-) -> MulticastTree {
-    bfs_flood(group, source, |node| &adj[node])
-}
-
-/// [`multicast_tree_with_adjacency`] over the CSR form — the shape
-/// [`CamKoorde`](super::CamKoorde) stores.
-pub fn multicast_tree_with_flood_adjacency(
-    group: &MemberSet,
-    source: usize,
-    adj: &FloodAdjacency,
-) -> MulticastTree {
-    bfs_flood(group, source, |node| adj.neighbors_of(node))
-}
-
-/// The BFS embedding a flood into an implicit tree, with a per-thread work
-/// queue reused across sources.
-fn bfs_flood<'a>(
-    group: &MemberSet,
-    source: usize,
-    neighbors: impl Fn(usize) -> &'a [usize],
-) -> MulticastTree {
-    use std::cell::RefCell;
-    use std::collections::VecDeque;
-    thread_local! {
-        static QUEUE: RefCell<VecDeque<usize>> = const { RefCell::new(VecDeque::new()) };
-    }
-    let mut tree = MulticastTree::new(group.len(), source);
-    QUEUE.with(|q| {
-        let queue = &mut *q.borrow_mut();
-        queue.clear();
-        queue.push_back(source);
-        while let Some(node) = queue.pop_front() {
-            for &nb in neighbors(node) {
-                if tree.deliver(node, nb) {
-                    queue.push_back(nb);
-                }
-            }
-        }
-    });
-    tree
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cam_overlay::Member;
+    use crate::CamKoorde;
+    use cam_overlay::{Member, MulticastTree, StaticOverlay};
     use cam_ring::{Id, IdSpace};
+
+    fn multicast_tree(g: &MemberSet, source: usize, edges: FloodEdges) -> MulticastTree {
+        CamKoorde::with_edges(g.clone(), edges).multicast_tree(source)
+    }
 
     fn fig4_group() -> MemberSet {
         MemberSet::new(
@@ -209,9 +143,10 @@ mod tests {
     fn fig5_first_level() {
         let g = fig4_group();
         let i36 = g.index_of(Id(36)).unwrap();
-        let nbrs: std::collections::BTreeSet<u64> = out_neighbors(&g, i36)
-            .into_iter()
-            .map(|i| g.member(i).id.value())
+        let nbrs: std::collections::BTreeSet<u64> = FloodAdjacency::new(&g, FloodEdges::Out)
+            .neighbors_of(i36)
+            .iter()
+            .map(|&i| g.member(i).id.value())
             .collect();
         assert_eq!(
             nbrs,
@@ -290,20 +225,5 @@ mod tests {
         // log_10(5000) ≈ 3.7; allow constant-factor slack but far below a
         // ring walk.
         assert!(depth <= 12, "depth {depth} too large");
-    }
-
-    #[test]
-    fn two_member_group_floods() {
-        let g = MemberSet::new(
-            IdSpace::new(6),
-            vec![
-                Member::with_capacity(Id(5), 4),
-                Member::with_capacity(Id(40), 4),
-            ],
-        )
-        .unwrap();
-        let t = multicast_tree(&g, 0, FloodEdges::Out);
-        assert!(t.is_complete());
-        assert_eq!(t.stats().depth, 1);
     }
 }

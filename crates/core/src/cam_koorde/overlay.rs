@@ -1,9 +1,10 @@
 //! [`CamKoorde`]: the resolved CAM-Koorde overlay.
 
-use cam_overlay::{LookupResult, MemberSet, MulticastTree, StaticOverlay};
+use cam_overlay::stream::flood_walk;
+use cam_overlay::{DeliverySink, LookupResult, MemberSet, StaticOverlay};
 use cam_ring::Id;
 
-use super::multicast::{multicast_tree_with_flood_adjacency, FloodAdjacency, FloodEdges};
+use super::multicast::{out_neighbors_into, FloodAdjacency, FloodEdges};
 
 /// A CAM-Koorde overlay resolved against full membership.
 ///
@@ -65,12 +66,15 @@ impl StaticOverlay for CamKoorde {
         super::lookup::lookup(&self.group, origin, key)
     }
 
-    fn multicast_tree(&self, source: usize) -> MulticastTree {
-        multicast_tree_with_flood_adjacency(&self.group, source, &self.adj)
+    fn multicast_into(&self, source: usize, sink: &mut dyn DeliverySink) {
+        flood_walk(self.group.len(), source, sink, |m| self.adj.neighbors_of(m));
     }
 
     fn neighbor_count(&self, member: usize) -> usize {
-        super::multicast::out_neighbors(&self.group, member).len()
+        // Out-neighbors only: reverse flood edges cost no table entry.
+        let mut out = Vec::new();
+        out_neighbors_into(&self.group, member, &mut out);
+        out.len()
     }
 
     fn name(&self) -> &'static str {

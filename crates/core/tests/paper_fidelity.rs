@@ -2,9 +2,9 @@
 //! consolidated fidelity suite, plus property tests on the internals of
 //! the child-selection and neighbor-derivation procedures.
 
-use cam_core::cam_chord::multicast::{multicast_tree, select_children, ChildSelection};
+use cam_core::cam_chord::multicast::{select_children, ChildSelection};
 use cam_core::cam_chord::neighbors::neighbor_targets as chord_targets;
-use cam_core::cam_koorde::multicast::{multicast_tree as flood_tree, FloodEdges};
+use cam_core::cam_koorde::multicast::FloodEdges;
 use cam_core::cam_koorde::neighbors::derive_groups;
 use cam_core::{CamChord, CamKoorde};
 use cam_overlay::{Member, MemberSet, StaticOverlay};
@@ -55,7 +55,7 @@ fn section32_lookup_trace() {
 #[test]
 fn figure3_exact_tree() {
     let group = fig2_group();
-    let tree = multicast_tree(&group, 0, ChildSelection::Ceil);
+    let tree = CamChord::new(group.clone()).multicast_tree(0);
     let expect: &[(u64, &[u64])] = &[
         (0, &[29, 18, 4]),
         (18, &[26, 21]),
@@ -93,7 +93,7 @@ fn section41_node36_groups() {
 fn figure5_flood_levels() {
     let group = fig4_group();
     let i36 = group.index_of(Id(36)).unwrap();
-    let tree = flood_tree(&group, i36, FloodEdges::Out);
+    let tree = CamKoorde::new(group.clone()).multicast_tree(i36);
     assert_eq!(tree.fanout(i36), 10);
     assert!(tree.is_complete());
     let first_level: std::collections::BTreeSet<u64> = tree
@@ -218,10 +218,10 @@ proptest! {
         let space = IdSpace::new(12);
         let group = random_group(space, n, c, seed);
         for edges in [FloodEdges::Out, FloodEdges::Bidirectional] {
-            let tree = flood_tree(&group, 0, edges);
+            let tree = CamKoorde::with_edges(group.clone(), edges).multicast_tree(0);
             prop_assert!(tree.is_complete(), "{edges:?}");
         }
-        let out_tree = flood_tree(&group, 0, FloodEdges::Out);
+        let out_tree = CamKoorde::new(group.clone()).multicast_tree(0);
         prop_assert!(out_tree.check_invariants(&group).is_ok());
     }
 }

@@ -6,7 +6,8 @@
 //!       [--trace-out <file>] [FIGURE...]
 //!
 //! FIGURE: fig6 fig7 fig8 fig9 fig10 fig11 resilience overhead ablation
-//!         lookup all        (default: all)
+//!         lookup load churn proximity loss theory heterogeneity stability
+//!         multigroup all    (default: all; the list is `FIGURES`)
 //! --quick     4,000-node groups instead of the paper's 100,000
 //! --plot      also render each table as an ASCII chart
 //! --n         explicit group size
@@ -21,6 +22,31 @@ use std::process::ExitCode;
 
 use cam_experiments::{ext, fig10, fig11, fig6, fig7, fig8, fig9, Options};
 use cam_metrics::DataTable;
+
+type Figure = fn(&Options) -> DataTable;
+
+/// Every figure `repro` can regenerate, in the order `all` runs them: the
+/// one list behind dispatch, `all` and the usage text.
+const FIGURES: &[(&str, Figure)] = &[
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("resilience", ext::resilience),
+    ("overhead", ext::overhead),
+    ("ablation", ext::ablation),
+    ("lookup", ext::lookup_hops),
+    ("load", ext::load_balance),
+    ("churn", ext::churn),
+    ("proximity", ext::proximity),
+    ("loss", ext::loss),
+    ("theory", ext::theory),
+    ("heterogeneity", ext::heterogeneity),
+    ("stability", ext::tree_stability),
+    ("multigroup", ext::multigroup),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,29 +88,7 @@ fn main() -> ExitCode {
     // `--trace-out` with no figure names is a pure trace capture; naming
     // figures (or `all`) alongside it runs both.
     if figures.iter().any(|f| f == "all") || (figures.is_empty() && trace_out.is_none()) {
-        figures = [
-            "fig6",
-            "fig7",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "resilience",
-            "overhead",
-            "ablation",
-            "lookup",
-            "load",
-            "churn",
-            "proximity",
-            "loss",
-            "theory",
-            "heterogeneity",
-            "stability",
-            "multigroup",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
+        figures = FIGURES.iter().map(|(name, _)| name.to_string()).collect();
     }
 
     eprintln!(
@@ -107,27 +111,10 @@ fn main() -> ExitCode {
     }
     for fig in &figures {
         let started = std::time::Instant::now();
-        let table: DataTable = match fig.as_str() {
-            "fig6" => fig6::run(&opts),
-            "fig7" => fig7::run(&opts),
-            "fig8" => fig8::run(&opts),
-            "fig9" => fig9::run(&opts),
-            "fig10" => fig10::run(&opts),
-            "fig11" => fig11::run(&opts),
-            "resilience" => ext::resilience(&opts),
-            "overhead" => ext::overhead(&opts),
-            "ablation" => ext::ablation(&opts),
-            "lookup" => ext::lookup_hops(&opts),
-            "load" => ext::load_balance(&opts),
-            "churn" => ext::churn(&opts),
-            "proximity" => ext::proximity(&opts),
-            "loss" => ext::loss(&opts),
-            "theory" => ext::theory(&opts),
-            "heterogeneity" => ext::heterogeneity(&opts),
-            "stability" => ext::tree_stability(&opts),
-            "multigroup" => ext::multigroup(&opts),
-            other => return usage(&format!("unknown figure {other}")),
+        let Some((_, run)) = FIGURES.iter().find(|(name, _)| name == fig) else {
+            return usage(&format!("unknown figure {fig}"));
         };
+        let table = run(&opts);
         println!("{}", table.to_text());
         if plot {
             println!("{}", cam_metrics::ascii_plot(&table, 72, 20));
@@ -146,10 +133,11 @@ fn usage(err: &str) -> ExitCode {
     if !err.is_empty() {
         eprintln!("error: {err}");
     }
+    let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
     eprintln!(
         "usage: repro [--quick] [--plot] [--n SIZE] [--sources K] [--out DIR] \
-         [--trace-out FILE] \
-         [fig6|fig7|fig8|fig9|fig10|fig11|resilience|overhead|ablation|lookup|load|churn|proximity|loss|theory|heterogeneity|stability|multigroup|all]..."
+         [--trace-out FILE] [{}|all]...",
+        names.join("|")
     );
     if err.is_empty() {
         ExitCode::SUCCESS

@@ -196,31 +196,27 @@ pub fn ablation(opts: &Options) -> DataTable {
         .with_n(opts.n)
         .members();
 
+    let avg_path = |overlay: &dyn StaticOverlay, tag: u64| {
+        sample_trees(overlay, opts.sources, opts.sub_seed(tag))
+            .avg_path_len
+            .mean()
+    };
+    let chord = |selection| CamChord::new(group.clone()).with_selection(selection);
+    let koorde = |edges| CamKoorde::with_edges(group.clone(), edges);
     let variants: Vec<(&str, f64)> = vec![
-        ("CAM-Chord ceil", {
-            let o = CamChord::new(group.clone()).with_selection(ChildSelection::Ceil);
-            sample_trees(&o, opts.sources, opts.sub_seed(1))
-                .avg_path_len
-                .mean()
-        }),
-        ("CAM-Chord floor", {
-            let o = CamChord::new(group.clone()).with_selection(ChildSelection::Floor);
-            sample_trees(&o, opts.sources, opts.sub_seed(1))
-                .avg_path_len
-                .mean()
-        }),
-        ("CAM-Koorde out-edges", {
-            let o = CamKoorde::with_edges(group.clone(), FloodEdges::Out);
-            sample_trees(&o, opts.sources, opts.sub_seed(2))
-                .avg_path_len
-                .mean()
-        }),
-        ("CAM-Koorde bidirectional", {
-            let o = CamKoorde::with_edges(group.clone(), FloodEdges::Bidirectional);
-            sample_trees(&o, opts.sources, opts.sub_seed(2))
-                .avg_path_len
-                .mean()
-        }),
+        ("CAM-Chord ceil", avg_path(&chord(ChildSelection::Ceil), 1)),
+        (
+            "CAM-Chord floor",
+            avg_path(&chord(ChildSelection::Floor), 1),
+        ),
+        (
+            "CAM-Koorde out-edges",
+            avg_path(&koorde(FloodEdges::Out), 2),
+        ),
+        (
+            "CAM-Koorde bidirectional",
+            avg_path(&koorde(FloodEdges::Bidirectional), 2),
+        ),
     ];
     let mut s = DataSeries::new("avg_path_len");
     for (i, (_, v)) in variants.iter().enumerate() {
@@ -648,10 +644,22 @@ pub fn tree_stability(opts: &Options) -> DataTable {
         };
         let left = base.removed(leaver).expect("non-empty");
 
-        chord_join.push(t as f64, parent_churn_chord(&base, &joined, source_id));
-        chord_leave.push(t as f64, parent_churn_chord(&base, &left, source_id));
-        koorde_join.push(t as f64, parent_churn_koorde(&base, &joined, source_id));
-        koorde_leave.push(t as f64, parent_churn_koorde(&base, &left, source_id));
+        chord_join.push(
+            t as f64,
+            parent_churn(CamChord::new, &base, &joined, source_id),
+        );
+        chord_leave.push(
+            t as f64,
+            parent_churn(CamChord::new, &base, &left, source_id),
+        );
+        koorde_join.push(
+            t as f64,
+            parent_churn(CamKoorde::new, &base, &joined, source_id),
+        );
+        koorde_leave.push(
+            t as f64,
+            parent_churn(CamKoorde::new, &base, &left, source_id),
+        );
     }
     table.push(chord_join);
     table.push(chord_leave);
@@ -660,38 +668,18 @@ pub fn tree_stability(opts: &Options) -> DataTable {
     table
 }
 
-fn parent_churn_chord(
-    before: &cam_overlay::MemberSet,
-    after: &cam_overlay::MemberSet,
-    source_id: cam_ring::Id,
-) -> f64 {
-    let t1 = CamChord::new(before.clone())
-        .multicast_tree(before.index_of(source_id).expect("source present"));
-    let t2 = CamChord::new(after.clone())
-        .multicast_tree(after.index_of(source_id).expect("source present"));
-    parent_churn(before, after, &t1, &t2)
-}
-
-fn parent_churn_koorde(
-    before: &cam_overlay::MemberSet,
-    after: &cam_overlay::MemberSet,
-    source_id: cam_ring::Id,
-) -> f64 {
-    let t1 = CamKoorde::new(before.clone())
-        .multicast_tree(before.index_of(source_id).expect("source present"));
-    let t2 = CamKoorde::new(after.clone())
-        .multicast_tree(after.index_of(source_id).expect("source present"));
-    parent_churn(before, after, &t1, &t2)
-}
-
 /// Number of members present in both groups whose tree parent (by
-/// identifier) differs between the two trees.
-fn parent_churn(
+/// identifier) differs between the two groups' trees from `source_id`.
+fn parent_churn<O: StaticOverlay>(
+    make: impl Fn(cam_overlay::MemberSet) -> O,
     g1: &cam_overlay::MemberSet,
     g2: &cam_overlay::MemberSet,
-    t1: &cam_overlay::MulticastTree,
-    t2: &cam_overlay::MulticastTree,
+    source_id: cam_ring::Id,
 ) -> f64 {
+    let tree_of = |g: &cam_overlay::MemberSet| {
+        make(g.clone()).multicast_tree(g.index_of(source_id).expect("source present"))
+    };
+    let (t1, t2) = (tree_of(g1), tree_of(g2));
     let mut changed = 0usize;
     for i1 in 0..g1.len() {
         let id = g1.member(i1).id;

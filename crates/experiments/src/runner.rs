@@ -6,11 +6,15 @@
 //! are *deterministic*: their output is bit-identical to the serial
 //! equivalent, because work items are deterministic functions of their
 //! input and results are folded in input order on the calling thread.
+//! A sweep issued from inside a pool worker (every figure samples trees
+//! inside its sweep over configurations) runs inline on that worker, so
+//! the process never holds more than one pool's worth of threads.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cam_metrics::TreeAggregator;
-use cam_overlay::{MulticastTree, StaticOverlay};
+use cam_overlay::{StaticOverlay, TreeStats};
 use rand::{Rng, SeedableRng};
 
 /// Knobs shared by all experiments.
@@ -51,10 +55,6 @@ impl Options {
     }
 }
 
-/// Below this group size a multicast tree is too cheap to be worth shipping
-/// to the worker pool; [`sample_trees`] stays on the calling thread.
-const PARALLEL_SOURCES_MIN_N: usize = 2_000;
-
 /// Samples `k` distinct member indices from `0..n` uniformly (`k` clamped
 /// to `n`), in draw order — a sparse partial Fisher–Yates shuffle, so the
 /// cost is `O(k)` regardless of `n` and every `k`-subset is equally likely.
@@ -79,62 +79,24 @@ pub fn sample_distinct_sources(n: usize, k: usize, seed: u64) -> Vec<usize> {
     out
 }
 
-/// Builds `sources` multicast trees from distinct random sources of the
-/// overlay and aggregates their statistics.
+/// Runs `sources` multicasts from distinct random sources of the overlay
+/// and aggregates their statistics, never materializing a tree: each
+/// source streams through [`StaticOverlay::multicast_stats`] and only the
+/// `(TreeStats, throughput)` pair travels back — one tree's summary in
+/// flight per source, which is what makes million-member sweeps affordable.
 ///
-/// On groups of at least [`PARALLEL_SOURCES_MIN_N`] members the trees are
-/// built on the worker pool; the aggregate is bit-identical to
-/// [`sample_trees_serial`] either way, because tree construction takes no
+/// The sources run on the worker pool (inline when the caller is already a
+/// pool worker, as inside every figure's sweep); the aggregate is
+/// bit-identical to a serial fold either way, because a multicast takes no
 /// RNG and aggregation happens in source order on the calling thread.
-///
-/// # Panics
-///
-/// Panics if the overlay has no members.
 pub fn sample_trees<O: StaticOverlay + ?Sized>(
     overlay: &O,
     sources: usize,
     seed: u64,
 ) -> TreeAggregator {
     let srcs = sample_distinct_sources(overlay.members().len(), sources, seed);
-    let trees: Vec<MulticastTree> =
-        if overlay.members().len() >= PARALLEL_SOURCES_MIN_N && srcs.len() >= 2 {
-            parallel_sweep(srcs, |&src| overlay.multicast_tree(src))
-        } else {
-            srcs.iter()
-                .map(|&src| overlay.multicast_tree(src))
-                .collect()
-        };
-    aggregate(overlay, &trees)
-}
-
-/// [`sample_trees`] without materializing any tree: each source runs the
-/// overlay's [`multicast_stats`](StaticOverlay::multicast_stats) path
-/// (streaming for CAM-Chord, materialize-and-summarize for the rest) and
-/// only the `(TreeStats, throughput)` pairs travel back for aggregation.
-///
-/// The aggregate is bit-identical to [`sample_trees`] — same sources, same
-/// statistics, folded in the same order — which is what makes million-member
-/// sweeps affordable: peak memory is one tree's summary per in-flight
-/// source instead of 20 MB of flat arrays each.
-///
-/// # Panics
-///
-/// Panics if the overlay has no members.
-pub fn sample_tree_stats<O: StaticOverlay + ?Sized>(
-    overlay: &O,
-    sources: usize,
-    seed: u64,
-) -> TreeAggregator {
-    assert!(!overlay.members().is_empty(), "empty overlay");
-    let srcs = sample_distinct_sources(overlay.members().len(), sources, seed);
-    let stats: Vec<(cam_overlay::TreeStats, f64)> =
-        if overlay.members().len() >= PARALLEL_SOURCES_MIN_N && srcs.len() >= 2 {
-            parallel_sweep(srcs, |&src| overlay.multicast_stats(src))
-        } else {
-            srcs.iter()
-                .map(|&src| overlay.multicast_stats(src))
-                .collect()
-        };
+    let stats: Vec<(TreeStats, f64)> =
+        parallel_sweep(srcs, |&src| overlay.multicast_stats(src));
     let mut agg = TreeAggregator::new();
     for (s, tput) in &stats {
         debug_assert!(
@@ -148,40 +110,9 @@ pub fn sample_tree_stats<O: StaticOverlay + ?Sized>(
     agg
 }
 
-/// [`sample_trees`] pinned to the calling thread — the reference the
-/// determinism tests compare against.
-///
-/// # Panics
-///
-/// Panics if the overlay has no members.
-pub fn sample_trees_serial<O: StaticOverlay + ?Sized>(
-    overlay: &O,
-    sources: usize,
-    seed: u64,
-) -> TreeAggregator {
-    let srcs = sample_distinct_sources(overlay.members().len(), sources, seed);
-    let trees: Vec<MulticastTree> = srcs
-        .iter()
-        .map(|&src| overlay.multicast_tree(src))
-        .collect();
-    aggregate(overlay, &trees)
-}
-
-fn aggregate<O: StaticOverlay + ?Sized>(
-    overlay: &O,
-    trees: &[MulticastTree],
-) -> TreeAggregator {
-    assert!(!overlay.members().is_empty(), "empty overlay");
-    let mut agg = TreeAggregator::new();
-    for tree in trees {
-        debug_assert!(
-            tree.is_complete(),
-            "incomplete multicast from {}",
-            tree.source()
-        );
-        agg.record(overlay.members(), tree);
-    }
-    agg
+thread_local! {
+    /// Set on every pool worker for its whole life.
+    static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Runs `f` over each item of `inputs` on a fixed-size worker pool (one
@@ -214,7 +145,9 @@ where
 {
     let n = inputs.len();
     let workers = workers.min(n);
-    if workers <= 1 {
+    // A worker that sweeps again does the inner items itself: its siblings
+    // already occupy the other cores.
+    if workers <= 1 || IN_POOL.get() {
         return inputs.iter().map(&f).collect();
     }
 
@@ -224,6 +157,7 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
+                    IN_POOL.set(true);
                     let mut local: Vec<(usize, O)> = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -264,19 +198,6 @@ mod tests {
         assert!(agg.throughput_kbps.mean() > 0.0);
     }
 
-    /// The streaming sampler must reproduce the materialized sampler's
-    /// aggregate exactly (TreeAggregator's PartialEq is bit-level on the
-    /// f64 summaries).
-    #[test]
-    fn streaming_sampler_matches_materialized() {
-        let group = Scenario::paper_default(5).with_n(2_500).members();
-        let overlay = CamChord::new(group);
-        let materialized = sample_trees(&overlay, 4, 77);
-        let streamed = sample_tree_stats(&overlay, 4, 77);
-        assert_eq!(streamed, materialized);
-        assert_eq!(streamed.trees(), 4);
-    }
-
     /// The million-member tier: the streaming sweep completes every tree
     /// at n = 1,000,000 in a 24-bit space without materializing one.
     /// Run with `cargo test --release -p cam-experiments -- --ignored million`.
@@ -288,7 +209,7 @@ mod tests {
             .with_n(1_000_000)
             .members();
         let overlay = CamChord::new(group);
-        let agg = sample_tree_stats(&overlay, 3, 0x5CA1E);
+        let agg = sample_trees(&overlay, 3, 0x5CA1E);
         assert_eq!(agg.trees(), 3);
         assert_eq!(agg.incomplete, 0, "scale sweep produced incomplete trees");
     }
@@ -297,6 +218,50 @@ mod tests {
     fn parallel_sweep_preserves_order() {
         let out = parallel_sweep((0..32).collect(), |&x: &i32| x * 2);
         assert_eq!(out, (0..32).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    /// Forcing various pool widths (beyond what this machine reports) must
+    /// not change the output — single-core CI would otherwise never
+    /// exercise the claim-loop merge.
+    #[test]
+    fn parallel_sweep_is_bit_identical_for_any_worker_count() {
+        let overlay = CamChord::new(Scenario::paper_default(23).with_n(800).members());
+        let sources: Vec<usize> = (0..16).map(|i| i * 50).collect();
+        let depth = |&s: &usize| overlay.multicast_stats(s).0.depth;
+        let reference: Vec<u32> = sources.iter().map(depth).collect();
+        for workers in [1usize, 2, 3, 8, 64] {
+            let pooled = parallel_sweep_with_workers(sources.clone(), depth, workers);
+            assert_eq!(pooled, reference, "workers={workers}");
+        }
+    }
+
+    /// A sweep issued from a pool worker must not spawn a second pool: the
+    /// inner closure runs on the outer worker's own thread, and the result
+    /// is still the serial map.
+    #[test]
+    fn parallel_sweep_nested_runs_inline() {
+        let outer: Vec<u64> = (0..6).collect();
+        let out = parallel_sweep_with_workers(
+            outer.clone(),
+            |&x| {
+                let worker = std::thread::current().id();
+                let inner = parallel_sweep_with_workers(
+                    (0..5u64).collect(),
+                    |&y| (std::thread::current().id(), x * 10 + y),
+                    4,
+                );
+                assert!(inner.iter().all(|&(id, _)| id == worker));
+                inner.iter().map(|&(_, v)| v).sum::<u64>()
+            },
+            3,
+        );
+        let serial: Vec<u64> = outer
+            .iter()
+            .map(|&x| (0..5u64).map(|y| x * 10 + y).sum())
+            .collect();
+        assert_eq!(out, serial);
+        // The caller's thread is not a worker: it may pool again.
+        assert!(!IN_POOL.get());
     }
 
     #[test]

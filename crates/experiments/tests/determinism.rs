@@ -1,29 +1,40 @@
 //! Pooled parallelism must be invisible in the results.
 //!
-//! The overhaul's contract: [`sample_trees`] and [`parallel_sweep`] produce
-//! output *bit-identical* to their serial equivalents, regardless of worker
-//! count or scheduling. `TreeAggregator`'s `PartialEq` compares every
-//! accumulated float exactly, so these tests catch any reordering of
-//! floating-point folds, not just gross divergence.
+//! The overhaul's contract: [`sample_trees`] produces output
+//! *bit-identical* to its serial equivalent, regardless of worker count or
+//! scheduling (the pool itself is tested beside it, in `runner.rs`).
+//! `TreeAggregator`'s `PartialEq` compares every accumulated float exactly,
+//! so these tests catch any reordering of floating-point folds, not just
+//! gross divergence.
 
 use cam_core::{CamChord, CamKoorde};
-use cam_experiments::runner::{
-    parallel_sweep, parallel_sweep_with_workers, sample_distinct_sources, sample_trees,
-    sample_trees_serial,
-};
+use cam_experiments::runner::{sample_distinct_sources, sample_trees};
+use cam_metrics::TreeAggregator;
 use cam_overlay::StaticOverlay;
 use cam_workload::Scenario;
 
-/// Large enough that `sample_trees` takes the pooled path (the threshold is
-/// 2,000 members).
 const N: usize = 2_500;
+
+/// The reference [`sample_trees`] is held to: the same sources, one after
+/// another on this thread, each tree materialized and then summarized.
+fn serial_fold(overlay: &dyn StaticOverlay, sources: usize, seed: u64) -> TreeAggregator {
+    let mut agg = TreeAggregator::new();
+    for src in sample_distinct_sources(overlay.members().len(), sources, seed) {
+        let tree = overlay.multicast_tree(src);
+        agg.record_stats(
+            &tree.stats(),
+            tree.bottleneck_throughput_kbps(overlay.members()),
+        );
+    }
+    agg
+}
 
 #[test]
 fn sample_trees_pooled_matches_serial_cam_chord() {
     let overlay = CamChord::new(Scenario::paper_default(21).with_n(N).members());
     for seed in [0u64, 7, 0xDEAD_BEEF] {
         let pooled = sample_trees(&overlay, 4, seed);
-        let serial = sample_trees_serial(&overlay, 4, seed);
+        let serial = serial_fold(&overlay, 4, seed);
         assert_eq!(pooled, serial, "seed {seed}");
         assert_eq!(pooled.trees(), 4);
     }
@@ -33,36 +44,8 @@ fn sample_trees_pooled_matches_serial_cam_chord() {
 fn sample_trees_pooled_matches_serial_cam_koorde() {
     let overlay = CamKoorde::new(Scenario::paper_default(22).with_n(N).members());
     let pooled = sample_trees(&overlay, 3, 99);
-    let serial = sample_trees_serial(&overlay, 3, 99);
+    let serial = serial_fold(&overlay, 3, 99);
     assert_eq!(pooled, serial);
-}
-
-/// Forcing various pool widths (beyond what this machine reports) must not
-/// change the output — single-core CI would otherwise never exercise the
-/// claim-loop merge.
-#[test]
-fn pooled_sweep_is_bit_identical_for_any_worker_count() {
-    let overlay = CamChord::new(Scenario::paper_default(23).with_n(800).members());
-    let sources: Vec<usize> = (0..16).map(|i| i * 50).collect();
-    let reference: Vec<u64> = sources
-        .iter()
-        .map(|&s| overlay.multicast_tree(s).stats().depth as u64)
-        .collect();
-    for workers in [1usize, 2, 3, 8, 64] {
-        let pooled = parallel_sweep_with_workers(
-            sources.clone(),
-            |&s| overlay.multicast_tree(s).stats().depth as u64,
-            workers,
-        );
-        assert_eq!(pooled, reference, "workers={workers}");
-    }
-}
-
-#[test]
-fn auto_sized_sweep_matches_serial_map() {
-    let out = parallel_sweep((0..100u64).collect(), |&x| x.wrapping_mul(x) ^ 13);
-    let expected: Vec<u64> = (0..100u64).map(|x| x.wrapping_mul(x) ^ 13).collect();
-    assert_eq!(out, expected);
 }
 
 #[test]

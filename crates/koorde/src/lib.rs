@@ -37,7 +37,8 @@
 //! # Ok::<(), cam_overlay::peer::BuildMemberSetError>(())
 //! ```
 
-use cam_overlay::{LookupResult, MemberSet, MulticastTree, StaticOverlay};
+use cam_overlay::stream::flood_walk;
+use cam_overlay::{DeliverySink, LookupResult, MemberSet, StaticOverlay};
 use cam_ring::{Id, IdSpace};
 
 /// A resolved degree-`k` Koorde overlay (capacity-oblivious baseline).
@@ -133,19 +134,12 @@ impl StaticOverlay for Koorde {
         let mut injected = 0u32;
 
         loop {
-            let x = self.group.member(cur).id;
-            let pred = self.group.member(self.group.prev_idx(cur)).id;
-            if key == x || space.in_segment(key, pred, x) || self.group.len() == 1 {
-                return LookupResult { owner: cur, path };
+            if let Some(owner) = self.group.local_owner(cur, key) {
+                return LookupResult { owner, path };
             }
+            let x = self.group.id_at(cur);
             let succ_idx = self.group.next_idx(cur);
-            let succ = self.group.member(succ_idx).id;
-            if space.in_segment(key, x, succ) {
-                return LookupResult {
-                    owner: succ_idx,
-                    path,
-                };
-            }
+            let succ = self.group.id_at(succ_idx);
 
             let next =
                 if injected < b && (imaginary == x || space.in_segment(imaginary, x, succ)) {
@@ -182,18 +176,8 @@ impl StaticOverlay for Koorde {
         }
     }
 
-    fn multicast_tree(&self, source: usize) -> MulticastTree {
-        let mut tree = MulticastTree::new(self.group.len(), source);
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(source);
-        while let Some(node) = queue.pop_front() {
-            for &nb in &self.adj[node] {
-                if tree.deliver(node, nb) {
-                    queue.push_back(nb);
-                }
-            }
-        }
-        tree
+    fn multicast_into(&self, source: usize, sink: &mut dyn DeliverySink) {
+        flood_walk(self.group.len(), source, sink, |m| &self.adj[m]);
     }
 
     fn neighbor_count(&self, member: usize) -> usize {

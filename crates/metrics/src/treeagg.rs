@@ -1,11 +1,11 @@
 //! Aggregation of multicast-tree statistics across many sources.
 //!
 //! The paper's figures average over multicast sessions from many sources.
-//! [`TreeAggregator`] folds per-tree [`TreeStats`](cam_overlay::TreeStats)
+//! [`TreeAggregator`] folds per-tree [`TreeStats`]
 //! (plus the bottleneck throughput computed against the member set) into
 //! the quantities each figure plots.
 
-use cam_overlay::{MemberSet, MulticastTree, TreeStats};
+use cam_overlay::TreeStats;
 use cam_trace::{Histogram, Summary};
 
 /// Accumulates tree metrics over multicast sources.
@@ -36,20 +36,8 @@ impl TreeAggregator {
         TreeAggregator::default()
     }
 
-    /// Folds one multicast tree into the aggregate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group` size differs from the tree's.
-    pub fn record(&mut self, group: &MemberSet, tree: &MulticastTree) {
-        self.record_stats(&tree.stats(), tree.bottleneck_throughput_kbps(group));
-    }
-
-    /// Folds pre-computed tree statistics into the aggregate — the entry
-    /// point for the streaming path, which never materializes a
-    /// [`MulticastTree`]. [`record`](Self::record) is exactly this applied
-    /// to `(tree.stats(), tree.bottleneck_throughput_kbps(group))`, so the
-    /// two paths aggregate bit-identically.
+    /// Folds one multicast's statistics and bottleneck throughput into the
+    /// aggregate.
     pub fn record_stats(&mut self, stats: &TreeStats, throughput_kbps: f64) {
         for (hops, &n) in stats.path_len_histogram.iter().enumerate() {
             if hops > 0 {
@@ -77,7 +65,7 @@ impl TreeAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cam_overlay::Member;
+    use cam_overlay::{Member, MemberSet, MulticastTree};
     use cam_ring::{Id, IdSpace};
 
     fn group() -> MemberSet {
@@ -109,8 +97,9 @@ mod tests {
         t2.deliver(3, 0);
 
         let mut agg = TreeAggregator::new();
-        agg.record(&g, &t1);
-        agg.record(&g, &t2);
+        for t in [&t1, &t2] {
+            agg.record_stats(&t.stats(), t.bottleneck_throughput_kbps(&g));
+        }
         assert_eq!(agg.trees(), 2);
         assert_eq!(agg.incomplete, 0);
         // Pooled path lengths: t1 has three 1-hop receivers; t2 has 1,2,3.
@@ -128,7 +117,7 @@ mod tests {
         let g = group();
         let t = MulticastTree::new(4, 0);
         let mut agg = TreeAggregator::new();
-        agg.record(&g, &t);
+        agg.record_stats(&t.stats(), t.bottleneck_throughput_kbps(&g));
         assert_eq!(agg.incomplete, 1);
     }
 }

@@ -15,6 +15,8 @@
 //! * [`MulticastTree`] — the implicit dissemination tree extracted from a
 //!   multicast run, with exactly-once bookkeeping and statistics (path
 //!   lengths, fan-outs, depth).
+//! * [`stream`] — the two dissemination walks (region split, flood) every
+//!   static overlay runs, generic over a [`DeliverySink`].
 //! * [`LookupResult`] — the outcome of a routed lookup (owner + hop path).
 //! * [`StaticOverlay`] — the trait every protocol implements for the
 //!   large-scale (100k-node) experiments: routing tables computed directly
@@ -60,23 +62,31 @@ pub trait StaticOverlay: Send + Sync {
     /// path taken.
     fn lookup(&self, origin: usize, key: Id) -> LookupResult;
 
-    /// Runs the protocol's multicast routine from member index `source`,
-    /// returning the implicit dissemination tree.
-    fn multicast_tree(&self, source: usize) -> MulticastTree;
+    /// Runs the protocol's dissemination routine from member index
+    /// `source`, reporting every delivery to `sink` — the one thing a
+    /// protocol says about multicast. Implementations hand their child
+    /// rule to [`stream::region_walk`] or their adjacency to
+    /// [`stream::flood_walk`] and so inherit the sink contract of
+    /// [`stream`].
+    fn multicast_into(&self, source: usize, sink: &mut dyn DeliverySink);
+
+    /// Runs the multicast from `source` and returns the implicit
+    /// dissemination tree.
+    fn multicast_tree(&self, source: usize) -> MulticastTree {
+        let mut tree = MulticastTree::new(self.members().len(), source);
+        self.multicast_into(source, &mut tree);
+        tree
+    }
 
     /// Runs the multicast from `source` and returns only the summary
-    /// statistics plus the bottleneck throughput in kbps.
-    ///
-    /// The default materializes the tree and summarizes it; protocols with
-    /// a streaming driver (CAM-Chord) override this to compute the same
-    /// numbers in `O(depth)` memory via [`StreamingTreeStats`]. Overrides
-    /// must stay **bit-identical** to this default — the sweep harness
-    /// treats the two paths as interchangeable, and the parity tests
-    /// compare them exactly.
+    /// statistics plus the bottleneck throughput in kbps, in `O(depth)`
+    /// memory — bit-identical to summarizing
+    /// [`multicast_tree`](Self::multicast_tree), because both are sinks of
+    /// the same walk.
     fn multicast_stats(&self, source: usize) -> (TreeStats, f64) {
-        let tree = self.multicast_tree(source);
-        let throughput = tree.bottleneck_throughput_kbps(self.members());
-        (tree.stats(), throughput)
+        let mut stats = StreamingTreeStats::new(self.members());
+        self.multicast_into(source, &mut stats);
+        stats.finish()
     }
 
     /// Number of distinct overlay neighbors (routing-table entries) of a

@@ -362,6 +362,23 @@ impl MemberSet {
         (idx + self.ids.len() - 1) % self.ids.len()
     }
 
+    /// The termination check every lookup routine opens a hop with: the
+    /// owner of `key` if the member at `cur` can name it locally — `cur`
+    /// itself when `key ∈ (predecessor(cur), cur]` (or it is alone), its
+    /// successor when `key ∈ (cur, successor(cur)]` — else `None`.
+    #[inline]
+    pub fn local_owner(&self, cur: usize, key: Id) -> Option<usize> {
+        let x = self.id_at(cur);
+        let pred = self.id_at(self.prev_idx(cur));
+        if key == x || self.space.in_segment(key, pred, x) || self.len() == 1 {
+            return Some(cur);
+        }
+        let succ = self.next_idx(cur);
+        self.space
+            .in_segment(key, x, self.id_at(succ))
+            .then_some(succ)
+    }
+
     /// A new group with `member` added (the receiver is unchanged).
     ///
     /// # Errors

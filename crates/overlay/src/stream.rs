@@ -1,53 +1,173 @@
-//! Streaming tree statistics: fold a multicast run into [`TreeStats`]
-//! without materializing the tree.
+//! Dissemination, written once: the two walks every static overlay runs
+//! and the sinks they report to. No other crate walks a [`MemberSet`]
+//! breadth-first.
 //!
-//! At the paper's scale (100k members) a [`MulticastTree`] is cheap; at a
-//! million members its flat arrays (parent, hops, fanout, delivery log) cost
-//! ~20 MB *per tree* and force a second full pass to extract statistics.
-//! The sweep harness only ever needs the [`TreeStats`] summary plus the
-//! bottleneck throughput, so the multicast drivers are generic over a
-//! [`DeliverySink`]: the materialized tree is one sink, and
-//! [`StreamingTreeStats`] is another that accumulates the same numbers in
-//! `O(depth)` memory during the traversal itself.
+//! * [`region_walk`] — CAM-Chord's `MULTICAST(msg, k)` (§3.4) and every
+//!   scheme shaped like it (El-Ansary broadcast over Chord fingers,
+//!   proximity-chosen cut points): a node responsible for the region
+//!   `(x, k]` hands disjoint sub-regions to children. The protocol supplies
+//!   only the child rule, as a `select` closure.
+//! * [`flood_walk`] — CAM-Koorde's duplicate-suppressed flood (§4.3), also
+//!   run by the Koorde baseline. The protocol supplies only the adjacency,
+//!   as a `neighbors` closure.
+//!
+//! Both report each delivery to a [`DeliverySink`], so one pass produces
+//! whatever the caller asked for: the materialized [`MulticastTree`], or
+//! [`StreamingTreeStats`] — the same [`TreeStats`] and bottleneck
+//! throughput in `O(depth)` memory, which is what the sweep harness samples
+//! (at a million members a tree's flat arrays cost ~20 MB each).
+//!
+//! # Sink contract
+//!
+//! A walk calls `deliver(parent, child, hops)` **at most once per child,
+//! never for the source, and grouped by parent** (each node is expanded
+//! once, its children reported back to back). A sink may therefore count
+//! without remembering — [`StreamingTreeStats`] recovers fan-out by
+//! run-length — and return `true` unconditionally; `false` tells the walk
+//! not to forward through `child`. The region walk gets "at most once"
+//! from the partition: sibling regions are disjoint, so a repeat is a
+//! protocol bug (debug-asserted). The flood has no such structure, so
+//! [`flood_walk`] owns the visited set and filters before the sink.
 //!
 //! # Exactness
 //!
 //! Streaming results are **bit-identical** to `tree.stats()` +
-//! `tree.bottleneck_throughput_kbps(group)`, not merely close:
-//!
-//! * counts, hop totals, and the histogram are integer accumulators, so
-//!   accumulation order cannot matter;
-//! * the two `f64` averages are single divisions of those exact integers;
-//! * the bottleneck is a running `min` over finite positive `f64` ratios,
-//!   and `min` is order-independent.
-//!
-//! The parity tests (`cam-core` unit tests and the workspace proptests)
-//! hold both sinks to exact equality on identical runs.
-//!
-//! # Sink contract
-//!
-//! [`StreamingTreeStats`] assumes deliveries arrive **grouped by parent**:
-//! all of a node's children are reported consecutively, and a node's run of
-//! deliveries appears at most once. Both workspace drivers (the CAM-Chord
-//! region partition and the CAM-Koorde flood) process each node exactly
-//! once and emit its children back-to-back, so the assumption holds by
-//! construction; fanout is then recovered by run-length counting instead of
-//! an `O(n)` per-member array. [`MulticastTree`] has no such requirement.
+//! `tree.bottleneck_throughput_kbps(group)` on the same walk: counts, hop
+//! totals and the histogram are integer accumulators, the two `f64`
+//! averages are single divisions of those integers, and the bottleneck is a
+//! running `min` over finite positive ratios — all order-independent.
+//! `tests/small_rings.rs` holds both sinks to exact equality for all five
+//! overlays on every small ring, `tests/property_invariants.rs` on random
+//! ones.
+
+use std::cell::RefCell;
+use std::collections::VecDeque;
+
+use cam_ring::Id;
 
 use crate::tree::TreeStats;
 use crate::{MemberSet, MulticastTree};
 
-/// A consumer of multicast delivery events, fed by the tree drivers.
+/// A consumer of multicast delivery events, fed by the two walks.
 ///
-/// `hops` is the child's distance from the source (parent's distance + 1).
-/// Returning `false` reports that `child` had already received the message;
-/// the driver must not forward through it again. Sinks that cannot detect
-/// duplicates (e.g. [`StreamingTreeStats`]) always return `true` and rely
-/// on the driver's exactly-once guarantee.
+/// See the [module docs](self) for what a walk guarantees its sink.
 pub trait DeliverySink {
-    /// Records that `parent` forwarded the message to `child` at hop
-    /// distance `hops`. Returns `false` iff the delivery was a duplicate.
+    /// Records that `parent` forwarded the message to `child`, which is
+    /// `hops` from the source (parent's distance + 1). Returns `false` iff
+    /// `child` already had the message; the walk then does not forward
+    /// through it.
     fn deliver(&mut self, parent: usize, child: usize, hops: u32) -> bool;
+}
+
+/// One child of a region split: the member index and the inclusive end of
+/// the region it becomes responsible for.
+pub type RegionChild = (usize, Id);
+
+/// Runs a region-splitting multicast from `source` over the whole ring.
+///
+/// The initial region is `(source, source − 1]` — everyone but the source,
+/// the paper's `x.MULTICAST(x − 1, msg)`. For each node taken off the work
+/// queue, `select(node, k, picks)` fills the (cleared) `picks` with the
+/// children of `node` for the region `(node, k]`; each is delivered one hop
+/// further out and queued with its own region end.
+///
+/// # Panics
+///
+/// Panics if `source` is out of range, or (via `debug_assert`) if `select`
+/// leaks a region and a child is reported twice.
+pub fn region_walk<S, F>(group: &MemberSet, source: usize, sink: &mut S, mut select: F)
+where
+    S: DeliverySink + ?Sized,
+    F: FnMut(usize, Id, &mut Vec<RegionChild>),
+{
+    // Work queue of (member, region end, hop distance) — the recursion of
+    // the paper, iteratively — plus the child-selection buffer.
+    // Thread-local so the capacity learned on one tree is reused by every
+    // later tree built on this thread (the experiment harness builds
+    // thousands per sweep).
+    type Scratch = (VecDeque<(usize, Id, u32)>, Vec<RegionChild>);
+    thread_local! {
+        static SCRATCH: RefCell<Scratch> =
+            const { RefCell::new((VecDeque::new(), Vec::new())) };
+    }
+    SCRATCH.with(|scratch| {
+        let (queue, picks) = &mut *scratch.borrow_mut();
+        queue.clear();
+        queue.push_back((source, group.space().sub(group.id_at(source), 1), 0));
+        while let Some((node, k, hops)) = queue.pop_front() {
+            picks.clear();
+            select(node, k, picks);
+            for &(child, region_end) in picks.iter() {
+                let fresh = sink.deliver(node, child, hops + 1);
+                debug_assert!(fresh, "duplicate delivery to member {child} — region leak");
+                if fresh {
+                    queue.push_back((child, region_end, hops + 1));
+                }
+            }
+        }
+    });
+}
+
+/// The step every region split is made of (`MULTICAST` lines 9 and 14,
+/// and El-Ansary's finger walk): adopt `owner(target)` as the child for the
+/// tail `(child, k′]` if it lies inside `(x, k′]`, then retreat `k′` to
+/// `target − 1` either way.
+///
+/// A skipped owner sits beyond `k′`, so the gap `(target − 1, k′]` it
+/// leaves holds no member: retreating past it strands nobody, while *not*
+/// checking would let the message escape its region and arrive twice.
+#[inline]
+pub fn adopt_owner(
+    group: &MemberSet,
+    x: Id,
+    target: Id,
+    k_prime: &mut Id,
+    out: &mut Vec<RegionChild>,
+) {
+    let space = group.space();
+    let child = group.owner_idx(target);
+    if space.in_segment(group.id_at(child), x, *k_prime) {
+        out.push((child, *k_prime));
+    }
+    *k_prime = space.sub(target, 1);
+}
+
+/// Floods from `source` over an `n`-member adjacency, embedding the flood
+/// into its implicit BFS tree: each member's parent is the neighbor whose
+/// copy arrived first.
+///
+/// # Panics
+///
+/// Panics if `source` or a neighbor index is `>= n`.
+pub fn flood_walk<'a, S, F>(n: usize, source: usize, sink: &mut S, neighbors: F)
+where
+    S: DeliverySink + ?Sized,
+    F: Fn(usize) -> &'a [usize],
+{
+    // Work queue of (member, hop distance) and the visited set, reused
+    // across sources like the region walk's scratch.
+    type Scratch = (VecDeque<(usize, u32)>, Vec<bool>);
+    thread_local! {
+        static SCRATCH: RefCell<Scratch> =
+            const { RefCell::new((VecDeque::new(), Vec::new())) };
+    }
+    SCRATCH.with(|scratch| {
+        let (queue, visited) = &mut *scratch.borrow_mut();
+        visited.clear();
+        visited.resize(n, false);
+        visited[source] = true;
+        queue.clear();
+        queue.push_back((source, 0));
+        while let Some((node, hops)) = queue.pop_front() {
+            for &nb in neighbors(node) {
+                if !std::mem::replace(&mut visited[nb], true)
+                    && sink.deliver(node, nb, hops + 1)
+                {
+                    queue.push_back((nb, hops + 1));
+                }
+            }
+        }
+    });
 }
 
 impl DeliverySink for MulticastTree {
@@ -69,7 +189,7 @@ const NO_RUN: usize = usize::MAX;
 /// parent run — `O(depth)` memory instead of the tree's `O(n)`.
 ///
 /// See the [module docs](self) for the exactness argument and the
-/// grouped-by-parent contract.
+/// grouped-by-parent contract it relies on.
 #[derive(Debug, Clone)]
 pub struct StreamingTreeStats<'a> {
     group: &'a MemberSet,

@@ -115,16 +115,29 @@ proptest! {
 
     /// Streaming tree statistics equal the materialized-tree path exactly
     /// — integer fields by equality, throughput bit-for-bit — for any
-    /// group and source.
+    /// group and source, on all five overlays (the random-ring complement
+    /// of `tests/small_rings.rs`).
     #[test]
     fn streaming_stats_match_materialized_tree((group, src) in scenario()) {
-        let overlay = CamChord::new(group.clone());
-        let tree = overlay.multicast_tree(src);
-        let expected_stats = tree.stats();
-        let expected_tput = tree.bottleneck_throughput_kbps(&group);
-        let (stats, tput) = overlay.multicast_stats(src);
-        prop_assert_eq!(stats, expected_stats);
-        prop_assert_eq!(tput.to_bits(), expected_tput.to_bits());
+        let delay = |a: usize, b: usize| 1.0 + ((a * 7 + b * 13) % 11) as f64;
+        let overlays: [Box<dyn StaticOverlay + '_>; 5] = [
+            Box::new(CamChord::new(group.clone())),
+            Box::new(CamKoorde::new(group.clone())),
+            Box::new(cam::chord::Chord::new(group.clone(), 2)),
+            Box::new(cam::koorde::Koorde::new(group.clone(), 8)),
+            Box::new(cam::core::cam_chord::ProximityCamChord::new(group.clone(), &delay)),
+        ];
+        for overlay in &overlays {
+            let tree = overlay.multicast_tree(src);
+            let (stats, tput) = overlay.multicast_stats(src);
+            prop_assert_eq!(stats, tree.stats(), "{}", overlay.name());
+            prop_assert_eq!(
+                tput.to_bits(),
+                tree.bottleneck_throughput_kbps(&group).to_bits(),
+                "{}",
+                overlay.name()
+            );
+        }
     }
 
     /// The sharded event queue pops in the exact single-heap order for
