@@ -30,15 +30,12 @@ use std::net::{SocketAddr, UdpSocket};
 use cam_sim::SimTime;
 
 use crate::codec::MAX_FRAME;
-use crate::transport::{Transport, WireCounters};
+use crate::transport::{Transport, WireCounters, RECV_POOL_CAP};
 
 /// Bound on frames parked awaiting socket writability before the oldest
 /// is dropped for real (a slow receiver must not grow memory without
 /// limit — at that point it *is* loss).
 const MAX_BACKPRESSURE: usize = 8192;
-
-/// Bound on pooled receive buffers (see [`Transport::recycle`]).
-const RECV_POOL_CAP: usize = 256;
 
 /// Bytes of destination-endpoint envelope ahead of each codec frame.
 const ENVELOPE_LEN: usize = 4;

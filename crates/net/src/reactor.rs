@@ -24,12 +24,26 @@
 //! The `atm0s-sdn` exemplar's SAN-I/O architecture is the model: protocol
 //! logic is written once, transports are pluggable shells.
 //!
+//! Hosts call `next_wake` and `poll` once per delivered frame, so neither
+//! may cost a walk over all N nodes: the paper bounds a member's work per
+//! message by its own capacity, whatever the group size, and the host
+//! must not undo that on the way in. Each node keeps its own timer heap
+//! and (sequence-ordered) retransmit buffer; above them sits one exact
+//! cluster-level index of every node's next deadline, a min tournament
+//! tree over node index. `next_wake` reads its root (O(1)); `poll` reads
+//! off the nodes due at `now` in ascending index order (O(due · log n))
+//! and pumps only those; and every place a node's deadline can move
+//! re-reads that node into the index (O(log n)) through one helper,
+//! `ReactorCore::refresh_deadline`, whose docs list the sites. A scan of
+//! all nodes survives only inside `debug_assert!`s that hold the index
+//! to it at every `next_wake` and `poll`.
+//!
 //! Outgoing frames are encoded into buffers drawn from the sink's pool
 //! ([`FrameSink::alloc`]) and recycled after the transport ships them, so
 //! the steady-state hot path allocates nothing per frame.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 use cam_overlay::dynamic::{
@@ -154,8 +168,9 @@ pub struct NodeRuntime<P: DhtProtocol> {
     /// equal-instant timers FIFO.
     timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
     timer_seq: u64,
-    /// Unacknowledged payload frames by sequence number.
-    awaiting_ack: HashMap<u64, PendingAck>,
+    /// Unacknowledged payload frames by sequence number — ordered, so due
+    /// retransmissions leave in `seq` order (part of the parity contract).
+    awaiting_ack: BTreeMap<u64, PendingAck>,
     next_seq: u64,
     rng: SimRng,
 }
@@ -167,7 +182,7 @@ impl<P: DhtProtocol> NodeRuntime<P> {
             alive: true,
             timers: BinaryHeap::new(),
             timer_seq: 0,
-            awaiting_ack: HashMap::new(),
+            awaiting_ack: BTreeMap::new(),
             next_seq: 1,
             rng: SimRng::new(seed).split(0x0DE ^ index as u64),
         }
@@ -221,6 +236,98 @@ impl<P: DhtProtocol> NodeRuntime<P> {
     }
 }
 
+/// "No deadline" in a [`DeadlineIndex`] slot.
+const NO_DEADLINE: u64 = u64::MAX;
+
+/// The cluster-level index of every node's next deadline
+/// ([`NodeRuntime::next_deadline`]): a min tournament tree over node
+/// index. It answers "earliest deadline" in O(1), takes a node's new
+/// deadline in O(log n), and lists the nodes due at an instant in
+/// ascending index order while descending only into subtrees that hold
+/// one.
+///
+/// The index is **exact** — no lazy or stale entries. The virtual-time
+/// host hops its clock to [`DeadlineIndex::min`] and the real-time host
+/// sleeps until it, so a stale early entry is a wake-up with nothing to
+/// do and a stale late one is a timer fired late.
+#[derive(Debug)]
+struct DeadlineIndex {
+    /// Leaf count: a power of two, at least the number of nodes.
+    leaves: usize,
+    /// `2 * leaves` slots of deadline micros. Slot 1 is the root, slot
+    /// `k` holds the min of slots `2k` and `2k + 1`, and node `i`'s
+    /// deadline is slot `leaves + i`. Slot 0 is unused.
+    tree: Vec<u64>,
+}
+
+impl DeadlineIndex {
+    fn new(nodes: usize) -> Self {
+        let leaves = nodes.max(1).next_power_of_two();
+        DeadlineIndex {
+            leaves,
+            tree: vec![NO_DEADLINE; 2 * leaves],
+        }
+    }
+
+    /// Slot `k`; a slot outside the tree holds no deadline.
+    fn slot(&self, k: usize) -> u64 {
+        self.tree.get(k).copied().unwrap_or(NO_DEADLINE)
+    }
+
+    /// The earliest deadline of any node.
+    fn min(&self) -> Option<SimTime> {
+        let at = self.slot(1);
+        (at != NO_DEADLINE).then_some(SimTime(at))
+    }
+
+    /// Records node `i`'s next deadline, stopping at the first ancestor
+    /// whose min does not move. Grows the tree when `i` is past its last
+    /// leaf (a node added by `join`).
+    fn set(&mut self, i: usize, at: Option<SimTime>) {
+        if i >= self.leaves {
+            let mut grown = DeadlineIndex::new(i + 1);
+            for (node, &at) in self.tree.iter().skip(self.leaves).enumerate() {
+                if at != NO_DEADLINE {
+                    grown.set(node, Some(SimTime(at)));
+                }
+            }
+            *self = grown;
+        }
+        let mut k = self.leaves + i;
+        let mut min = at.map_or(NO_DEADLINE, SimTime::micros);
+        loop {
+            match self.tree.get_mut(k) {
+                Some(slot) if *slot != min => *slot = min,
+                _ => return,
+            }
+            if k == 1 {
+                return;
+            }
+            min = min.min(self.slot(k ^ 1));
+            k /= 2;
+        }
+    }
+
+    /// Appends every node whose deadline is at or before `now` to `out`,
+    /// in ascending node order.
+    fn due_into(&self, now: SimTime, out: &mut Vec<usize>) {
+        // Clamped so that an empty slot is not due even at the end of time.
+        self.due_below(1, now.micros().min(NO_DEADLINE - 1), out);
+    }
+
+    fn due_below(&self, k: usize, now: u64, out: &mut Vec<usize>) {
+        if self.slot(k) > now {
+            return;
+        }
+        if k >= self.leaves {
+            out.push(k - self.leaves);
+        } else {
+            self.due_below(2 * k, now, out);
+            self.due_below(2 * k + 1, now, out);
+        }
+    }
+}
+
 /// The sans-I/O reactor core: N nodes' protocol state driven purely by
 /// `handle_frame` / `poll` / `next_wake`, with every outgoing frame
 /// pushed through a [`FrameSink`] and every counter delta written into a
@@ -230,6 +337,11 @@ pub struct ReactorCore<P: DhtProtocol> {
     space: IdSpace,
     protocol: P,
     nodes: Vec<NodeRuntime<P>>,
+    /// Every node's next deadline, kept exact by
+    /// [`ReactorCore::refresh_deadline`].
+    deadlines: DeadlineIndex,
+    /// Reusable list of the nodes one [`ReactorCore::poll`] pumps.
+    due: Vec<usize>,
     policy: RetransmitPolicy,
     /// Wire endpoints available to the hosting transport; bounds `join`
     /// and silently drops sends to endpoints that were never attached
@@ -281,6 +393,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
             space,
             protocol,
             nodes,
+            deadlines: DeadlineIndex::new(n),
+            due: Vec::new(),
             policy,
             endpoints,
             seed,
@@ -324,10 +438,31 @@ impl<P: DhtProtocol> ReactorCore<P> {
                 f(&mut nd.actor, &mut drv);
                 self.flush_effects(now, i, &mut fx, sink, counters);
                 fx.clear();
+                self.refresh_deadline(i);
             }
             None => counters.internal_errors += 1,
         }
         self.effects = fx;
+    }
+
+    /// Re-reads node `i`'s next deadline into the cluster index. Must
+    /// follow every change to a node's timers, retransmit buffer or
+    /// liveness: the end of [`ReactorCore::with_actor`] (timers armed,
+    /// payload frames sent) and of [`ReactorCore::pump_node`] (timers
+    /// popped, RTOs backed off or abandoned), ack removal in
+    /// [`ReactorCore::handle_frame`], [`ReactorCore::kill`],
+    /// [`ReactorCore::restart`], [`ReactorCore::join`] (a new leaf) and
+    /// the direct send in [`ReactorCore::send_join_request`]. (The last
+    /// three re-read a deadline that is `None` before and after today — a
+    /// restarted or fresh node has nothing armed and join requests are
+    /// not acked — rather than lean on that.) Debug builds check the
+    /// index against a scan of all nodes at every `next_wake` and `poll`,
+    /// so a forgotten site fails the first test that steps a cluster
+    /// past it.
+    fn refresh_deadline(&mut self, i: usize) {
+        if let Some(nd) = self.nodes.get(i) {
+            self.deadlines.set(i, nd.next_deadline());
+        }
     }
 
     /// The node table as [`host`] sees it: one slot per node in index
@@ -426,6 +561,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
         nd.alive = false;
         nd.timers.clear();
         nd.awaiting_ack.clear();
+        self.refresh_deadline(i);
         self.tracer.record(now.micros(), i as u64, EventKind::Crash);
     }
 
@@ -457,6 +593,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
         nd.alive = true;
         nd.timers.clear();
         nd.awaiting_ack.clear();
+        self.refresh_deadline(i);
         self.reshare_directory();
         self.tracer
             .record(now.micros(), i as u64, EventKind::Restart);
@@ -521,6 +658,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
         let bootstrap = host::join_bootstrap(self.slots())?;
         let actor = DhtActor::new(self.space, member, self.protocol.clone());
         self.nodes.push(NodeRuntime::new(idx, actor, self.seed));
+        self.refresh_deadline(idx);
         self.reshare_directory();
         self.send_join_request(now, idx, bootstrap, sink, counters);
         Some(idx)
@@ -554,6 +692,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ) {
         let msg = host::join_request(self.node(joiner).actor.member(), ActorId(joiner));
         self.send_msg(now, joiner, ActorId(bootstrap), msg, sink, counters);
+        self.refresh_deadline(joiner);
     }
 
     /// Initiates a multicast at node `source` carrying `data`, returning
@@ -686,14 +825,20 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// The earliest instant [`ReactorCore::poll`] has work — the minimum
     /// over every live node's next timer and next retransmission. `None`
     /// when the core is fully quiescent.
+    ///
+    /// O(1): the root of the deadline index, whatever the cluster size.
+    /// The answer is exact — hosts hop or sleep to it — and debug builds
+    /// assert it equals the minimum found by scanning every node.
     pub fn next_wake(&self) -> Option<SimTime> {
-        let mut next = None;
-        for nd in &self.nodes {
-            next = match (next, nd.next_deadline()) {
-                (Some(a), Some(b)) => Some(SimTime::min(a, b)),
-                (a, b) => a.or(b),
-            };
-        }
+        let next = self.deadlines.min();
+        debug_assert_eq!(
+            next,
+            self.nodes
+                .iter()
+                .filter_map(NodeRuntime::next_deadline)
+                .min(),
+            "deadline index out of step with the nodes: a refresh site is missing"
+        );
         next
     }
 
@@ -721,6 +866,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
             Ok(Frame::Ack { seq, .. }) => {
                 counters.frames_decoded += 1;
                 self.node_mut(to).awaiting_ack.remove(&seq);
+                self.refresh_deadline(to); // the acked frame may have held the node's earliest RTO
             }
             Ok(Frame::Data {
                 from,
@@ -856,21 +1002,45 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// across all nodes in index order — a fixed order, so what nodes
     /// emit at the same instant reaches the sink (and hence the wire)
     /// identically on every run. Returns whether anything fired.
+    ///
+    /// O(due · log n): the nodes with a deadline at or before `now` are
+    /// read off the deadline index first, in ascending index order, and
+    /// only those are pumped. Collecting before pumping yields the same
+    /// frames in the same order as pumping every node in turn, because
+    /// pumping node `i` touches only node `i`'s timers and retransmit
+    /// buffer — everything else it causes leaves through `sink` — so it
+    /// can neither make another node due nor un-due one already listed.
+    /// Debug builds assert the list equals what a scan of all nodes finds.
     pub fn poll(
         &mut self,
         now: SimTime,
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) -> bool {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        self.deadlines.due_into(now, &mut due);
+        debug_assert!(
+            due.iter().copied().eq(self
+                .nodes
+                .iter()
+                .enumerate()
+                .filter(|(_, nd)| nd.next_deadline().is_some_and(|at| at <= now))
+                .map(|(i, _)| i)),
+            "deadline index out of step with the nodes: a refresh site is missing"
+        );
         let mut did = false;
-        for i in 0..self.nodes.len() {
+        for &i in &due {
             did |= self.pump_node(now, i, sink, counters);
         }
+        self.due = due;
         did
     }
 
-    /// Fires node `i`'s due timers and retransmissions. Returns whether
-    /// anything fired.
+    /// Fires node `i`'s due timers in `(fire_at, arm_order)` order, then
+    /// its due retransmissions in `seq` order. Returns whether anything
+    /// fired. Only [`ReactorCore::poll`] calls this, with a node the
+    /// deadline index lists — a live one, since dead nodes have no entry.
     fn pump_node(
         &mut self,
         now: SimTime,
@@ -884,57 +1054,44 @@ impl<P: DhtProtocol> ReactorCore<P> {
                 break;
             }
             self.node_mut(i).timers.pop();
-            if !self.node(i).alive {
-                continue;
-            }
             did = true;
             self.with_actor(now, i, sink, counters, |actor, drv| {
                 actor.deliver_timer(drv, tag)
             });
         }
-        if !self.node(i).alive {
+        let policy = self.policy;
+        let tracer = self.tracer.as_mut();
+        let Some(nd) = self.nodes.get_mut(i) else {
             return did;
-        }
-        let mut due: Vec<u64> = self
-            .node(i)
-            .awaiting_ack
-            .iter()
-            .filter(|(_, p)| p.next_at <= now)
-            .map(|(&seq, _)| seq)
-            .collect();
-        // HashMap iteration order is per-instance random; retransmit in
-        // sequence order so virtual-time runs stay deterministic.
-        due.sort_unstable();
-        for seq in due {
+        };
+        nd.awaiting_ack.retain(|&seq, p| {
+            if p.next_at > now {
+                return true;
+            }
             did = true;
-            let policy = self.policy;
-            let Some(p) = self.node_mut(i).awaiting_ack.get_mut(&seq) else {
-                continue; // acked between collection and retransmission
-            };
             if p.attempts >= policy.max_attempts {
-                self.node_mut(i).awaiting_ack.remove(&seq);
-                continue;
+                return false;
             }
             p.attempts += 1;
             p.rto = p.rto.saturating_mul(2).min(policy.max_rto);
             p.next_at = now + p.rto;
-            let to = p.to;
-            let (attempt, rto) = (p.attempts - 1, p.rto);
             let mut buf = sink.alloc();
             buf.extend_from_slice(&p.frame);
             counters.frames_retransmitted += 1;
-            self.tracer.record(
+            tracer.record(
                 now.micros(),
                 i as u64,
                 EventKind::Retransmit {
-                    to: to as u64,
+                    to: p.to as u64,
                     wire_seq: seq,
-                    attempt,
-                    rto_micros: rto.micros(),
+                    attempt: p.attempts - 1,
+                    rto_micros: p.rto.micros(),
                 },
             );
-            sink.push(i, to, buf);
-        }
+            sink.push(i, p.to, buf);
+            true
+        });
+        self.refresh_deadline(i);
         did
     }
 }
@@ -946,5 +1103,45 @@ impl<P: DhtProtocol> std::fmt::Debug for ReactorCore<P> {
             .field("endpoints", &self.endpoints)
             .field("next_payload", &self.next_payload)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The index against the obvious model — one optional deadline per
+    /// node — under random sets, clears and growth.
+    #[test]
+    fn deadline_index_matches_a_vec_model() {
+        let mut rng = SimRng::new(0x1DE).split(17);
+        for start in [0usize, 1, 3, 8] {
+            let mut index = DeadlineIndex::new(start);
+            let mut model: Vec<Option<SimTime>> = vec![None; start];
+            for _ in 0..4000 {
+                // Mostly inside the table; now and then past its end.
+                let i = rng.uniform_incl(0, model.len() as u64 + 2) as usize;
+                let at = (rng.uniform_incl(0, 3) > 0).then(|| SimTime(rng.uniform_incl(0, 60)));
+                if i >= model.len() {
+                    model.resize(i + 1, None);
+                }
+                model[i] = at;
+                index.set(i, at);
+
+                assert_eq!(index.min(), model.iter().flatten().copied().min());
+                let now = SimTime(rng.uniform_incl(0, 64));
+                let mut due = Vec::new();
+                index.due_into(now, &mut due);
+                let want: Vec<usize> = (0..model.len())
+                    .filter(|&i| model[i].is_some_and(|at| at <= now))
+                    .collect();
+                assert_eq!(due, want, "due nodes: ascending and complete");
+            }
+            // Nothing is due at the end of time unless it has a deadline.
+            let mut due = Vec::new();
+            index.due_into(SimTime(u64::MAX), &mut due);
+            let armed: Vec<usize> = (0..model.len()).filter(|&i| model[i].is_some()).collect();
+            assert_eq!(due, armed);
+        }
     }
 }

@@ -355,8 +355,8 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         };
         let start = self.now;
         while self.now.since(start) < timeout {
-            let slice = retry_every.min(timeout);
-            self.run_for(slice);
+            let remaining = timeout - self.now.since(start);
+            self.run_for(retry_every.min(remaining));
             if self.node(idx).actor().is_joined() {
                 return true;
             }

@@ -175,6 +175,11 @@ pub trait Transport {
     }
 }
 
+/// Bound on a transport's pooled receive buffers (see
+/// [`Transport::recycle`]): beyond it a recycled buffer is dropped, so a
+/// burst does not pin its high-water mark forever.
+pub(crate) const RECV_POOL_CAP: usize = 256;
+
 /// A frame in flight on the in-memory wire.
 #[derive(Debug)]
 struct InFlight {
@@ -223,6 +228,9 @@ pub struct InMemoryTransport {
     blocked: BTreeSet<(usize, usize)>,
     seq: u64,
     queue: BinaryHeap<Reverse<InFlight>>,
+    /// Delivered frames' buffers handed back through
+    /// [`Transport::recycle`], reused for the next frames in flight.
+    pool: Vec<Vec<u8>>,
     counters: WireCounters,
 }
 
@@ -239,6 +247,7 @@ impl InMemoryTransport {
             blocked: BTreeSet::new(),
             seq: 0,
             queue: BinaryHeap::new(),
+            pool: Vec::new(),
             counters: WireCounters::default(),
         }
     }
@@ -292,11 +301,14 @@ impl InMemoryTransport {
         let delay = self.latency.sample(from, to, &mut self.rng);
         let seq = self.seq;
         self.seq += 1;
+        let mut buf = self.pool.pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(frame);
         self.queue.push(Reverse(InFlight {
             at: now + delay,
             seq,
             to,
-            frame: frame.to_vec(),
+            frame: buf,
         }));
     }
 }
@@ -351,6 +363,12 @@ impl Transport for InMemoryTransport {
     fn counters_mut(&mut self) -> &mut WireCounters {
         &mut self.counters
     }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        if self.pool.len() < RECV_POOL_CAP {
+            self.pool.push(buf);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -398,6 +416,30 @@ mod tests {
         );
         assert!(t.poll(SimTime::ZERO + Duration::from_millis(10)).is_some());
         assert!(t.next_ready().is_none());
+    }
+
+    #[test]
+    fn recycled_receive_buffers_carry_the_next_frames() {
+        let mut t =
+            InMemoryTransport::new(2, 1, LatencyModel::Constant(Duration::from_millis(1)));
+        let later = SimTime(u64::MAX / 2);
+        t.send(SimTime::ZERO, 0, 1, &[7u8; 1200]);
+        let (_, first) = t.poll(later).expect("delivered");
+        let (ptr, cap) = (first.as_ptr(), first.capacity());
+        t.recycle(first);
+        t.send(SimTime::ZERO, 1, 0, b"short");
+        let (to, second) = t.poll(later).expect("delivered");
+        assert_eq!((to, second.as_slice()), (0, b"short".as_slice()));
+        assert_eq!(
+            (second.as_ptr(), second.capacity()),
+            (ptr, cap),
+            "the recycled buffer, not a fresh allocation, carried the second frame"
+        );
+        // The pool is bounded: a burst's buffers beyond the cap are dropped.
+        for _ in 0..2 * RECV_POOL_CAP {
+            t.recycle(Vec::with_capacity(8));
+        }
+        assert_eq!(t.pool.len(), RECV_POOL_CAP);
     }
 
     #[test]

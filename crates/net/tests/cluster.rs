@@ -12,7 +12,7 @@ use cam_overlay::Member;
 use cam_ring::{Id, IdSpace};
 use cam_sim::rng::SimRng;
 use cam_sim::{Duration, LatencyModel};
-use cam_trace::RecordingTracer;
+use cam_trace::{EventKind, RecordingTracer};
 
 const SPACE: IdSpace = IdSpace::PAPER;
 
@@ -259,4 +259,116 @@ fn killed_nodes_do_not_count_against_delivery() {
         cluster.delivery_ratio(payload)
     );
     assert!(cluster.node(5).actor().payload_hops(payload).is_none());
+}
+
+/// `join_and_wait` holds its timeout to the cluster clock even when the
+/// timeout is not a multiple of the retry period: on a wire that loses
+/// everything the join cannot complete, and the call returns after
+/// exactly `timeout` — not after the next whole retry slice.
+#[test]
+fn join_and_wait_gives_up_exactly_at_its_timeout() {
+    let mut cluster = Cluster::converged(
+        SPACE,
+        &members(4, 13),
+        CamChordProtocol,
+        13,
+        wan_transport(5, 13, 1.0),
+        RetransmitPolicy::default(),
+    );
+    cluster.run_for(Duration::from_millis(250));
+    let start = cluster.now();
+    let joined = cluster.join_and_wait(
+        Member::with_capacity(Id(777_777), 4),
+        Duration::from_millis(400),
+        Duration::from_secs(1),
+    );
+    assert!(!joined, "nothing crosses a fully lossy wire");
+    assert_eq!(cluster.now().since(start), Duration::from_secs(1));
+}
+
+/// One run through every place a node's next deadline can move — timers
+/// armed and fired, payload frames sent, acked before their RTO, acked
+/// after it, backed off and abandoned, a node killed with frames in
+/// flight, restarted, and a fresh node joined past the end of the table.
+/// Debug builds compare the reactor's deadline index with a scan of all
+/// nodes at every step, so a refresh forgotten at any of those sites
+/// fails here; in any build the run must still deliver, and repeat
+/// bit for bit.
+#[test]
+fn deadline_index_survives_every_way_a_deadline_moves() {
+    let run = || {
+        let mut cluster = Cluster::converged(
+            SPACE,
+            &members(8, 61),
+            CamChordProtocol,
+            61,
+            wan_transport(9, 61, 0.1),
+            RetransmitPolicy {
+                max_attempts: 4,
+                ..RetransmitPolicy::default()
+            },
+        );
+        cluster.set_tracer(Box::new(RecordingTracer::new()));
+        cluster.run_for(Duration::from_secs(1));
+
+        // Kill the source while its payload frames await their acks.
+        cluster.start_multicast(2, true, Bytes::from(vec![5u8; 300]));
+        assert!(cluster.node(2).unacked_frames() > 0);
+        cluster.kill(2);
+        assert_eq!(cluster.node(2).unacked_frames(), 0);
+        // A partitioned receiver: frames to it back off and are abandoned.
+        for from in 0..8 {
+            cluster.transport_mut().set_link_blocked(from, 5, true);
+        }
+        cluster.start_multicast(0, true, Bytes::from(vec![6u8; 300]));
+        cluster.run_for(Duration::from_secs(20));
+        cluster.transport_mut().clear_blocked_links();
+
+        assert!(cluster.restart(2));
+        assert!(
+            cluster.join_and_wait(
+                Member::with_capacity(Id(271_828), 5),
+                Duration::from_millis(500),
+                Duration::from_secs(30),
+            ),
+            "the ninth node joins past the end of the seeded table"
+        );
+        // Lossless from here: what the ring must do now is heal and deliver.
+        cluster.transport_mut().set_loss_probability(0.0);
+        cluster.run_for(Duration::from_secs(60));
+        assert!(
+            cluster.node(2).actor().is_joined(),
+            "the restarted node rejoined"
+        );
+
+        let payload = cluster.start_multicast(8, true, Bytes::from(vec![7u8; 300]));
+        let done = cluster.run_until(Duration::from_secs(60), |c| {
+            c.delivery_ratio(payload) >= 1.0
+        });
+        assert!(done, "stalled at {}", cluster.delivery_ratio(payload));
+        cluster.run_for(Duration::from_secs(10));
+        for i in 0..cluster.len() {
+            assert_eq!(cluster.node(i).unacked_frames(), 0, "node {i} at rest");
+        }
+
+        let counters = cluster.counters();
+        let boxed = cluster.take_tracer();
+        let rec = boxed.as_recording().expect("recording tracer installed");
+        let attempts: Vec<u32> = rec
+            .events()
+            .filter_map(|ev| match ev.kind {
+                EventKind::Retransmit { attempt, .. } => Some(attempt),
+                _ => None,
+            })
+            .collect();
+        assert!(attempts.contains(&1), "a first RTO fired");
+        assert!(
+            attempts.contains(&3),
+            "an RTO backed off to the last attempt"
+        );
+        (cluster.now(), counters, attempts)
+    };
+    let first = run();
+    assert!(first.1.frames_dropped > 0, "the wire lost frames");
+    assert_eq!(first, run(), "same seed, same run");
 }
