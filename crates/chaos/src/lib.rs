@@ -14,9 +14,14 @@
 //! clock, no ambient randomness, no iteration-order dependence. Running the
 //! same plan twice produces the same [`harness::ChaosReport`], fingerprint
 //! included — that property is what makes shrinking and replay trustworthy,
-//! and it is enforced by cam-lint's determinism rule over this crate.
+//! and it is enforced by the determinism lints (`crates/clippy.toml`).
 
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod bundle;
 pub mod harness;

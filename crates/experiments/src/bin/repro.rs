@@ -18,6 +18,11 @@
 //!             a text summary goes to stderr
 //! ```
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the CLI times each figure for its stderr progress line; no table or CSV reads it"
+)]
+
 use std::process::ExitCode;
 
 use cam_experiments::{ext, fig10, fig11, fig6, fig7, fig8, fig9, Options};

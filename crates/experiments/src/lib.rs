@@ -1,4 +1,9 @@
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 //! Experiment harness: regenerates every figure of the paper's evaluation
 //! (Section 6) plus the extension experiments listed in `DESIGN.md`.

@@ -1,4 +1,9 @@
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 //! Measurement utilities for the CAM experiments: histograms, summary

@@ -23,12 +23,13 @@ use std::process::ExitCode;
 use bytes::Bytes;
 use cam_core::cam_chord::CamChordProtocol;
 use cam_core::cam_koorde::CamKoordeProtocol;
+use cam_net::codec::{wire_cost, MAX_FRAME};
 use cam_net::mux::MuxUdpTransport;
 use cam_net::runtime::{Cluster, RetransmitPolicy};
 use cam_net::transport::{InMemoryTransport, Transport};
-use cam_overlay::dynamic::DhtProtocol;
+use cam_overlay::dynamic::{DhtMsg, DhtProtocol};
 use cam_overlay::Member;
-use cam_ring::{Id, IdSpace};
+use cam_ring::{Id, IdSpace, Segment};
 use cam_sim::rng::SimRng;
 use cam_sim::{Duration, LatencyModel};
 use cam_trace::RecordingTracer;
@@ -46,7 +47,21 @@ struct Options {
 const USAGE: &str = "usage: cam-node [N] [--koorde] [--payload BYTES] [--seed SEED] \
      [--mem] [--loss P] [--trace-out FILE]";
 
-fn parse_args() -> Result<Options, String> {
+/// The largest `--payload` one [`MAX_FRAME`] data frame can carry: what the
+/// frame header and the multicast message's own fields leave over (the
+/// region bounds are on the wire only when the protocol splits regions).
+fn max_payload(region_split: bool) -> usize {
+    let empty = DhtMsg::Multicast {
+        payload: 0,
+        region: region_split.then(|| Segment::new(Id(0), Id(0))),
+        hops: 0,
+        data: Bytes::new(),
+    };
+    MAX_FRAME - wire_cost(&empty)
+}
+
+/// Parses the command line; `Ok(None)` means `--help` was asked for.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut opts = Options {
         n: 16,
         koorde: false,
@@ -82,7 +97,7 @@ fn parse_args() -> Result<Options, String> {
                 let v = args.next().ok_or("--trace-out needs a file path")?;
                 opts.trace_out = Some(v);
             }
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => return Ok(None),
             other if !saw_n => {
                 opts.n = other
                     .parse()
@@ -98,7 +113,15 @@ fn parse_args() -> Result<Options, String> {
     if opts.loss > 0.0 && !opts.mem {
         return Err("--loss needs --mem (loss injection is in-memory only)".to_string());
     }
-    Ok(opts)
+    let cap = max_payload(!opts.koorde);
+    if opts.payload > cap {
+        return Err(format!(
+            "--payload {} does not fit one {MAX_FRAME}-byte frame; the most this protocol \
+             can carry is {cap}",
+            opts.payload
+        ));
+    }
+    Ok(Some(opts))
 }
 
 /// Random unique members with capacities in the paper's 2..=10 range.
@@ -245,7 +268,11 @@ fn run_with_transport<P: DhtProtocol>(
 
 fn main() -> ExitCode {
     let opts = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;

@@ -234,6 +234,10 @@ pub fn wire_cost(msg: &DhtMsg) -> usize {
 
 const MEMBER_LEN: usize = 20; // id u64 + capacity u32 + upload f64
 
+// `msg_len` and `put_msg` match `DhtMsg` without a wildcard arm, so a new
+// variant is a compile error in both until the codec handles it; the lint
+// keeps a later `_ =>` from quietly undoing that.
+#[warn(clippy::wildcard_enum_match_arm)]
 fn msg_len(msg: &DhtMsg) -> usize {
     1 + match msg {
         DhtMsg::Lookup { .. } => 8 + 8 + 8 + 4 + 8,
@@ -261,6 +265,7 @@ fn msg_len(msg: &DhtMsg) -> usize {
     }
 }
 
+#[warn(clippy::wildcard_enum_match_arm)]
 fn put_msg(out: &mut Vec<u8>, msg: &DhtMsg) {
     match msg {
         DhtMsg::Lookup {

@@ -1,4 +1,21 @@
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+// Everything in this library runs under a hostile or lossy wire, so outside
+// tests it may not panic a live node: return a typed error or count and
+// drop (`WireCounters`).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 //! Networking for the CAM overlays: a versioned wire codec, pluggable
 //! transports, and a sans-I/O reactor core that takes the *same*

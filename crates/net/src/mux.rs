@@ -328,6 +328,10 @@ impl Transport for MuxUdpTransport {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "real-socket tests bound their receive loops by the wall clock"
+)]
 mod tests {
     use super::*;
 

@@ -369,7 +369,10 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// # Panics
     ///
     /// Panics if `members` is empty or `endpoints < members.len()`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "`Cluster::converged`'s inputs plus the caller-owned sink and counters"
+    )]
     pub fn converged(
         space: IdSpace,
         members: &[Member],
@@ -505,8 +508,12 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ///
     /// Panics if `i >= self.len()` — node indices are part of the caller's
     /// contract, exactly like slice indexing.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "single audited index; callers pass loop-bounded or pre-checked indices, \
+                  never raw wire input"
+    )]
     pub fn node(&self, i: usize) -> &NodeRuntime<P> {
-        // cam-lint: allow(panic_safety, reason = "single audited index; callers pass loop-bounded or pre-checked indices, never raw wire input")
         &self.nodes[i]
     }
 
@@ -516,8 +523,11 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "single audited index; same contract as `node`"
+    )]
     pub fn node_mut(&mut self, i: usize) -> &mut NodeRuntime<P> {
-        // cam-lint: allow(panic_safety, reason = "single audited index; callers pass loop-bounded or pre-checked indices, never raw wire input")
         &mut self.nodes[i]
     }
 
@@ -717,7 +727,10 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// Feeds the origin message of a multicast (`group == None`) or a
     /// group publish to node `source` itself and returns the fresh payload
     /// id.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one multicast plus the caller-owned sink and counters"
+    )]
     fn originate(
         &mut self,
         now: SimTime,
@@ -781,7 +794,10 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// # Panics
     ///
     /// Panics if `source >= self.len()`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one publish plus the caller-owned sink and counters"
+    )]
     pub fn start_group_publish(
         &mut self,
         now: SimTime,

@@ -81,7 +81,6 @@ pub struct Cluster<P: DhtProtocol, T: Transport> {
     transport: T,
     now: SimTime,
     /// Wall-clock epoch; `Some` iff the transport runs in real time.
-    // cam-lint: allow(determinism, reason = "wall-clock epoch for real transports only; virtual-time runs keep this None and stay replayable")
     epoch: Option<std::time::Instant>,
     sink: FrameSink,
     rx_batch: Vec<(usize, Vec<u8>)>,
@@ -108,7 +107,11 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         mut transport: T,
         policy: RetransmitPolicy,
     ) -> Self {
-        // cam-lint: allow(determinism, reason = "wall-clock epoch taken only for real (non-virtual) transports; seeded sim runs never reach it")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock epoch taken only for real (non-virtual) transports; seeded \
+                      virtual-time runs keep it `None` and stay replayable"
+        )]
         let epoch = (!transport.is_virtual()).then(std::time::Instant::now);
         let mut sink = FrameSink::new();
         let core = ReactorCore::converged(
@@ -537,7 +540,6 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
 
     /// Real time: drain ready frames in batches, fire due timers from the
     /// corrected clock, then park exactly until the next deadline.
-    // cam-lint: allow(determinism, reason = "real-transport wall clock; virtual-time runs never enter this path")
     fn step_real(&mut self, epoch: std::time::Instant, deadline: SimTime) -> bool {
         self.now = SimTime(epoch.elapsed().as_micros() as u64);
         if self.now >= deadline {

@@ -23,6 +23,36 @@ fn member_from(seed: u64) -> Member {
     }
 }
 
+/// How many variants `DhtMsg` has: the tags [`msg_from`] accepts and one
+/// more than the largest value [`variant_index`] returns.
+const VARIANTS: u8 = 16;
+
+/// The position of `m`'s variant in `0..VARIANTS`. Wildcard-free on
+/// purpose: a new `DhtMsg` variant does not compile here (nor in the
+/// codec's `msg_len` and `put_msg`) until it has an index, and
+/// `bounded_roundtrip_all_variants` then fails until `msg_from` builds it
+/// and `read_msg` decodes it.
+fn variant_index(m: &DhtMsg) -> u8 {
+    match m {
+        DhtMsg::Lookup { .. } => 0,
+        DhtMsg::LookupDone { .. } => 1,
+        DhtMsg::StabilizeQuery => 2,
+        DhtMsg::StabilizeReply { .. } => 3,
+        DhtMsg::Notify(_) => 4,
+        DhtMsg::Ping { .. } => 5,
+        DhtMsg::Pong { .. } => 6,
+        DhtMsg::Multicast { .. } => 7,
+        DhtMsg::AntiEntropyDigest { .. } => 8,
+        DhtMsg::PayloadPullReq { .. } => 9,
+        DhtMsg::PayloadPush { .. } => 10,
+        DhtMsg::JoinRequest { .. } => 11,
+        DhtMsg::JoinAnswer { .. } => 12,
+        DhtMsg::GroupSubscribe { .. } => 13,
+        DhtMsg::GroupUnsubscribe { .. } => 14,
+        DhtMsg::GroupPublish { .. } => 15,
+    }
+}
+
 /// Builds the `tag`-th `DhtMsg` variant from generic generated material,
 /// so one strategy covers the whole enum.
 fn msg_from(tag: u8, a: u64, b: u64, hops: u32, ids: &[u64], data: &[u8]) -> DhtMsg {
@@ -94,7 +124,7 @@ fn msg_from(tag: u8, a: u64, b: u64, hops: u32, ids: &[u64], data: &[u8]) -> Dht
 /// One representative of every variant, for the deterministic negative
 /// tests below.
 fn sample_msgs() -> Vec<DhtMsg> {
-    (0u8..16)
+    (0..VARIANTS)
         .map(|tag| {
             msg_from(
                 tag,
@@ -113,7 +143,7 @@ proptest! {
     /// is exactly as long as `wire_cost` predicts.
     #[test]
     fn data_frames_roundtrip(
-        (tag, a, b) in (0u8..16, 0u64..u64::MAX, 0u64..u64::MAX),
+        (tag, a, b) in (0..VARIANTS, 0u64..u64::MAX, 0u64..u64::MAX),
         hops in 0u32..u32::MAX,
         ids in prop::collection::vec(0u64..u64::MAX, 0..12),
         data in prop::collection::vec(0u8..=255, 0..512),
@@ -155,9 +185,13 @@ proptest! {
 /// but still covering every encode/decode arm with non-trivial contents.
 #[test]
 fn bounded_roundtrip_all_variants() {
+    assert!(
+        sample_msgs().iter().map(variant_index).eq(0..VARIANTS),
+        "`msg_from` must build every `DhtMsg` variant, in tag order"
+    );
     let mut seed = 0x9E37_79B9_7F4A_7C15u64;
     for round in 0..4u64 {
-        for tag in 0u8..16 {
+        for tag in 0..VARIANTS {
             seed = seed
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(round | 1);

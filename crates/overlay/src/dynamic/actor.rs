@@ -33,7 +33,10 @@ pub trait DhtProtocol: Clone {
     /// `key`, or `None` if this node believes its immediate successor owns
     /// `key`. `state` is the request's routing state (see
     /// [`DhtProtocol::initial_state`]); implementations may update it.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the inputs of one routing decision; the actor is the only caller"
+    )]
     fn next_hop(
         &self,
         space: IdSpace,
@@ -254,6 +257,10 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// Raw resolved finger entries `(target identifier, member)` — for
     /// diagnostics and tests.
     pub fn finger_entries(&self) -> Vec<(u64, Member)> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted by finger target on the next line; keys are unique"
+        )]
         let mut v: Vec<(u64, Member)> = self.fingers.iter().map(|(&t, &m)| (t, m)).collect();
         v.sort_by_key(|&(t, _)| t);
         v

@@ -37,6 +37,11 @@ impl<P: DhtProtocol> DhtActor<P> {
                 // this jump may overshoot live nodes and stabilization
                 // must walk it back).
                 let dead = self.successors[0];
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "reduced by min over clockwise distance from `me`: equal keys mean \
+                              equal ids, so every visiting order picks the same finger"
+                )]
                 let replacement = self
                     .fingers
                     .values()
@@ -120,9 +125,13 @@ impl<P: DhtProtocol> DhtActor<P> {
         //    probed member a strike; two consecutive strikes (distinguishing
         //    death from a single lost Ping/Pong) evict every finger pointing
         //    at it, so neither routing nor multicast forwards into the void.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted on the next line, before hash order can steer evictions"
+        )]
         let mut timed_out: Vec<(u64, Id)> =
             self.pending_pings.drain().map(|(_, v)| v).collect();
-        timed_out.sort_unstable(); // hash order must not steer evictions
+        timed_out.sort_unstable();
         for (_, suspect) in timed_out {
             let strikes = self.ping_strikes.entry(suspect.value()).or_insert(0);
             *strikes += 1;

@@ -204,10 +204,14 @@ impl<P: DhtProtocol> DhtActor<P> {
 
     pub(super) fn handle_anti_entropy_timer<D: DhtDriver>(&mut self, ctx: &mut D) {
         if self.anti_entropy {
-            // Sorted so the digest is identical across runs (hash order
-            // would otherwise perturb downstream message ordering). Group
-            // publishes are excluded: epidemic repair through non-subscriber
-            // relays would deliver them without their group attribution.
+            // Group publishes are excluded: epidemic repair through
+            // non-subscriber relays would deliver them without their group
+            // attribution.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "sorted right after the collect, so the digest (and the message \
+                          order downstream of it) is identical across runs"
+            )]
             let mut have: Vec<u64> = self
                 .seen_payloads
                 .keys()
@@ -241,7 +245,11 @@ impl<P: DhtProtocol> DhtActor<P> {
         have: Vec<u64>,
     ) {
         let their: std::collections::HashSet<u64> = have.iter().copied().collect();
-        // Push what they're missing… (sorted: deterministic order)
+        // Push what they're missing…
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "sorted right after the collect, before any payload is pushed"
+        )]
         let mut missing: Vec<(u64, u32)> = self
             .seen_payloads
             .iter()

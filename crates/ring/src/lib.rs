@@ -1,4 +1,9 @@
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 #![deny(missing_docs)]
 
 //! Identifier-ring arithmetic for capacity-aware multicast overlays.

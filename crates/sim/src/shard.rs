@@ -133,8 +133,8 @@ impl ShardedEventQueue {
 impl FromIterator<(usize, EventKey)> for ShardedEventQueue {
     /// Builds a [`DEFAULT_EVENT_SHARDS`]-way queue from `(actor, key)`
     /// pairs. Pop order is the global `(at, seq)` order regardless of the
-    /// iterator's order, which is why cam-lint treats the queue as an
-    /// order-defined sink.
+    /// iterator's order, so collecting into the queue launders any source
+    /// order.
     fn from_iter<I: IntoIterator<Item = (usize, EventKey)>>(iter: I) -> Self {
         let mut q = ShardedEventQueue::new(DEFAULT_EVENT_SHARDS);
         for (actor, key) in iter {

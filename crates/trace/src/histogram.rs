@@ -1,9 +1,8 @@
 //! Integer-valued histograms and running summaries.
 //!
-//! These lived in `cam-metrics` originally, but the telemetry registry
-//! needs them and `cam-metrics` sits *above* the overlay in the dependency
-//! graph — so they moved here, to the bottom of the stack, and
-//! `cam-metrics` re-exports them unchanged.
+//! They live here, at the bottom of the stack, because the telemetry
+//! registry needs them and `cam-metrics` sits *above* the overlay in the
+//! dependency graph.
 
 /// A dense histogram over small non-negative integer values (hop counts,
 /// fan-outs).

@@ -1,4 +1,9 @@
 #![forbid(unsafe_code)]
+#![warn(
+    clippy::iter_over_hash_type,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 #![warn(missing_docs)]
 
 //! Deterministic structured-event tracing and runtime telemetry for the
@@ -26,8 +31,7 @@
 //!   attribution.
 //! * [`export`] — Chrome Trace Event Format JSON (open it in
 //!   `chrome://tracing` or Perfetto) and a compact text report.
-//! * [`Histogram`] / [`Summary`] — the workspace's measurement primitives
-//!   (re-exported by `cam-metrics` for compatibility).
+//! * [`Histogram`] / [`Summary`] — the workspace's measurement primitives.
 //! * [`DeliveryCensus`] — the one shared delivery-ratio implementation
 //!   used by both the simulator's `DynamicNetwork` and the net `Cluster`.
 //!
@@ -37,8 +41,8 @@
 //! microseconds from *their* clock domain: the simulator passes its
 //! virtual `SimTime`, the net runtime passes its wire clock (micros since
 //! cluster start). No `Instant` / `SystemTime` appears anywhere in this
-//! crate — it passes cam-lint's determinism rule like the protocol crates
-//! it serves.
+//! crate — it is under the same determinism lints (`crates/clippy.toml`)
+//! as the protocol crates it serves.
 //!
 //! # Example
 //!

@@ -104,7 +104,10 @@ impl ChurnTrace {
     /// Panics if `initial` is empty, `mean_gap_micros <= 0`,
     /// `crash_fraction ∉ [0, 1]`, or every identifier in `space` is
     /// simultaneously present when a join fires.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "each argument is an independent axis of the churn schedule"
+    )]
     pub fn generate_with(
         space: cam_ring::IdSpace,
         initial: &[Member],
