@@ -111,8 +111,7 @@ impl NodeSnapshot {
         armed_timers: usize,
     ) -> NodeSnapshot {
         let finger_ids = |a: &DhtActor<P>| -> Vec<(u64, Id)> {
-            let fingers = a.finger_entries();
-            fingers.into_iter().map(|(t, m)| (t, m.id)).collect()
+            a.finger_entries().iter().map(|&(t, m)| (t, m.id)).collect()
         };
         NodeSnapshot {
             index,

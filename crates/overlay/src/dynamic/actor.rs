@@ -33,6 +33,9 @@ pub trait DhtProtocol: Clone {
     /// `key`, or `None` if this node believes its immediate successor owns
     /// `key`. `state` is the request's routing state (see
     /// [`DhtProtocol::initial_state`]); implementations may update it.
+    ///
+    /// `neighbors` is [`DhtActor::neighbor_members`]: deduplicated by id,
+    /// never `me`, in ascending finger-target order.
     #[expect(
         clippy::too_many_arguments,
         reason = "the inputs of one routing decision; the actor is the only caller"
@@ -52,6 +55,9 @@ pub trait DhtProtocol: Clone {
     /// with the sub-region each child becomes responsible for (`None` for
     /// flooding protocols, which rely on duplicate suppression instead of
     /// region splitting).
+    ///
+    /// `neighbors` is [`DhtActor::neighbor_members`]: deduplicated by id,
+    /// never `me`, in ascending finger-target order.
     fn multicast_children(
         &self,
         space: IdSpace,
@@ -68,9 +74,15 @@ pub struct DhtActor<P: DhtProtocol> {
     pub(super) space: IdSpace,
     pub(super) me: Member,
     pub(super) protocol: P,
-    /// Resolved routing entries: target identifier → member currently
-    /// believed responsible for it.
-    pub(super) fingers: HashMap<u64, Member>,
+    /// Resolved routing entries `(target identifier, member currently
+    /// believed responsible for it)`: a map of at most ~60 slots kept
+    /// sorted by target, written only through `put_finger` and the
+    /// `retain` in `evict`.
+    pub(super) fingers: Vec<(u64, Member)>,
+    /// The neighbor table every reader borrows (see
+    /// [`DhtActor::neighbor_members`]), re-derived from `fingers` by
+    /// `rebuild_neighbors` after each write that changes a slot's member.
+    pub(super) neighbors: Vec<Member>,
     /// Identifier targets (cached from the protocol).
     pub(super) targets: Vec<Id>,
     pub(super) successors: Vec<Member>,
@@ -184,7 +196,8 @@ impl<P: DhtProtocol> DhtActor<P> {
             space,
             me,
             protocol,
-            fingers: HashMap::new(),
+            fingers: Vec::new(),
+            neighbors: Vec::new(),
             targets,
             successors: Vec::new(),
             predecessor: None,
@@ -254,31 +267,61 @@ impl<P: DhtProtocol> DhtActor<P> {
         self.predecessor.as_ref()
     }
 
-    /// Raw resolved finger entries `(target identifier, member)` — for
-    /// diagnostics and tests.
-    pub fn finger_entries(&self) -> Vec<(u64, Member)> {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "sorted by finger target on the next line; keys are unique"
-        )]
-        let mut v: Vec<(u64, Member)> = self.fingers.iter().map(|(&t, &m)| (t, m)).collect();
-        v.sort_by_key(|&(t, _)| t);
-        v
+    /// Raw resolved finger entries `(target identifier, member)`, ascending
+    /// by target (targets are unique) — for diagnostics and tests.
+    pub fn finger_entries(&self) -> &[(u64, Member)] {
+        &self.fingers
     }
 
-    /// Current resolved neighbor members (deduplicated), in finger-target
-    /// order. The order is deterministic — hash-map iteration order must
-    /// not leak into protocol behavior, or equal seeds stop producing
-    /// equal runs.
-    pub fn neighbor_members(&self) -> Vec<Member> {
-        let entries = self.finger_entries();
-        let mut out: Vec<Member> = Vec::with_capacity(entries.len());
-        for (_, m) in entries {
-            if m.id != self.me.id && !out.iter().any(|o| o.id == m.id) {
-                out.push(m);
+    /// Current resolved neighbor members: deduplicated by id, never `me`,
+    /// in ascending finger-target order (the first slot naming a member
+    /// places it). Maintained on write, so every lookup hop and forward
+    /// borrows it instead of rebuilding it; the order is deterministic, so
+    /// equal seeds produce equal runs.
+    pub fn neighbor_members(&self) -> &[Member] {
+        debug_assert!(
+            self.neighbors
+                .iter()
+                .copied()
+                .eq(neighbor_rule(self.me.id, &self.fingers)),
+            "neighbor table is stale: a finger write skipped rebuild_neighbors"
+        );
+        &self.neighbors
+    }
+
+    /// The member resolved for finger slot `target`, if any.
+    pub(super) fn finger(&self, target: u64) -> Option<&Member> {
+        let i = self
+            .fingers
+            .binary_search_by_key(&target, |&(t, _)| t)
+            .ok()?;
+        Some(&self.fingers[i].1)
+    }
+
+    /// Points finger slot `target` at `member`, keeping `fingers` sorted
+    /// (a repeated target keeps the last member). Returns whether the
+    /// slot's member changed; if so the caller owes `rebuild_neighbors`.
+    pub(super) fn put_finger(&mut self, target: u64, member: Member) -> bool {
+        match self.fingers.binary_search_by_key(&target, |&(t, _)| t) {
+            Ok(i) => std::mem::replace(&mut self.fingers[i].1, member) != member,
+            Err(i) => {
+                self.fingers.insert(i, (target, member));
+                true
             }
         }
-        out
+    }
+
+    /// Re-derives the neighbor table from `fingers` in place; called only
+    /// after a write that changed a finger's member. Counted before it is
+    /// filled, so the buffer grows to exactly the largest table this node
+    /// has held — every actor of an 8k-node run keeps one, and an
+    /// over-allocate-then-shrink leaves a hole per actor in the heap.
+    pub(super) fn rebuild_neighbors(&mut self) {
+        let me = self.me.id;
+        let len = neighbor_rule(me, &self.fingers).count();
+        self.neighbors.clear();
+        self.neighbors.reserve_exact(len);
+        self.neighbors.extend(neighbor_rule(me, &self.fingers));
     }
 
     /// Seeds ring pointers and fingers directly (harness bootstrap).
@@ -297,10 +340,12 @@ impl<P: DhtProtocol> DhtActor<P> {
             .insert(predecessor.id.value(), predecessor.capacity);
         self.successors = successors;
         self.predecessor = Some(predecessor);
+        self.fingers.reserve_exact(finger_seeds.len());
         for (t, m) in finger_seeds {
             self.capacity_pins.insert(m.id.value(), m.capacity);
-            self.fingers.insert(t.value(), m);
+            self.put_finger(t.value(), m);
         }
+        self.rebuild_neighbors();
         self.joined = true;
     }
 
@@ -454,13 +499,12 @@ impl<P: DhtProtocol> DhtActor<P> {
             answer(ctx, succ, false);
             return;
         }
-        let neighbors = self.neighbor_members();
         let next = self
             .protocol
             .next_hop(
                 self.space,
                 &self.me,
-                &neighbors,
+                self.neighbor_members(),
                 &succ,
                 self.predecessor.as_ref(),
                 key,
@@ -556,7 +600,9 @@ impl<P: DhtProtocol> DhtActor<P> {
                         target: target.value(),
                         neighbor: owner.id.value(),
                     });
-                    self.fingers.insert(target.value(), owner);
+                    if self.put_finger(target.value(), owner) {
+                        self.rebuild_neighbors();
+                    }
                 }
             }
             DhtMsg::StabilizeQuery => {
@@ -626,6 +672,16 @@ impl<P: DhtProtocol> DhtActor<P> {
             ),
         }
     }
+}
+
+/// The neighbor rule, in one place: the members of `fingers` (ascending
+/// target), each placed by the first slot naming it, `me` left out. Every
+/// GOLDEN table and chaos fingerprint rests on this order.
+fn neighbor_rule(me: Id, fingers: &[(u64, Member)]) -> impl Iterator<Item = Member> + '_ {
+    fingers.iter().enumerate().filter_map(move |(i, &(_, m))| {
+        let first = !fingers[..i].iter().any(|&(_, o)| o.id == m.id);
+        (m.id != me && first).then_some(m)
+    })
 }
 
 impl<P: DhtProtocol> Actor for DhtActor<P> {

@@ -94,7 +94,11 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// forwards into the void, and an investigation decides whether it is
     /// confirmed dead. The caller repairs its successor list.
     pub(super) fn evict<D: DhtDriver>(&mut self, ctx: &mut D, member: Id, strikes: u8) {
-        self.fingers.retain(|_, m| m.id != member);
+        let slots = self.fingers.len();
+        self.fingers.retain(|&(_, m)| m.id != member);
+        if self.fingers.len() != slots {
+            self.rebuild_neighbors();
+        }
         self.open_investigation(member);
         ctx.trace(EventKind::NeighborMiss {
             neighbor: member.value(),

@@ -37,15 +37,10 @@ impl<P: DhtProtocol> DhtActor<P> {
                 // this jump may overshoot live nodes and stabilization
                 // must walk it back).
                 let dead = self.successors[0];
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "reduced by min over clockwise distance from `me`: equal keys mean \
-                              equal ids, so every visiting order picks the same finger"
-                )]
                 let replacement = self
-                    .fingers
-                    .values()
-                    .filter(|m| m.id != dead.id && m.id != self.me.id)
+                    .neighbor_members()
+                    .iter()
+                    .filter(|m| m.id != dead.id)
                     .min_by_key(|m| self.space.seg_len(self.me.id, m.id))
                     .copied();
                 if let Some(next) = replacement {
@@ -155,7 +150,7 @@ impl<P: DhtProtocol> DhtActor<P> {
                 let idx = (self.fix_cursor + i) % len;
                 let target = self.targets[idx];
                 // Probe the current resident of the slot…
-                if let Some(m) = self.fingers.get(&target.value()) {
+                if let Some(m) = self.finger(target.value()) {
                     probe_victims.push((target.value(), m.id));
                 }
                 // …and re-resolve the slot.
@@ -245,8 +240,10 @@ impl<P: DhtProtocol> DhtActor<P> {
                 // but no longer responsible) resident must not clobber that
                 // resolution back to stale.
                 self.ping_strikes.remove(&member.id.value());
-                if self.fingers.get(&target).is_some_and(|m| m.id == probed) {
-                    self.fingers.insert(target, member);
+                if self.finger(target).is_some_and(|m| m.id == probed)
+                    && self.put_finger(target, member)
+                {
+                    self.rebuild_neighbors();
                 }
             }
         }

@@ -108,10 +108,13 @@ impl<P: DhtProtocol> DhtActor<P> {
         let Some(succ) = self.successors.first().copied() else {
             return;
         };
-        let neighbors = self.neighbor_members();
-        let mut children = self
-            .protocol
-            .multicast_children(self.space, &self.me, &neighbors, &succ, region);
+        let mut children = self.protocol.multicast_children(
+            self.space,
+            &self.me,
+            self.neighbor_members(),
+            &succ,
+            region,
+        );
         if group.is_none() {
             self.tamper_with_children(ctx, &frame, &mut children);
         }
@@ -245,7 +248,9 @@ impl<P: DhtProtocol> DhtActor<P> {
         have: Vec<u64>,
     ) {
         let their: std::collections::HashSet<u64> = have.iter().copied().collect();
-        // Push what they're missing…
+        // Push what they're missing… except group publishes, which the
+        // digest leaves out on purpose (see `handle_anti_entropy_timer`):
+        // "missing" from a digest says nothing about them.
         #[expect(
             clippy::disallowed_methods,
             reason = "sorted right after the collect, before any payload is pushed"
@@ -253,7 +258,7 @@ impl<P: DhtProtocol> DhtActor<P> {
         let mut missing: Vec<(u64, u32)> = self
             .seen_payloads
             .iter()
-            .filter(|(p, _)| !their.contains(p))
+            .filter(|(p, _)| !their.contains(p) && !self.group_of.contains_key(p))
             .map(|(&p, &hops)| (p, hops))
             .collect();
         missing.sort_unstable();

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use cam_overlay::dynamic::{DhtActor, DhtMsg, DhtProtocol, DynamicNetwork};
+use cam_overlay::dynamic::{host, DhtActor, DhtDriver, DhtMsg, DhtProtocol, DynamicNetwork};
 use cam_overlay::Member;
 use cam_ring::{Id, IdSpace, Segment};
 use cam_sim::engine::{ActorId, Simulation};
@@ -281,4 +281,174 @@ fn seeded_actor_state_accessors() {
     assert_eq!(a.payloads_received(), 1);
     assert_eq!(a.payload_data(42).unwrap().as_ref(), b"hello group");
     assert!(a.payload_data(99).is_none());
+}
+
+/// A host that records what one actor sends and ignores its timers, so a
+/// test can hand-deliver every reply.
+#[derive(Default)]
+struct Recorder {
+    sent: Vec<(ActorId, DhtMsg)>,
+}
+
+impl DhtDriver for Recorder {
+    fn me(&self) -> ActorId {
+        ActorId(0)
+    }
+    fn send(&mut self, to: ActorId, msg: DhtMsg) {
+        self.sent.push((to, msg));
+    }
+    fn set_timer(&mut self, _: Duration, _: u64) {}
+    fn random_index(&mut self, _: usize) -> usize {
+        0
+    }
+}
+
+impl Recorder {
+    /// `(key, req_id)` of every lookup sent since the last drain, and the
+    /// `req_id` of every ping, both in send order.
+    fn drain(&mut self) -> (Vec<(Id, u64)>, Vec<u64>) {
+        let (mut lookups, mut pings) = (Vec::new(), Vec::new());
+        for (_, msg) in self.sent.drain(..) {
+            match msg {
+                DhtMsg::Lookup { key, req_id, .. } => lookups.push((key, req_id)),
+                DhtMsg::Ping { req_id } => pings.push(req_id),
+                _ => {}
+            }
+        }
+        (lookups, pings)
+    }
+}
+
+/// Checks the maintained neighbor table against the rule, recomputed from
+/// scratch (release builds have no `debug_assert!` to do it), and against
+/// the ids the test expects.
+#[track_caller]
+fn assert_table(a: &DhtActor<MiniRing>, targets: &[u64], expect: &[Id]) {
+    let entries = a.finger_entries();
+    assert_eq!(
+        entries.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
+        targets,
+        "finger slots, ascending by target"
+    );
+    let mut rule: Vec<Member> = Vec::new();
+    for &(_, m) in entries {
+        if m.id != a.member().id && !rule.iter().any(|o| o.id == m.id) {
+            rule.push(m);
+        }
+    }
+    assert_eq!(
+        a.neighbor_members(),
+        rule.as_slice(),
+        "table equals the rule"
+    );
+    let ids: Vec<Id> = rule.iter().map(|m| m.id).collect();
+    assert_eq!(ids, expect);
+}
+
+/// The neighbor table is maintained on write, not derived on read: drive
+/// one actor through every kind of finger write and check the table still
+/// equals the rule (ascending target, first slot wins, never `me`) after
+/// each. A write that skips the rebuild fails here — and, in the debug
+/// profile, at the `debug_assert!` inside `neighbor_members`.
+#[test]
+fn neighbor_table_equals_the_rule_after_every_kind_of_write() {
+    let [(_, stabilize), (_, fix_fingers), _] = host::maintenance_schedule(0);
+    let me = Member::with_capacity(Id(100), 6);
+    let succ = Member::with_capacity(Id(200), 6);
+    let pred = Member::with_capacity(Id(50), 6);
+    let [a_, b_, c_] = [13_300, 26_400, 39_500].map(|id| Member::with_capacity(Id(id), 6));
+    let t: Vec<Id> = MiniRing.neighbor_targets(SPACE, &me);
+    let tv: Vec<u64> = t.iter().map(|t| t.value()).collect();
+    let extra = 65_000;
+
+    let mut actor = DhtActor::new(SPACE, me, MiniRing);
+    // A repeated target keeps the last member; a slot resolved to `me`
+    // never makes the table.
+    actor.seed_state(
+        vec![succ],
+        pred,
+        vec![
+            (t[0], a_),
+            (t[1], b_),
+            (t[1], c_),
+            (t[2], c_),
+            (t[3], succ),
+            (Id(extra), me),
+        ],
+    );
+    let directory: HashMap<u64, ActorId> = [me, a_, b_, c_, succ, pred]
+        .iter()
+        .enumerate()
+        .map(|(i, m)| (m.id.value(), ActorId(i)))
+        .collect();
+    actor.set_directory(directory);
+    let mut all = tv.clone();
+    all.push(extra);
+    assert_table(&actor, &all, &[a_.id, c_.id, succ.id]);
+
+    // Fix-finger round 1 re-resolves slots t0..t2 and probes their
+    // residents (a, c, c).
+    let mut drv = Recorder::default();
+    actor.deliver_timer(&mut drv, fix_fingers);
+    let (lookups, pings) = drv.drain();
+    let req = |slot: Id| lookups.iter().find(|&&(k, _)| k == slot).unwrap().1;
+    let done = |req_id, owner, gave_up| DhtMsg::LookupDone {
+        req_id,
+        owner,
+        hops: 1,
+        gave_up,
+    };
+    assert_eq!(pings.len(), 3);
+
+    // LookupDone to the slot's current member: no change.
+    actor.deliver(&mut drv, ActorId(3), done(req(t[2]), c_, false));
+    assert_table(&actor, &all, &[a_.id, c_.id, succ.id]);
+    // A lookup that gave up writes nothing.
+    actor.deliver(&mut drv, ActorId(2), done(req(t[1]), b_, true));
+    assert_table(&actor, &all, &[a_.id, c_.id, succ.id]);
+    // LookupDone to a new member: slot t0 moves from a to b.
+    actor.deliver(&mut drv, ActorId(2), done(req(t[0]), b_, false));
+    assert_table(&actor, &all, &[b_.id, c_.id, succ.id]);
+
+    // Pong refresh: c answers the t1 probe with a new descriptor, which
+    // replaces slot t1's — and, t1 being c's first slot, the table's.
+    let fresh_c = Member {
+        upload_kbps: c_.upload_kbps + 1.0,
+        ..c_
+    };
+    actor.deliver(
+        &mut drv,
+        ActorId(3),
+        DhtMsg::Pong {
+            req_id: pings[1],
+            member: fresh_c,
+        },
+    );
+    assert_table(&actor, &all, &[b_.id, c_.id, succ.id]);
+    assert_eq!(actor.neighbor_members()[1], fresh_c);
+    // A late Pong from a, whose slot t0 was re-resolved to b meanwhile,
+    // must not clobber it.
+    actor.deliver(
+        &mut drv,
+        ActorId(1),
+        DhtMsg::Pong {
+            req_id: pings[0],
+            member: a_,
+        },
+    );
+    assert_table(&actor, &all, &[b_.id, c_.id, succ.id]);
+
+    // c never answers its t2 probe (strike 1), nor the t1 probe of round
+    // 2 (strike 2): round 3 evicts c from both its slots.
+    actor.deliver_timer(&mut drv, fix_fingers);
+    actor.deliver_timer(&mut drv, fix_fingers);
+    assert_table(&actor, &[tv[0], tv[3], extra], &[b_.id, succ.id]);
+
+    // The only successor stays silent: the fourth strike reseeds it from
+    // the nearest clockwise neighbor and evicts it from its slot.
+    for _ in 0..5 {
+        actor.deliver_timer(&mut drv, stabilize);
+    }
+    assert_eq!(actor.successor(), Some(&b_));
+    assert_table(&actor, &[tv[0], extra], &[b_.id]);
 }
