@@ -26,7 +26,7 @@ use cam_core::cam_koorde::CamKoordeProtocol;
 use cam_net::codec::{wire_cost, MAX_FRAME};
 use cam_net::mux::MuxUdpTransport;
 use cam_net::runtime::{Cluster, RetransmitPolicy};
-use cam_net::transport::{InMemoryTransport, Transport};
+use cam_net::transport::{InMemoryTransport, Transport, WireCounters};
 use cam_overlay::dynamic::{DhtMsg, DhtProtocol};
 use cam_overlay::Member;
 use cam_ring::{Id, IdSpace, Segment};
@@ -139,11 +139,26 @@ fn make_members(space: IdSpace, n: usize, seed: u64) -> Vec<Member> {
     members
 }
 
+/// Prints the mux's datagram counters: how many frames each datagram
+/// carried on average, receive side.
+fn report_datagrams(t: &MuxUdpTransport, c: WireCounters) {
+    let d = t.datagrams();
+    println!(
+        "datagrams: {} sent / {} received ({:.2} frames per datagram)",
+        d.sent,
+        d.received,
+        c.frames_decoded as f64 / d.received.max(1) as f64,
+    );
+}
+
+/// Runs the cluster over `transport`; `report` prints what only that
+/// transport knows, after the wire counters.
 fn run<P: DhtProtocol, T: Transport>(
     opts: &Options,
     protocol: P,
     region_split: bool,
     transport: T,
+    report: fn(&T, WireCounters),
 ) -> ExitCode {
     let space = IdSpace::PAPER;
     let members = make_members(space, opts.n, opts.seed);
@@ -201,6 +216,7 @@ fn run<P: DhtProtocol, T: Transport>(
         c.frames_retransmitted,
         c.send_backpressure,
     );
+    report(cluster.transport(), c);
     let stats = cluster.loop_stats();
     println!(
         "loop: {} wakeups, {} deadline sleeps ({} ms slept), {} io wakes",
@@ -248,7 +264,7 @@ fn run_with_transport<P: DhtProtocol>(
             opts.loss * 100.0,
             opts.seed,
         );
-        run(opts, protocol, region_split, t)
+        run(opts, protocol, region_split, t, |_, _| {})
     } else {
         let t = match MuxUdpTransport::bind(opts.n) {
             Ok(t) => t,
@@ -262,7 +278,7 @@ fn run_with_transport<P: DhtProtocol>(
             opts.n,
             t.local_addr(),
         );
-        run(opts, protocol, region_split, t)
+        run(opts, protocol, region_split, t, report_datagrams)
     }
 }
 

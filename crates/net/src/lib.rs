@@ -33,8 +33,9 @@
 //!   [`transport::InMemoryTransport`], a deterministic in-process wire
 //!   with injectable loss and the simulator's latency models.
 //! * [`mux`] — [`mux::MuxUdpTransport`], the real-socket transport:
-//!   hundreds of nodes multiplexed onto *one* non-blocking UDP socket with
-//!   a 4-byte destination envelope, queue-and-retry send backpressure,
+//!   hundreds of nodes multiplexed onto *one* non-blocking UDP socket,
+//!   each send batch packed into one datagram per route as
+//!   `[dest][len][frame]` records, queue-and-retry send backpressure,
 //!   readiness waits, and endpoints routable to another process's socket.
 //! * [`reactor`] — [`reactor::ReactorCore`], the pure poll-style
 //!   protocol state machine: `handle_frame(now, ..)` / `poll(now, ..)`

@@ -24,7 +24,8 @@
 //! cluster advances its clock from event to event like the simulator, so
 //! runs are deterministic under a fixed seed. With a real transport the
 //! clock is the wall clock and the loop is **deadline-driven**: each
-//! iteration drains ready frames in batches, fires due timers, then —
+//! iteration drains ready frames in batches (shipping the responses once
+//! per batch, not once per frame), fires due timers, then —
 //! only when nothing was ready — parks until
 //! `min(next timer, next RTO, run deadline)`, waking early if the
 //! transport signals readiness ([`Transport::wait`]). The loop never
@@ -484,13 +485,18 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         }
     }
 
-    /// Hands one received frame to the core and ships the response at
-    /// once: a response scheduled with zero latency must be pollable at
-    /// this same instant, inside the caller's drain loop.
+    /// Hands one received frame to the core and recycles its buffer. What
+    /// the core queued stays in the sink until the caller flushes it:
+    /// after every frame in virtual time, once per drained batch in real
+    /// time.
     fn deliver_frame(&mut self, to: usize, bytes: Vec<u8>) {
-        self.with_core(|core, now, sink, counters| {
-            core.handle_frame(now, to, &bytes, sink, counters)
-        });
+        self.core.handle_frame(
+            self.now,
+            to,
+            &bytes,
+            &mut self.sink,
+            self.transport.counters_mut(),
+        );
         self.transport.recycle(bytes);
     }
 
@@ -516,6 +522,12 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
     /// delivery, timer, or RTO) and process everything due there: frames
     /// first, in delivery-sequence order, then timers and retransmissions.
     /// The parity suite's golden table pins this event order.
+    ///
+    /// Each frame's response ships before the next frame is polled: a
+    /// response scheduled with zero latency must be pollable at this same
+    /// instant, inside the drain loop, and the in-memory wire draws
+    /// latency and assigns delivery sequence at send time — so batching
+    /// the flush here would reorder events and move the golden table.
     fn step_virtual(&mut self, deadline: SimTime) -> bool {
         let mut next = self.transport.next_ready();
         next = match (next, self.core.next_wake()) {
@@ -527,6 +539,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
                 self.now = self.now.max(t);
                 while let Some((to, bytes)) = self.transport.poll(self.now) {
                     self.deliver_frame(to, bytes);
+                    self.flush_sink();
                 }
                 self.with_core(|core, now, sink, counters| core.poll(now, sink, counters));
                 true
@@ -540,6 +553,12 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
 
     /// Real time: drain ready frames in batches, fire due timers from the
     /// corrected clock, then park exactly until the next deadline.
+    ///
+    /// The core handles a whole `poll_batch` before anything ships, and
+    /// the sink is flushed once per batch: a datagram transport packs what
+    /// the batch produced into one datagram per route instead of one per
+    /// frame. Nothing here needs a response inside the batch — the socket
+    /// is drained again right after the flush.
     fn step_real(&mut self, epoch: std::time::Instant, deadline: SimTime) -> bool {
         self.now = SimTime(epoch.elapsed().as_micros() as u64);
         if self.now >= deadline {
@@ -557,6 +576,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
             for (to, bytes) in batch.drain(..) {
                 self.deliver_frame(to, bytes);
             }
+            self.flush_sink();
         }
         self.rx_batch = batch;
         // Correct the clock before firing timers: draining a large batch

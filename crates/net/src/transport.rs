@@ -110,11 +110,13 @@ pub trait Transport {
     /// outcomes on the transport they belong to.
     fn counters_mut(&mut self) -> &mut WireCounters;
 
-    /// Ships a batch of frames **in order** (sendmmsg-style aggregation
-    /// where the transport supports it). Order matters: deterministic
+    /// Ships a batch of frames **in order**. Order matters: deterministic
     /// transports assign delivery sequence from send order, so a batch
-    /// must land exactly as the same frames sent one by one would. The
-    /// default simply loops [`Transport::send`].
+    /// must land exactly as the same frames sent one by one would. A
+    /// datagram transport may pack the batch into fewer datagrams as long
+    /// as each destination still sees the frames in batch order —
+    /// [`crate::mux::MuxUdpTransport`] sends one datagram per socket
+    /// route. The default simply loops [`Transport::send`].
     fn send_batch(&mut self, now: SimTime, frames: &[OutFrame]) {
         for f in frames {
             self.send(now, f.from, f.to, &f.buf);

@@ -1,5 +1,6 @@
-//! The `cam-node` command line: both paths below exit while parsing
-//! arguments, before any cluster is built.
+//! The `cam-node` command line: help and payload-cap checks exit while
+//! parsing arguments, before any cluster is built; the report check runs a
+//! small real cluster.
 
 use std::process::{Command, Output};
 
@@ -38,4 +39,35 @@ fn payload_that_cannot_fit_one_frame_is_rejected_naming_the_cap() {
             "{args:?}: {err}"
         );
     }
+}
+
+#[test]
+fn real_socket_run_reports_frames_per_datagram() {
+    let out = cam_node(&["8", "--seed", "7"]);
+    assert!(out.status.success(), "{:?}", out.status);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("datagrams: "))
+        .unwrap_or_else(|| panic!("no datagrams line in:\n{stdout}"));
+    // "datagrams: S sent / R received (F frames per datagram)"
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let [_, sent, "sent", "/", received, "received", per, "frames", "per", "datagram)"] =
+        words[..]
+    else {
+        panic!("unexpected layout: {line}");
+    };
+    let sent: u64 = sent.parse().expect("sent count");
+    let received: u64 = received.parse().expect("received count");
+    let per: f64 = per
+        .trim_start_matches('(')
+        .parse()
+        .expect("frames per datagram");
+    assert!(sent > 0 && received > 0, "{line}");
+    assert!(per > 1.0, "frames are coalesced: {line}");
+
+    // The in-memory wire has no datagrams to report.
+    let mem = cam_node(&["8", "--mem", "--seed", "7"]);
+    assert!(mem.status.success(), "{:?}", mem.status);
+    assert!(!String::from_utf8_lossy(&mem.stdout).contains("datagrams:"));
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration over real loopback UDP: a 32-node CAM-Chord
 //! cluster (24 bootstrap-seeded, 8 joining over the wire) on one
 //! multiplexed socket converges and a multicast reaches every live node as
-//! real kernel datagrams.
+//! real kernel datagrams, several frames to a datagram.
 //!
 //! Real sockets and real time, so the test uses generous internal
 //! deadlines but normally finishes in a few wall-clock seconds.
@@ -92,5 +92,17 @@ fn thirty_two_nodes_bootstrap_join_and_multicast_over_loopback_udp() {
         c.frames_rejected + c.encode_oversize,
         0,
         "every datagram on the wire is one of ours and well-formed"
+    );
+    // The wire loop ships what one drained batch produced as one datagram,
+    // so datagrams carry many frames: ~14 here. Packing only what a single
+    // handled frame or timer pass produced (a per-frame flush) reads < 2,
+    // and one frame per datagram reads 1.
+    let d = cluster.transport().datagrams();
+    let per_datagram = c.frames_decoded as f64 / d.received.max(1) as f64;
+    assert!(
+        per_datagram > 4.0,
+        "{} frames in {} datagrams: the wire loop stopped coalescing",
+        c.frames_decoded,
+        d.received
     );
 }
