@@ -243,7 +243,7 @@ const TORTURE: PresetCfg = PresetCfg {
 /// The scale stressor: a 100,000-node plan with sharply reduced event
 /// density (a couple of crashes and multicasts, no churn storms, joins,
 /// restarts, or wire faults) — the point is the *size* of the converged
-/// network, the shared `O(n)` directory, and the sharded event queue
+/// network, the shared `O(n)` directory, and the simulator's event queue
 /// under six-figure actor counts, not fault coverage. Anti-entropy stays
 /// on (the digest is O(#payloads) per node per tick, affordable even
 /// here): with ~30 finger-fix rounds needed to purge a crashed node from

@@ -15,8 +15,8 @@ use std::collections::BTreeSet;
 use cam_trace::{EventKind, NopTracer, Tracer};
 
 use crate::latency::LatencyModel;
+use crate::queue::EventQueue;
 use crate::rng::SimRng;
-use crate::shard::{EventKey, ShardedEventQueue, DEFAULT_EVENT_SHARDS};
 use crate::time::{Duration, SimTime};
 
 /// Identifies an actor within a [`Simulation`].
@@ -90,12 +90,6 @@ enum Payload<M> {
     Timer { tag: u64 },
 }
 
-struct Event<M> {
-    at: SimTime,
-    to: ActorId,
-    payload: Payload<M>,
-}
-
 /// The world handle an actor receives while handling an event.
 ///
 /// All interaction with the simulated network — sending, timers, the clock,
@@ -165,14 +159,12 @@ impl<'a, M> Context<'a, M> {
 /// See the [crate-level documentation](crate) for an example.
 pub struct Simulation<A: Actor> {
     actors: Vec<Option<A>>,
-    /// Pending events, sharded by destination actor. The merge rule
-    /// (`(at, seq)` with a globally unique `seq`; see [`crate::shard`])
-    /// makes delivery order bit-identical for every shard count.
-    queue: ShardedEventQueue,
-    events: Vec<Option<Event<A::Msg>>>,
-    free_slots: Vec<usize>,
+    /// Pending events with their destinations, popped in `(at,
+    /// scheduling order)` order (see [`crate::queue`]).
+    queue: EventQueue<(ActorId, Payload<A::Msg>)>,
+    /// How many of the queued events are messages rather than timers.
+    pending_messages: usize,
     now: SimTime,
-    seq: u64,
     latency: LatencyModel,
     rng: SimRng,
     stats: SimStats,
@@ -192,16 +184,13 @@ pub struct Simulation<A: Actor> {
 }
 
 impl<A: Actor> Simulation<A> {
-    /// Creates an empty simulation with the given seed and latency model,
-    /// using [`DEFAULT_EVENT_SHARDS`] queue shards.
+    /// Creates an empty simulation with the given seed and latency model.
     pub fn new(seed: u64, latency: LatencyModel) -> Self {
         Simulation {
             actors: Vec::new(),
-            queue: ShardedEventQueue::new(DEFAULT_EVENT_SHARDS),
-            events: Vec::new(),
-            free_slots: Vec::new(),
+            queue: EventQueue::new(),
+            pending_messages: 0,
             now: SimTime::ZERO,
-            seq: 0,
             latency,
             rng: SimRng::new(seed).split(0xEC0),
             stats: SimStats::default(),
@@ -274,18 +263,7 @@ impl<A: Actor> Simulation<A> {
     /// only periodic timers remain — the instant at which the chaos
     /// harness's invariant oracles run.
     pub fn pending_message_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e,
-                    Some(Event {
-                        payload: Payload::Message { .. },
-                        ..
-                    })
-                )
-            })
-            .count()
+        self.pending_messages
     }
 
     /// Installs a per-message wire-size function: every sent message adds
@@ -361,27 +339,19 @@ impl<A: Actor> Simulation<A> {
         self.schedule(self.now + delay, to, Payload::Timer { tag });
     }
 
+    /// Queues an event; `at` is always `now + delay`, so the queue's
+    /// monotone precondition holds (and is checked there).
     fn schedule(&mut self, at: SimTime, to: ActorId, payload: Payload<A::Msg>) {
-        let seq = self.seq;
-        self.seq += 1;
-        let ev = Event { at, to, payload };
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.events[s] = Some(ev);
-                s
-            }
-            None => {
-                self.events.push(Some(ev));
-                self.events.len() - 1
-            }
-        };
-        self.queue.push(to.0, EventKey { at, seq, slot });
+        if matches!(payload, Payload::Message { .. }) {
+            self.pending_messages += 1;
+        }
+        self.queue.push(at, (to, payload));
     }
 
     /// Processes events until the queue is empty or `deadline` is passed.
     /// Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.run_inner(Some(deadline), u64::MAX)
+        self.run_inner(deadline, u64::MAX)
     }
 
     /// Processes every event until the simulation goes quiet.
@@ -390,35 +360,30 @@ impl<A: Actor> Simulation<A> {
     ///
     /// Panics after 100 million events as a runaway-protocol backstop.
     pub fn run_to_completion(&mut self) -> u64 {
-        self.run_inner(None, 100_000_000)
+        self.run_inner(SimTime(u64::MAX), 100_000_000)
     }
 
-    fn run_inner(&mut self, deadline: Option<SimTime>, max_events: u64) -> u64 {
+    fn run_inner(&mut self, deadline: SimTime, max_events: u64) -> u64 {
         let mut processed = 0u64;
         let mut outbox: Vec<(ActorId, ActorId, A::Msg, Option<Duration>)> = Vec::new();
         let mut timers: Vec<(ActorId, Duration, u64)> = Vec::new();
 
-        while let Some(key) = self.queue.peek() {
-            if let Some(d) = deadline {
-                if key.at > d {
-                    break;
-                }
-            }
-            let key = self.queue.pop().expect("peeked");
-            let ev = self.events[key.slot].take().expect("event slot occupied");
-            self.free_slots.push(key.slot);
-            debug_assert!(ev.at >= self.now, "event from the past");
-            self.now = ev.at;
+        while let Some((at, (to, payload))) = self.queue.pop_due(deadline) {
+            self.now = at;
             processed += 1;
             self.stats.events += 1;
             assert!(
                 processed <= max_events,
                 "simulation exceeded {max_events} events — runaway protocol?"
             );
+            let is_message = matches!(payload, Payload::Message { .. });
+            if is_message {
+                self.pending_messages -= 1;
+            }
 
-            let Some(actor) = self.actors.get_mut(ev.to.0).and_then(Option::as_mut) else {
+            let Some(actor) = self.actors.get_mut(to.0).and_then(Option::as_mut) else {
                 // Dead destination: message lost, timer inert.
-                if matches!(ev.payload, Payload::Message { .. }) {
+                if is_message {
                     self.stats.dropped += 1;
                 }
                 continue;
@@ -426,13 +391,13 @@ impl<A: Actor> Simulation<A> {
 
             let mut ctx = Context {
                 now: self.now,
-                me: ev.to,
+                me: to,
                 outbox: &mut outbox,
                 timers: &mut timers,
                 rng: &mut self.rng,
                 tracer: self.tracer.as_mut(),
             };
-            match ev.payload {
+            match payload {
                 Payload::Message { from, msg } => {
                     self.stats.delivered += 1;
                     if let Some(cost) = self.wire_cost {
@@ -685,6 +650,74 @@ mod tests {
             ]
         );
         assert!(!s.tracer().enabled(), "take_tracer leaves NopTracer");
+    }
+
+    #[test]
+    fn pending_message_count_is_posted_minus_popped() {
+        /// Every timer sends one message to each peer and re-arms itself
+        /// `rounds` times; every message is echoed once.
+        struct Chatter {
+            peers: Vec<ActorId>,
+            rounds: u64,
+        }
+        impl Actor for Chatter {
+            type Msg = bool;
+            fn on_message(&mut self, ctx: &mut Context<'_, bool>, from: ActorId, echo: bool) {
+                if !echo {
+                    ctx.send(from, true);
+                }
+            }
+            fn on_timer(&mut self, ctx: &mut Context<'_, bool>, tag: u64) {
+                for &p in &self.peers {
+                    ctx.send(p, false);
+                }
+                if tag < self.rounds {
+                    ctx.set_timer(Duration::from_millis(3), tag + 1);
+                }
+            }
+        }
+
+        let mut s: Simulation<Chatter> = Simulation::new(
+            12,
+            LatencyModel::Uniform {
+                min: Duration::from_millis(1),
+                max: Duration::from_millis(9),
+            },
+        );
+        let ids: Vec<ActorId> = (0..4)
+            .map(|_| {
+                s.add_actor(Chatter {
+                    peers: Vec::new(),
+                    rounds: 20,
+                })
+            })
+            .collect();
+        for &id in &ids {
+            s.actor_mut(id).unwrap().peers = ids.iter().copied().filter(|&p| p != id).collect();
+            s.post_timer(id, Duration::ZERO, 0);
+        }
+        s.post(ids[0], ids[1], false);
+        // Nothing is popped yet: one message, four timers.
+        assert_eq!(s.pending_message_count(), 1);
+
+        let popped = |st: SimStats| st.delivered + st.dropped;
+        let mut peak = 0;
+        for step in 1..=40u64 {
+            if step == 10 {
+                s.kill(ids[2]);
+            }
+            s.run_until(SimTime::ZERO + Duration::from_millis(2 * step));
+            let st = s.stats();
+            assert_eq!(s.pending_message_count() as u64, st.sent - popped(st));
+            peak = peak.max(s.pending_message_count());
+        }
+        s.run_to_completion();
+        let st = s.stats();
+        assert!(peak > 10, "messages were in flight (peak {peak})");
+        assert!(st.dropped > 0, "the killed actor's traffic was popped");
+        assert!(st.timers > 20, "timers ran alongside the messages");
+        assert_eq!(st.sent, popped(st));
+        assert_eq!(s.pending_message_count(), 0);
     }
 
     #[test]

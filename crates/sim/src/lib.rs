@@ -15,6 +15,7 @@
 //! * [`engine`] — a message-passing actor engine with a virtual clock,
 //!   per-message network latency, timers, and failure injection (killing an
 //!   actor silently drops traffic to it, like UDP to a crashed host);
+//! * [`queue`] — the engine's monotone radix event queue;
 //! * [`time`] — virtual time ([`SimTime`]) and durations;
 //! * [`latency`] — pluggable latency models (constant, uniform jitter, and a
 //!   synthetic planar-coordinate model standing in for Internet topologies);
@@ -55,8 +56,8 @@
 pub mod bandwidth;
 pub mod engine;
 pub mod latency;
+pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod time;
 
 pub use engine::{Actor, ActorId, Context, Simulation};

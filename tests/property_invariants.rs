@@ -140,43 +140,62 @@ proptest! {
         }
     }
 
-    /// The sharded event queue pops in the exact single-heap order for
-    /// any shard count: `seq` uniqueness makes `(at, seq)` a strict total
-    /// order that the shard layout cannot perturb.
+    /// The simulator's radix event queue pops in exactly the order of a
+    /// `BinaryHeap<Reverse<(at, seq)>>` for any push/pop interleaving that
+    /// respects its monotone rule (no push below the last popped instant):
+    /// zero delays landing on the floor, bursts of one instant, pushes at
+    /// the floor after its bucket drained, times up to `u64::MAX`, pops
+    /// with deadlines that must leave later events (and the floor) alone,
+    /// and the queue running empty and refilling.
     #[test]
-    fn sharded_queue_pop_order_independent_of_shard_count(
-        shards in 1usize..32,
-        events in prop::collection::vec((0usize..64, 0u64..50), 1..200),
+    fn event_queue_pops_in_heap_oracle_order(
+        ops in prop::collection::vec((0u8..12, 0u8..8, 0u64..u64::MAX), 1..300),
     ) {
-        use cam::sim::shard::{EventKey, ShardedEventQueue};
-        use cam::sim::time::{Duration, SimTime};
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
 
-        let keyed: Vec<(usize, EventKey)> = events
-            .iter()
-            .enumerate()
-            .map(|(seq, &(actor, micros))| {
-                (
-                    actor,
-                    EventKey {
-                        at: SimTime::ZERO + Duration::from_micros(micros),
-                        seq: seq as u64,
-                        slot: seq,
-                    },
-                )
-            })
-            .collect();
-        let drain = |mut q: ShardedEventQueue| -> Vec<EventKey> {
-            std::iter::from_fn(move || q.pop()).collect()
-        };
-        let mut reference = ShardedEventQueue::new(1);
-        for &(actor, key) in &keyed {
-            reference.push(actor, key);
+        use cam::sim::queue::EventQueue;
+        use cam::sim::time::SimTime;
+
+        type Oracle = BinaryHeap<Reverse<(u64, u64)>>;
+        /// Pops from both if the oracle's head is due; returns its instant.
+        fn pop(queue: &mut EventQueue<u64>, oracle: &mut Oracle, deadline: u64) -> Option<u64> {
+            let due = oracle.peek().is_some_and(|r| r.0 .0 <= deadline);
+            let want = if due { oracle.pop().map(|r| r.0) } else { None };
+            let got = queue.pop_due(SimTime(deadline)).map(|(at, s)| (at.0, s));
+            assert_eq!(got, want, "deadline {deadline}");
+            got.map(|(at, _)| at)
         }
-        let mut sharded = ShardedEventQueue::new(shards);
-        for &(actor, key) in &keyed {
-            sharded.push(actor, key);
+
+        let mut queue = EventQueue::new();
+        let mut oracle = Oracle::new();
+        let mut seq = 0u64;
+        let mut floor = 0u64;
+        for &(kind, class, raw) in &ops {
+            let delay = match class {
+                0 => 0,
+                1 | 2 => raw % 8,
+                3..=5 => raw % 5_000,
+                6 => raw % (1 << 40),
+                _ => raw,
+            };
+            let at = floor.saturating_add(delay);
+            match kind {
+                // One push, or (kind 5) a burst at one instant.
+                0..=5 => {
+                    let burst = if kind == 5 { 1 + raw % 7 } else { 1 };
+                    for _ in 0..burst {
+                        queue.push(SimTime(at), seq);
+                        oracle.push(Reverse((at, seq)));
+                        seq += 1;
+                    }
+                }
+                6..=8 => floor = pop(&mut queue, &mut oracle, u64::MAX).unwrap_or(floor),
+                _ => floor = pop(&mut queue, &mut oracle, at).unwrap_or(floor),
+            }
+            prop_assert_eq!(queue.peek().map(|t| t.0), oracle.peek().map(|r| r.0 .0));
         }
-        prop_assert_eq!(sharded.len(), keyed.len());
-        prop_assert_eq!(drain(sharded), drain(reference));
+        while pop(&mut queue, &mut oracle, u64::MAX).is_some() {}
+        prop_assert_eq!(queue.peek(), None);
     }
 }

@@ -11,12 +11,17 @@
 
 use cam::chaos::{run_plan, FaultPlan, HostKind};
 
-fn torture(seed: u64) {
-    let plan = FaultPlan::torture(seed);
-    let report = run_plan(&plan, HostKind::Sim, false);
+/// Runs `plan` on the simulator host and checks its outcome, then its
+/// fingerprint (the FNV-1a fold of every observable end state,
+/// `ChaosReport::fingerprint`). The pinned value holds the simulator to one
+/// delivery order: a change that reorders events, even harmlessly for the
+/// oracles, fails by name.
+fn check(plan: &FaultPlan, fingerprint: u64) {
+    let name = format!("{} seed {}", plan.preset, plan.seed);
+    let report = run_plan(plan, HostKind::Sim, false);
     assert!(
         report.passed(),
-        "torture seed {seed}: {} oracle violation(s), first: {:?}",
+        "{name}: {} oracle violation(s), first: {:?}",
         report.violations.len(),
         report.violations.first()
     );
@@ -24,33 +29,42 @@ fn torture(seed: u64) {
     let (payload, live, delivered) = *report.census.last().expect("final multicast ran");
     assert_eq!(
         delivered, live,
-        "torture seed {seed}: payload {payload} delivered to {delivered}/{live}"
+        "{name}: payload {payload} delivered to {delivered}/{live}"
     );
+    assert_eq!(
+        report.fingerprint, fingerprint,
+        "{name}: fingerprint {:016x}, pinned {fingerprint:016x}",
+        report.fingerprint
+    );
+}
+
+fn torture(seed: u64, fingerprint: u64) {
+    check(&FaultPlan::torture(seed), fingerprint);
 }
 
 #[test]
 fn torture_seed_1() {
-    torture(1);
+    torture(1, 0xfda8_56c4_2055_c154);
 }
 
 #[test]
 fn torture_seed_2() {
-    torture(2);
+    torture(2, 0x155b_764f_7ec2_d3d1);
 }
 
 #[test]
 fn torture_seed_3() {
-    torture(3);
+    torture(3, 0x4803_69c1_672d_eda7);
 }
 
 #[test]
 fn torture_seed_4() {
-    torture(4);
+    torture(4, 0x34cd_1ce6_6b74_0a2b);
 }
 
 /// The colossal preset: a 100,000-node converged network with a couple of
 /// crashes and multicasts — the scale stressor for the shared `O(n)`
-/// directory, struct-of-arrays membership, and sharded event queue.
+/// directory, struct-of-arrays membership, and the simulator's event queue.
 ///
 /// `#[ignore]`d because it needs release-mode optimization to finish in
 /// reasonable time; CI runs it explicitly with
@@ -60,16 +74,5 @@ fn torture_seed_4() {
 fn colossal_seed_1() {
     let plan = FaultPlan::colossal(1);
     assert_eq!(plan.nodes, 100_000);
-    let report = run_plan(&plan, HostKind::Sim, false);
-    assert!(
-        report.passed(),
-        "colossal seed 1: {} oracle violation(s), first: {:?}",
-        report.violations.len(),
-        report.violations.first()
-    );
-    let (payload, live, delivered) = *report.census.last().expect("final multicast ran");
-    assert_eq!(
-        delivered, live,
-        "colossal seed 1: payload {payload} delivered to {delivered}/{live}"
-    );
+    check(&plan, 0x32ba_fa75_c912_38ad);
 }
