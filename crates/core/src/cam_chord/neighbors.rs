@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn offsets_unique_and_in_space() {
         let t = neighbor_targets(S32, Id(7), 10);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = cam_ring::IdSet::default();
         for id in &t {
             assert!(S32.contains(*id));
             assert!(seen.insert(id.value()), "duplicate target {id}");

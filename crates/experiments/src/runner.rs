@@ -66,8 +66,7 @@ pub fn sample_distinct_sources(n: usize, k: usize, seed: u64) -> Vec<usize> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     // Sparse view of the Fisher–Yates array: absent key i means slot i
     // still holds value i.
-    let mut displaced: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::new();
+    let mut displaced: cam_ring::IdMap<usize, usize> = cam_ring::IdMap::default();
     let mut out = Vec::with_capacity(k);
     for i in 0..k {
         let j = rng.gen_range(i..n);

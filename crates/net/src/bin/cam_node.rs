@@ -29,7 +29,7 @@ use cam_net::runtime::{Cluster, RetransmitPolicy};
 use cam_net::transport::{InMemoryTransport, Transport, WireCounters};
 use cam_overlay::dynamic::{DhtMsg, DhtProtocol};
 use cam_overlay::Member;
-use cam_ring::{Id, IdSpace, Segment};
+use cam_ring::{Id, IdSet, IdSpace, Segment};
 use cam_sim::rng::SimRng;
 use cam_sim::{Duration, LatencyModel};
 use cam_trace::RecordingTracer;
@@ -127,7 +127,7 @@ fn parse_args() -> Result<Option<Options>, String> {
 /// Random unique members with capacities in the paper's 2..=10 range.
 fn make_members(space: IdSpace, n: usize, seed: u64) -> Vec<Member> {
     let mut rng = SimRng::new(seed).split(0xCA4);
-    let mut ids = std::collections::HashSet::with_capacity(n);
+    let mut ids = IdSet::default();
     let mut members = Vec::with_capacity(n);
     while members.len() < n {
         let id = rng.uniform_incl(0, space.size() - 1);

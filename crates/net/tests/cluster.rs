@@ -9,7 +9,7 @@ use cam_net::runtime::{Cluster, RetransmitPolicy};
 use cam_net::transport::InMemoryTransport;
 use cam_overlay::dynamic::DhtProtocol;
 use cam_overlay::Member;
-use cam_ring::{Id, IdSpace};
+use cam_ring::{Id, IdSet, IdSpace};
 use cam_sim::rng::SimRng;
 use cam_sim::{Duration, LatencyModel};
 use cam_trace::{EventKind, RecordingTracer};
@@ -19,7 +19,7 @@ const SPACE: IdSpace = IdSpace::PAPER;
 /// Deterministic unique members with the paper's capacity range.
 fn members(n: usize, seed: u64) -> Vec<Member> {
     let mut rng = SimRng::new(seed).split(0x7E57);
-    let mut ids = std::collections::HashSet::with_capacity(n);
+    let mut ids = IdSet::default();
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
         let id = rng.uniform_incl(0, SPACE.size() - 1);

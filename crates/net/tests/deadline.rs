@@ -14,7 +14,7 @@ use cam_core::cam_chord::CamChordProtocol;
 use cam_net::mux::MuxUdpTransport;
 use cam_net::runtime::{Cluster, RetransmitPolicy};
 use cam_overlay::Member;
-use cam_ring::{Id, IdSpace};
+use cam_ring::{Id, IdSet, IdSpace};
 use cam_sim::rng::SimRng;
 use cam_sim::Duration;
 use cam_trace::{EventKind, RecordingTracer};
@@ -33,7 +33,7 @@ static WALL_CLOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn members(n: usize, seed: u64) -> Vec<Member> {
     let mut rng = SimRng::new(seed).split(0xD06);
-    let mut ids = std::collections::HashSet::with_capacity(n);
+    let mut ids = IdSet::default();
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
         let id = rng.uniform_incl(0, SPACE.size() - 1);
@@ -105,8 +105,8 @@ fn rto_fires_on_the_computed_deadline() {
     // Group retransmit events per in-flight frame (sender, seq); each
     // group's inter-event gaps must match the RTO armed by the previous
     // event in the group.
-    let mut by_frame: std::collections::HashMap<(u64, u64), Vec<(u64, u64)>> =
-        std::collections::HashMap::new();
+    let mut by_frame: std::collections::BTreeMap<(u64, u64), Vec<(u64, u64)>> =
+        std::collections::BTreeMap::new();
     for ev in rec.events() {
         if let EventKind::Retransmit {
             wire_seq,

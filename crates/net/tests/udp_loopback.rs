@@ -11,7 +11,7 @@ use cam_core::cam_chord::CamChordProtocol;
 use cam_net::mux::MuxUdpTransport;
 use cam_net::runtime::{Cluster, RetransmitPolicy};
 use cam_overlay::Member;
-use cam_ring::{Id, IdSpace};
+use cam_ring::{Id, IdSet, IdSpace};
 use cam_sim::rng::SimRng;
 use cam_sim::Duration;
 
@@ -21,7 +21,7 @@ const SEEDED: usize = 24;
 
 fn members(n: usize, seed: u64) -> Vec<Member> {
     let mut rng = SimRng::new(seed).split(0xD06);
-    let mut ids = std::collections::HashSet::with_capacity(n);
+    let mut ids = IdSet::default();
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
         let id = rng.uniform_incl(0, SPACE.size() - 1);

@@ -2,9 +2,7 @@
 //! state with its accessors, lookup routing, and the dispatch of incoming
 //! messages to the handlers in the sibling modules.
 
-use std::collections::HashMap;
-
-use cam_ring::{Id, IdSpace, Segment};
+use cam_ring::{Id, IdMap, IdSpace, Segment};
 use cam_sim::engine::{Actor, ActorId, Context};
 use cam_sim::time::Duration;
 use cam_trace::EventKind;
@@ -87,26 +85,26 @@ pub struct DhtActor<P: DhtProtocol> {
     pub(super) targets: Vec<Id>,
     pub(super) successors: Vec<Member>,
     pub(super) predecessor: Option<Member>,
-    /// Multicast payloads already seen (duplicate suppression).
-    pub(super) seen_payloads: HashMap<u64, u32>,
-    /// Application bytes delivered per payload (first copy wins).
-    pub(super) delivered_data: HashMap<u64, bytes::Bytes>,
+    /// Every payload this node has seen, with what its first copy left
+    /// behind: one probe settles duplicate suppression, replay evidence
+    /// and an anti-entropy push.
+    pub(super) payloads: IdMap<u64, PayloadRecord>,
     /// Directory mapping member ids to actor ids (set by the harness; in a
     /// deployment this is the address book piggybacked on every message).
     /// Shared (`Arc`) across all actors of a network: at colossal scale a
     /// per-actor copy would be `O(n²)` memory, which is exactly what the
     /// 100k-node chaos preset must avoid. Copy-on-write on the rare
     /// per-actor mutation.
-    pub(super) directory: std::sync::Arc<HashMap<u64, ActorId>>,
+    pub(super) directory: std::sync::Arc<IdMap<u64, ActorId>>,
     /// Outstanding finger-refresh lookups this node initiated: req_id →
     /// the target identifier being re-resolved.
-    pub(super) pending: HashMap<u64, Id>,
+    pub(super) pending: IdMap<u64, Id>,
     /// Liveness probes in flight: req_id → (finger target, probed member).
-    pub(super) pending_pings: HashMap<u64, (u64, Id)>,
+    pub(super) pending_pings: IdMap<u64, (u64, Id)>,
     /// Consecutive failed probes per member id — pruning requires two
     /// strikes so a single lost Ping/Pong (message loss, not death) does
     /// not evict a live finger.
-    pub(super) ping_strikes: HashMap<u64, u8>,
+    pub(super) ping_strikes: IdMap<u64, u8>,
     /// Outstanding predecessor liveness probe (Chord's check_predecessor):
     /// `(req_id, probed predecessor)`.
     pub(super) pending_pred_ping: Option<(u64, Id)>,
@@ -137,7 +135,7 @@ pub struct DhtActor<P: DhtProtocol> {
     /// Which pub/sub group each seen payload belongs to (group publishes
     /// only) — keeps group traffic out of the ungrouped anti-entropy
     /// digests and attributes censuses.
-    pub(super) group_of: HashMap<u64, u64>,
+    pub(super) group_of: IdMap<u64, u64>,
     /// Statistics: multicast payloads received (payload, hops).
     pub received_log: Vec<(u64, u32)>,
     /// Statistics: group publishes delivered to this subscriber
@@ -152,7 +150,7 @@ pub struct DhtActor<P: DhtProtocol> {
     /// First-observed capacity per member id. Capacity is immutable in
     /// this protocol, so any later claim that disagrees is a forgery;
     /// the pinned value wins so forged `c_x` cannot steer region splits.
-    pub(super) capacity_pins: HashMap<u64, u32>,
+    pub(super) capacity_pins: IdMap<u64, u32>,
     /// Members this node has itself confirmed dead — evicted *and* then
     /// unresponsive through a full morgue investigation — mapped to the
     /// stabilize rounds the verdict has left to live. A stabilize reply
@@ -164,14 +162,10 @@ pub struct DhtActor<P: DhtProtocol> {
     /// keeps firing, while a falsely-accused live node becomes adoptable
     /// again instead of being blacklisted out of the ring forever.
     pub(super) confirmed_dead: std::collections::BTreeMap<u64, u8>,
-    /// First sender observed per region-carrying payload: a duplicate
-    /// arriving later from a *different* sender is replay evidence
-    /// (retransmits and wire duplicates re-arrive from the original).
-    pub(super) first_sender: HashMap<u64, ActorId>,
     /// Outstanding deep successor-list probe `(req_id, probed id)`.
     pub(super) pending_succ_ping: Option<(u64, Id)>,
     /// Consecutive unanswered deep successor-list probes per member id.
-    pub(super) succ_strikes: HashMap<u64, u8>,
+    pub(super) succ_strikes: IdMap<u64, u8>,
     /// Round-robin cursor over non-head successor-list entries.
     pub(super) succ_probe_cursor: usize,
     /// Evicted members under post-mortem investigation, mapped to the
@@ -201,12 +195,11 @@ impl<P: DhtProtocol> DhtActor<P> {
             targets,
             successors: Vec::new(),
             predecessor: None,
-            seen_payloads: HashMap::new(),
-            delivered_data: HashMap::new(),
-            directory: std::sync::Arc::new(HashMap::new()),
-            pending: HashMap::new(),
-            pending_pings: HashMap::new(),
-            ping_strikes: HashMap::new(),
+            payloads: IdMap::default(),
+            directory: std::sync::Arc::default(),
+            pending: IdMap::default(),
+            pending_pings: IdMap::default(),
+            ping_strikes: IdMap::default(),
             pending_pred_ping: None,
             pred_strikes: 0,
             fix_cursor: 0,
@@ -218,16 +211,15 @@ impl<P: DhtProtocol> DhtActor<P> {
             anti_entropy: false,
             subscriptions: std::collections::BTreeSet::new(),
             group_members: std::collections::BTreeMap::new(),
-            group_of: HashMap::new(),
+            group_of: IdMap::default(),
             received_log: Vec::new(),
             group_received_log: Vec::new(),
             adversary: None,
             detections: DetectionCounters::default(),
-            capacity_pins: HashMap::from([(me.id.value(), me.capacity)]),
+            capacity_pins: [(me.id.value(), me.capacity)].into_iter().collect(),
             confirmed_dead: std::collections::BTreeMap::new(),
-            first_sender: HashMap::new(),
             pending_succ_ping: None,
-            succ_strikes: HashMap::new(),
+            succ_strikes: IdMap::default(),
             succ_probe_cursor: 0,
             morgue: std::collections::BTreeMap::new(),
             morgue_awaiting: std::collections::BTreeSet::new(),
@@ -354,10 +346,7 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// Accepts either an owned map or an [`Arc`](std::sync::Arc)-shared
     /// one; the harness shares a single allocation across the whole
     /// network so that directories cost `O(n)` total, not `O(n²)`.
-    pub fn set_directory(
-        &mut self,
-        directory: impl Into<std::sync::Arc<HashMap<u64, ActorId>>>,
-    ) {
+    pub fn set_directory(&mut self, directory: impl Into<std::sync::Arc<IdMap<u64, ActorId>>>) {
         self.directory = directory.into();
     }
 
@@ -373,17 +362,18 @@ impl<P: DhtProtocol> DhtActor<P> {
 
     /// How many multicast payloads this node has received.
     pub fn payloads_received(&self) -> usize {
-        self.seen_payloads.len()
+        self.payloads.len()
     }
 
     /// Hop count at which `payload` arrived, if it did.
     pub fn payload_hops(&self, payload: u64) -> Option<u32> {
-        self.seen_payloads.get(&payload).copied()
+        self.payloads.get(&payload).map(|r| r.hops)
     }
 
-    /// The application bytes delivered for `payload`, if it arrived.
+    /// The application bytes delivered for `payload`, if it was delivered
+    /// here (a relay that only forwarded a group publish has none).
     pub fn payload_data(&self, payload: u64) -> Option<&bytes::Bytes> {
-        self.delivered_data.get(&payload)
+        self.payloads.get(&payload)?.data.as_ref()
     }
 
     /// Whether this node is subscribed to pub/sub group `group`.
@@ -641,7 +631,7 @@ impl<P: DhtProtocol> DhtActor<P> {
                 payload,
                 hops,
                 data,
-            } => self.on_payload_push(ctx, payload, hops, data),
+            } => self.on_payload_push(ctx, from, payload, hops, data),
             DhtMsg::JoinRequest {
                 joiner,
                 joiner_actor,
@@ -671,6 +661,35 @@ impl<P: DhtProtocol> DhtActor<P> {
                 },
             ),
         }
+    }
+}
+
+/// What a node keeps about one payload it has seen, from its first copy.
+/// One record replaces three per-payload tables and is no bigger than
+/// their entries together (32 bytes, asserted below).
+#[derive(Debug, Clone)]
+pub(super) struct PayloadRecord {
+    /// The application bytes, kept where the payload was delivered; `None`
+    /// on a node that only relayed a group publish.
+    pub(super) data: Option<bytes::Bytes>,
+    /// Who sent the first copy.
+    pub(super) first_sender: ActorId,
+    /// Hop count of the first copy.
+    pub(super) hops: u32,
+    /// Whether the first copy carried a region.
+    pub(super) first_had_region: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<PayloadRecord>() <= 32);
+
+impl PayloadRecord {
+    /// Whether a region-carrying duplicate from `from` is replay evidence:
+    /// the first copy also carried a region but came from someone else.
+    /// Retransmits and wire duplicates re-arrive from the original sender,
+    /// and the region-split tree hands each payload to a child exactly
+    /// once, so a second region-carrying sender replayed the frame.
+    pub(super) fn replayed_by(&self, from: ActorId) -> bool {
+        self.first_had_region && self.first_sender != from
     }
 }
 

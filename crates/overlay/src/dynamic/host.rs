@@ -11,10 +11,9 @@
 //! keeps only what is its own: how it stores actors and how it moves
 //! messages and time.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use cam_ring::{Id, IdSpace, Segment};
+use cam_ring::{Id, IdMap, IdSpace, Segment};
 use cam_sim::engine::ActorId;
 use cam_sim::time::Duration;
 use cam_trace::{DeliveryCensus, GroupDeliveryCensus};
@@ -91,7 +90,7 @@ pub fn maintenance_schedule(slot: usize) -> [(Duration, u64); 3] {
 /// ([`DhtActor::set_directory`]): `O(n)` in total, not a copy per node.
 pub fn shared_directory(
     entries: impl IntoIterator<Item = (Id, ActorId)>,
-) -> Arc<HashMap<u64, ActorId>> {
+) -> Arc<IdMap<u64, ActorId>> {
     Arc::new(
         entries
             .into_iter()

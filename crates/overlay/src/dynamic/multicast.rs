@@ -3,10 +3,13 @@
 //! flooding for CAM-Koorde), pub/sub group membership, and the
 //! anti-entropy repair that backs best-effort forwarding.
 
-use cam_ring::Id;
+use std::collections::hash_map::Entry;
+
+use cam_ring::{Id, IdSet};
 use cam_sim::engine::ActorId;
 use cam_trace::EventKind;
 
+use super::actor::PayloadRecord;
 use super::maintenance::TIMER_ANTI_ENTROPY;
 use super::msg::PayloadFrame;
 use super::{group_root_id, DhtActor, DhtDriver, DhtMsg, DhtProtocol};
@@ -34,57 +37,48 @@ impl<P: DhtProtocol> DhtActor<P> {
             ref data,
         } = frame;
         let trace_group = group.map(cam_trace::GroupId);
-        if self.seen_payloads.contains_key(&payload) {
-            // Replay evidence: a region-carrying copy arriving again from
-            // a *different* sender than the first. Retransmits and wire
-            // duplicates re-arrive from the original sender, and the
-            // region-split tree hands each payload to a child exactly
-            // once, so a second region-carrying sender replayed the frame.
-            if region.is_some()
-                && self
-                    .first_sender
-                    .get(&payload)
-                    .is_some_and(|&first| first != from)
-            {
-                self.detections.replay_suspects += 1;
-                ctx.trace(EventKind::AdversaryDetect {
-                    detector: "replay_suspect",
-                    suspect: from.0 as u64,
+        let delivers = group.is_none_or(|g| self.subscriptions.contains(&g));
+        match self.payloads.entry(payload) {
+            Entry::Occupied(first) => {
+                if region.is_some() && first.get().replayed_by(from) {
+                    self.detections.replay_suspects += 1;
+                    ctx.trace(EventKind::AdversaryDetect {
+                        detector: "replay_suspect",
+                        suspect: from.0 as u64,
+                        payload,
+                    });
+                }
+                ctx.trace(EventKind::DuplicateSuppress {
                     payload,
+                    hops,
+                    group: trace_group,
+                });
+                return; // duplicate
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(PayloadRecord {
+                    data: delivers.then(|| data.clone()),
+                    first_sender: from,
+                    hops,
+                    first_had_region: region.is_some(),
                 });
             }
-            ctx.trace(EventKind::DuplicateSuppress {
-                payload,
-                hops,
-                group: trace_group,
-            });
-            return; // duplicate
         }
-        if region.is_some() {
-            self.first_sender.insert(payload, from);
-        }
-        self.seen_payloads.insert(payload, hops);
-        let delivers = match group {
-            None => {
-                self.received_log.push((payload, hops));
-                true
-            }
+        match group {
+            None => self.received_log.push((payload, hops)),
             Some(g) => {
                 self.group_of.insert(payload, g);
-                let subscribed = self.subscriptions.contains(&g);
-                if subscribed {
+                if delivers {
                     self.group_received_log.push((g, payload, hops));
                 }
-                subscribed
             }
-        };
+        }
         if delivers {
             ctx.trace(EventKind::MulticastReceive {
                 payload,
                 hops,
                 group: trace_group,
             });
-            self.delivered_data.insert(payload, data.clone());
         }
         // Region honesty: CAM-Chord's split always delegates to child `c`
         // a segment beginning (exclusively) at `c` itself, and a source's
@@ -216,7 +210,7 @@ impl<P: DhtProtocol> DhtActor<P> {
                           order downstream of it) is identical across runs"
             )]
             let mut have: Vec<u64> = self
-                .seen_payloads
+                .payloads
                 .keys()
                 .filter(|p| !self.group_of.contains_key(p))
                 .copied()
@@ -247,7 +241,7 @@ impl<P: DhtProtocol> DhtActor<P> {
         from: ActorId,
         have: Vec<u64>,
     ) {
-        let their: std::collections::HashSet<u64> = have.iter().copied().collect();
+        let their: IdSet<u64> = have.iter().copied().collect();
         // Push what they're missing… except group publishes, which the
         // digest leaves out on purpose (see `handle_anti_entropy_timer`):
         // "missing" from a digest says nothing about them.
@@ -255,20 +249,20 @@ impl<P: DhtProtocol> DhtActor<P> {
             clippy::disallowed_methods,
             reason = "sorted right after the collect, before any payload is pushed"
         )]
-        let mut missing: Vec<(u64, u32)> = self
-            .seen_payloads
+        let mut missing: Vec<(u64, &PayloadRecord)> = self
+            .payloads
             .iter()
             .filter(|(p, _)| !their.contains(p) && !self.group_of.contains_key(p))
-            .map(|(&p, &hops)| (p, hops))
+            .map(|(&p, record)| (p, record))
             .collect();
-        missing.sort_unstable();
-        for (p, hops) in missing {
-            self.push_payload(ctx, from, p, hops);
+        missing.sort_unstable_by_key(|&(p, _)| p);
+        for (p, record) in missing {
+            push_payload(ctx, from, p, record);
         }
         // …and pull what we're missing.
         let want: Vec<u64> = have
             .into_iter()
-            .filter(|p| !self.seen_payloads.contains_key(p))
+            .filter(|p| !self.payloads.contains_key(p))
             .collect();
         if !want.is_empty() {
             ctx.send(from, DhtMsg::PayloadPullReq { want });
@@ -283,27 +277,10 @@ impl<P: DhtProtocol> DhtActor<P> {
         want: Vec<u64>,
     ) {
         for p in want {
-            if let Some(&hops) = self.seen_payloads.get(&p) {
-                self.push_payload(ctx, from, p, hops);
+            if let Some(record) = self.payloads.get(&p) {
+                push_payload(ctx, from, p, record);
             }
         }
-    }
-
-    /// Sends `to` the payload this node received at `hops`, one hop on.
-    fn push_payload<D: DhtDriver>(&self, ctx: &mut D, to: ActorId, payload: u64, hops: u32) {
-        let data = self
-            .delivered_data
-            .get(&payload)
-            .cloned()
-            .unwrap_or_default();
-        ctx.send(
-            to,
-            DhtMsg::PayloadPush {
-                payload,
-                hops: hops + 1,
-                data,
-            },
-        );
     }
 
     /// Handles [`DhtMsg::PayloadPush`]: records a payload recovered by
@@ -311,15 +288,19 @@ impl<P: DhtProtocol> DhtActor<P> {
     pub(super) fn on_payload_push<D: DhtDriver>(
         &mut self,
         ctx: &mut D,
+        from: ActorId,
         payload: u64,
         hops: u32,
         data: bytes::Bytes,
     ) {
-        if let std::collections::hash_map::Entry::Vacant(e) = self.seen_payloads.entry(payload)
-        {
-            e.insert(hops);
+        if let Entry::Vacant(slot) = self.payloads.entry(payload) {
+            slot.insert(PayloadRecord {
+                data: Some(data),
+                first_sender: from,
+                hops,
+                first_had_region: false,
+            });
             self.received_log.push((payload, hops));
-            self.delivered_data.insert(payload, data);
             // Tree delivery failed for this payload and epidemic repair
             // recovered it — the observable footprint of dropped/misrouted
             // forwards upstream. Unattributable to a specific peer, hence
@@ -332,4 +313,16 @@ impl<P: DhtProtocol> DhtActor<P> {
             });
         }
     }
+}
+
+/// Sends `to` the payload `record` describes, one hop on.
+fn push_payload<D: DhtDriver>(ctx: &mut D, to: ActorId, payload: u64, record: &PayloadRecord) {
+    ctx.send(
+        to,
+        DhtMsg::PayloadPush {
+            payload,
+            hops: record.hops + 1,
+            data: record.data.clone().unwrap_or_default(),
+        },
+    );
 }

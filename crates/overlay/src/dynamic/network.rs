@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use cam_ring::{Id, IdSpace};
+use cam_ring::{Id, IdMap, IdSpace};
 use cam_sim::engine::ActorId;
 use cam_sim::{LatencyModel, Simulation};
 use cam_trace::{EventKind, GroupDeliveryCensus};
@@ -18,6 +18,8 @@ pub struct DynamicNetwork<P: DhtProtocol> {
     pub sim: Simulation<DhtActor<P>>,
     space: IdSpace,
     actors: Vec<(Member, ActorId)>,
+    /// Member id → its slot in `actors`.
+    slot_of: IdMap<u64, usize>,
     next_payload: u64,
 }
 
@@ -43,10 +45,17 @@ impl<P: DhtProtocol> DynamicNetwork<P> {
                 sim.post_timer(actor, delay, tag);
             }
         }
+        let slot_of: IdMap<u64, usize> = actors
+            .iter()
+            .enumerate()
+            .map(|(slot, (m, _))| (m.id.value(), slot))
+            .collect();
+        debug_assert_eq!(slot_of.len(), actors.len(), "member ids must be unique");
         DynamicNetwork {
             sim,
             space,
             actors,
+            slot_of,
             next_payload: 1,
         }
     }
@@ -56,7 +65,8 @@ impl<P: DhtProtocol> DynamicNetwork<P> {
         self.space
     }
 
-    /// Live members, in ring order.
+    /// Live members, in slot order: ring order for the converged
+    /// bootstrap, then each later join appended.
     pub fn live_members(&self) -> Vec<Member> {
         self.actors
             .iter()
@@ -99,12 +109,13 @@ impl<P: DhtProtocol> DynamicNetwork<P> {
     /// Returns the new actor id, or `None` if the member's identifier is
     /// already present or no live bootstrap exists.
     pub fn inject_join(&mut self, member: Member, protocol: P) -> Option<ActorId> {
-        if self.actors.iter().any(|(m, _)| m.id == member.id) {
+        if self.slot_of.contains_key(&member.id.value()) {
             return None;
         }
         let bootstrap = host::join_bootstrap(self.slots())?;
         let actor = DhtActor::new(self.space, member, protocol);
         let new_id = self.sim.add_actor(actor);
+        self.slot_of.insert(member.id.value(), self.actors.len());
         self.actors.push((member, new_id));
         // Rebuild the authoritative address book once and re-share it with
         // every actor (newcomer included): one O(n) allocation instead of
@@ -124,7 +135,7 @@ impl<P: DhtProtocol> DynamicNetwork<P> {
     /// Returns the new actor id, or `None` if `id` is unknown or still
     /// alive (a running node cannot be restarted).
     pub fn revive(&mut self, id: Id, protocol: P) -> Option<ActorId> {
-        let pos = self.actors.iter().position(|(m, _)| m.id == id)?;
+        let pos = *self.slot_of.get(&id.value())?;
         let (member, old) = self.actors[pos];
         if self.sim.is_alive(old) {
             return None;
@@ -218,10 +229,9 @@ impl<P: DhtProtocol> DynamicNetwork<P> {
 
     /// The actor id of the member with identifier `id`, if it ever joined.
     pub fn actor_of(&self, id: Id) -> Option<ActorId> {
-        self.actors
-            .iter()
-            .find(|(m, _)| m.id == id)
-            .map(|(_, a)| *a)
+        self.slot_of
+            .get(&id.value())
+            .map(|&slot| self.actors[slot].1)
     }
 
     /// Initiates a multicast at `source` and returns the payload id.

@@ -3,11 +3,9 @@
 //! minimal ring protocol so the actor logic is tested independently of the
 //! CAM routing algorithms.
 
-use std::collections::HashMap;
-
 use cam_overlay::dynamic::{host, DhtActor, DhtDriver, DhtMsg, DhtProtocol, DynamicNetwork};
 use cam_overlay::Member;
-use cam_ring::{Id, IdSpace, Segment};
+use cam_ring::{Id, IdMap, IdSet, IdSpace, Segment};
 use cam_sim::engine::{ActorId, Simulation};
 use cam_sim::time::Duration;
 use cam_sim::LatencyModel;
@@ -155,8 +153,7 @@ fn fingers_pointing_at_dead_nodes_get_pruned() {
         net.sim.kill(*v);
     }
     net.sim.run_until(net.sim.now() + Duration::from_secs(60));
-    let live: std::collections::HashSet<u64> =
-        net.live_members().iter().map(|mm| mm.id.value()).collect();
+    let live: IdSet<u64> = net.live_members().iter().map(|mm| mm.id.value()).collect();
     let mut stale = 0;
     let mut total = 0;
     for (_, a) in net.actors() {
@@ -256,7 +253,7 @@ fn seeded_actor_state_accessors() {
     assert!(!actor.is_joined());
     assert!(actor.successor().is_none());
     actor.seed_state(vec![succ], pred, vec![(Id(300), succ)]);
-    actor.set_directory(HashMap::new());
+    actor.set_directory(IdMap::default());
     assert!(actor.is_joined());
     assert_eq!(actor.successor().unwrap().id, Id(200));
     assert_eq!(actor.predecessor().unwrap().id, Id(50));
@@ -376,7 +373,7 @@ fn neighbor_table_equals_the_rule_after_every_kind_of_write() {
             (Id(extra), me),
         ],
     );
-    let directory: HashMap<u64, ActorId> = [me, a_, b_, c_, succ, pred]
+    let directory: IdMap<u64, ActorId> = [me, a_, b_, c_, succ, pred]
         .iter()
         .enumerate()
         .map(|(i, m)| (m.id.value(), ActorId(i)))
@@ -451,4 +448,173 @@ fn neighbor_table_equals_the_rule_after_every_kind_of_write() {
     }
     assert_eq!(actor.successor(), Some(&b_));
     assert_table(&actor, &[tv[0], extra], &[b_.id]);
+}
+
+/// One record per payload answers every question the per-payload state is
+/// asked: which copy was first (hops, bytes, sender), whether a later copy
+/// is replay evidence, and what anti-entropy offers, asks for and accepts.
+#[test]
+fn payload_record_keeps_what_the_first_copy_left() {
+    let [_, _, (_, anti_entropy)] = host::maintenance_schedule(0);
+    let me = Member::with_capacity(Id(100), 6);
+    let succ = Member::with_capacity(Id(200), 6);
+    let pred = Member::with_capacity(Id(50), 6);
+    let mut actor = DhtActor::new(SPACE, me, MiniRing);
+    actor.seed_state(vec![succ], pred, vec![]);
+    actor.set_directory(host::shared_directory([(succ.id, ActorId(5))]));
+    actor.set_anti_entropy(true);
+    let mut drv = Recorder::default();
+    let region = Some(Segment::all_but(SPACE, me.id));
+    let data = |s: &'static [u8]| bytes::Bytes::from_static(s);
+    let multicast = |payload, region, hops, bytes| DhtMsg::Multicast {
+        payload,
+        region,
+        hops,
+        data: data(bytes),
+    };
+    let replays = |a: &DhtActor<MiniRing>| a.detections().replay_suspects;
+
+    // Payload 1 arrives with a region from actor 1. A retransmit from the
+    // same sender is not evidence; a region copy from actor 2 is, once; a
+    // region-less copy never is.
+    actor.deliver(&mut drv, ActorId(1), multicast(1, region, 2, b"first"));
+    actor.deliver(&mut drv, ActorId(1), multicast(1, region, 2, b"first"));
+    assert_eq!(replays(&actor), 0);
+    actor.deliver(&mut drv, ActorId(2), multicast(1, region, 3, b"again"));
+    assert_eq!(replays(&actor), 1);
+    actor.deliver(&mut drv, ActorId(3), multicast(1, None, 4, b"flood"));
+    assert_eq!(replays(&actor), 1);
+    assert_eq!(actor.payload_hops(1), Some(2));
+    assert_eq!(actor.payload_data(1), Some(&data(b"first")));
+    // Payload 2's first copy carried no region, so no later sender is
+    // measured against it.
+    actor.deliver(&mut drv, ActorId(1), multicast(2, None, 1, b"two"));
+    actor.deliver(&mut drv, ActorId(2), multicast(2, region, 1, b"two"));
+    assert_eq!(replays(&actor), 1);
+
+    // A group publish relayed by a non-subscriber: hops, but no bytes, no
+    // delivery, and no place in the anti-entropy digest.
+    let publish = DhtMsg::GroupPublish {
+        group: 9,
+        payload: 3,
+        region,
+        hops: 1,
+        data: data(b"group"),
+    };
+    actor.deliver(&mut drv, ActorId(1), publish);
+    assert_eq!(actor.payload_hops(3), Some(1));
+    assert_eq!(actor.payload_data(3), None);
+    assert!(!actor.has_group_payload(9, 3));
+    assert_eq!(actor.payloads_received(), 3);
+    drv.sent.clear();
+    actor.deliver_timer(&mut drv, anti_entropy);
+    let digests: Vec<(ActorId, Vec<u64>)> = drv
+        .sent
+        .drain(..)
+        .filter_map(|(to, msg)| match msg {
+            DhtMsg::AntiEntropyDigest { have } => Some((to, have)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(digests, [(ActorId(5), vec![1, 2])]);
+    // An empty digest from a peer is answered with both ungrouped
+    // payloads, first-copy hops plus one and the delivered bytes.
+    actor.deliver(
+        &mut drv,
+        ActorId(7),
+        DhtMsg::AntiEntropyDigest { have: vec![] },
+    );
+    let pushed: Vec<(ActorId, u64, u32, bytes::Bytes)> = drv
+        .sent
+        .drain(..)
+        .filter_map(|(to, msg)| match msg {
+            DhtMsg::PayloadPush {
+                payload,
+                hops,
+                data,
+            } => Some((to, payload, hops, data)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        pushed,
+        [
+            (ActorId(7), 1, 3, data(b"first")),
+            (ActorId(7), 2, 2, data(b"two"))
+        ]
+    );
+
+    // A push of a payload already seen changes nothing…
+    let push = |payload, hops, bytes| DhtMsg::PayloadPush {
+        payload,
+        hops,
+        data: data(bytes),
+    };
+    actor.deliver(&mut drv, ActorId(4), push(1, 9, b"late"));
+    assert_eq!(actor.payload_hops(1), Some(2));
+    assert_eq!(actor.payload_data(1), Some(&data(b"first")));
+    assert_eq!(actor.detections().repair_recoveries, 0);
+    // …and a push of an unseen one is a recovery: hops, bytes, delivery.
+    actor.deliver(&mut drv, ActorId(4), push(4, 5, b"repaired"));
+    assert_eq!(actor.payload_hops(4), Some(5));
+    assert_eq!(actor.payload_data(4), Some(&data(b"repaired")));
+    assert_eq!(actor.detections().repair_recoveries, 1);
+    assert_eq!(actor.received_log.last(), Some(&(4, 5)));
+    // A region copy of the recovered payload is a duplicate, not a replay.
+    actor.deliver(&mut drv, ActorId(2), multicast(4, region, 1, b"tree"));
+    assert_eq!(replays(&actor), 1);
+    assert_eq!(actor.payloads_received(), 4);
+}
+
+/// `DynamicNetwork` keeps an id → slot index beside its member table; a
+/// script of joins, crashes, revivals and leaves must leave `actor_of`
+/// agreeing with a scan of the table at every step.
+#[test]
+fn actor_of_agrees_with_a_scan_through_churn() {
+    let m = members(12);
+    let mut net = DynamicNetwork::converged(SPACE, &m, MiniRing, 9, wan());
+    let fresh: Vec<Member> = (0..4)
+        .map(|i| Member::with_capacity(Id(1_000 + 7 * i), 6))
+        .collect();
+    let mut ids: Vec<Id> = m.iter().chain(&fresh).map(|mm| mm.id).collect();
+    ids.push(Id(1)); // never joins
+    let check = |net: &DynamicNetwork<MiniRing>, step: &str| {
+        for &id in &ids {
+            let scan = net
+                .actors()
+                .iter()
+                .find(|(mm, _)| mm.id == id)
+                .map(|&(_, a)| a);
+            assert_eq!(net.actor_of(id), scan, "{step}: id {id}");
+        }
+    };
+    check(&net, "converged");
+    let step = |net: &mut DynamicNetwork<MiniRing>| {
+        net.sim.run_until(net.sim.now() + Duration::from_secs(2));
+    };
+    assert!(net.inject_join(fresh[0], MiniRing).is_some());
+    check(&net, "join");
+    assert!(net.inject_join(fresh[0], MiniRing).is_none());
+    step(&mut net);
+    assert!(net.crash(net.actor_of(m[3].id).unwrap()));
+    check(&net, "crash");
+    assert!(net.revive(m[3].id, MiniRing).is_some());
+    check(&net, "revive");
+    assert!(net.revive(m[3].id, MiniRing).is_none(), "alive again");
+    step(&mut net);
+    assert!(net.remove_member(fresh[0].id));
+    check(&net, "leave");
+    assert!(net.revive(fresh[0].id, MiniRing).is_some());
+    check(&net, "revive after leave");
+    for &f in &fresh[1..] {
+        assert!(net.inject_join(f, MiniRing).is_some());
+        check(&net, "join");
+        step(&mut net);
+    }
+    assert!(net.remove_member(m[0].id));
+    assert!(net.remove_member(fresh[2].id));
+    check(&net, "two leaves");
+    assert!(net.revive(m[0].id, MiniRing).is_some());
+    check(&net, "revive");
+    assert_eq!(net.live_members().len(), m.len() + fresh.len() - 1);
 }

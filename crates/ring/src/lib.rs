@@ -24,7 +24,9 @@
 //! * [`math`] — integer base-`c` logarithms and saturating powers used by
 //!   CAM-Chord's neighbor/level computations;
 //! * [`sha1`] — a from-scratch SHA-1 implementation used to map member
-//!   names/addresses onto the ring (the paper specifies SHA-1).
+//!   names/addresses onto the ring (the paper specifies SHA-1);
+//! * [`IdMap`] / [`IdSet`] — `HashMap` / `HashSet` over [`IdBuild`], the
+//!   keyed integer hasher every id-keyed table in the workspace uses.
 //!
 //! # Example
 //!
@@ -44,7 +46,9 @@ pub mod math;
 pub mod segment;
 pub mod sha1;
 
+mod hash;
 mod id;
 
+pub use hash::{IdBuild, IdHasher, IdMap, IdSet};
 pub use id::{Id, IdSpace};
 pub use segment::Segment;

@@ -189,7 +189,7 @@ fn hash_spread_is_roughly_uniform() {
     // cover all four quadrants — a sanity check, not a statistical test.
     let space = IdSpace::PAPER;
     let mut quadrant = [0usize; 4];
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = cam_ring::IdSet::default();
     for i in 0..4096u32 {
         let id = space.hash_to_id(format!("member-{i}").as_bytes());
         seen.insert(id);

@@ -128,8 +128,7 @@ impl ChurnTrace {
         let mut present: Vec<Member> = initial.to_vec();
         // Identifiers currently in use; departures release theirs below,
         // so long traces in small identifier spaces cannot exhaust it.
-        let mut taken: std::collections::HashSet<u64> =
-            initial.iter().map(|m| m.id.value()).collect();
+        let mut taken: cam_ring::IdSet<u64> = initial.iter().map(|m| m.id.value()).collect();
         let mut t = 0u64;
         let mut out = Vec::with_capacity(events);
         for _ in 0..events {
@@ -225,8 +224,7 @@ mod tests {
         // Replay the trace: a join must never reuse an id that is still
         // present — but *departed* ids are fair game, like a rejoining
         // host in a deployment.
-        let mut present: std::collections::HashSet<u64> =
-            init.iter().map(|m| m.id.value()).collect();
+        let mut present: cam_ring::IdSet<u64> = init.iter().map(|m| m.id.value()).collect();
         for e in &trace.events {
             match e.kind {
                 ChurnKind::Join(m) => {
@@ -256,7 +254,7 @@ mod tests {
         let trace = ChurnTrace::generate(space, &init, 600, 1e4, 0.5, 21);
         assert_eq!(trace.events.len(), 600);
 
-        let mut departed: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut departed: cam_ring::IdSet<u64> = cam_ring::IdSet::default();
         let mut recycled = false;
         for e in &trace.events {
             match e.kind {

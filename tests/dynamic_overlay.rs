@@ -3,6 +3,7 @@
 
 use cam::overlay::dynamic::{DhtActor, DhtMsg, DynamicNetwork};
 use cam::prelude::*;
+use cam::ring::{IdMap, IdSet};
 use cam::sim::time::Duration;
 use cam::sim::LatencyModel;
 
@@ -64,8 +65,7 @@ fn ring_self_heals_after_crashes() {
     net.sim.run_until(net.sim.now() + Duration::from_secs(120));
 
     // Every live node's successor must be live, and multicast is complete.
-    let live: std::collections::HashSet<u64> =
-        net.live_members().iter().map(|m| m.id.value()).collect();
+    let live: IdSet<u64> = net.live_members().iter().map(|m| m.id.value()).collect();
     for (_, a) in net.actors() {
         if let Some(actor) = net.sim.actor(*a) {
             let succ = actor.successor().expect("successor after repair");
@@ -126,7 +126,7 @@ fn node_join_integrates_into_ring() {
         }
     }
     // Newcomer needs the full directory too.
-    let directory: std::collections::HashMap<u64, cam::sim::engine::ActorId> = pairs
+    let directory: IdMap<u64, cam::sim::engine::ActorId> = pairs
         .iter()
         .map(|(m, a)| (m.id.value(), *a))
         .chain([(newcomer.id.value(), new_actor_id)])
