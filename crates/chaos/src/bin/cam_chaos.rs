@@ -193,23 +193,11 @@ fn main() -> ExitCode {
         };
         for &host in &args.hosts {
             let report = run_plan(&plan, host, false);
+            println!("{}", report.summary(&plan));
             if report.passed() {
-                println!(
-                    "seed {seed:>4} [{}/{}] ok: {} events, fingerprint {:016x}",
-                    args.preset,
-                    host.name(),
-                    report.events_applied,
-                    report.fingerprint
-                );
                 continue;
             }
             failures += 1;
-            println!(
-                "seed {seed:>4} [{}/{}] FAILED with {} violation(s):",
-                args.preset,
-                host.name(),
-                report.violations.len()
-            );
             let shown = if args.dump { usize::MAX } else { 8 };
             for v in report.violations.iter().take(shown) {
                 println!(

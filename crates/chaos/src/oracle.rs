@@ -25,11 +25,11 @@
 //!
 //! # Degraded catalog (Byzantine runs)
 //!
-//! When the plan carries an [`AdversarySpec`], the run is judged with the
-//! `*_degraded` variants below. Each states what must *still* hold with
-//! `f = 1` planned Byzantine node, and every variant reduces exactly to
-//! its base oracle when `adversary` is `None` — the catalog is a strict
-//! weakening, never a different predicate:
+//! Every oracle a lying node could trip takes `adversary:
+//! Option<&AdversarySpec>`. With `None` it is the plain oracle above; with
+//! the plan's [`AdversarySpec`] it states what must *still* hold with
+//! `f = 1` planned Byzantine node — a strict weakening, never a different
+//! predicate:
 //!
 //! * `duplicate_suppression` — **unconditional**. Suppression is local
 //!   state; no remote liar can make a correct node deliver twice.
@@ -152,7 +152,10 @@ fn violation(oracle: &'static str, node: usize, detail: String) -> Violation {
 
 /// Delivery census for one payload over live joined nodes:
 /// `(live, delivered)`.
-pub fn census_of(snaps: &[NodeSnapshot], payload: u64) -> (u64, u64) {
+pub fn census_of<'a>(
+    snaps: impl IntoIterator<Item = &'a NodeSnapshot>,
+    payload: u64,
+) -> (u64, u64) {
     let mut live = 0;
     let mut delivered = 0;
     for s in snaps {
@@ -216,11 +219,22 @@ pub fn check_forward_cycles(events: &[TraceEvent]) -> Vec<Violation> {
         .collect()
 }
 
-/// Every live joined node holds every payload in `payloads`.
-pub fn check_delivery(snaps: &[NodeSnapshot], payloads: &[u64]) -> Vec<Violation> {
+/// True when `s` is the planned adversary.
+fn is_adversary(s: &NodeSnapshot, adversary: Option<&AdversarySpec>) -> bool {
+    adversary.is_some_and(|a| s.index == a.node as usize)
+}
+
+/// Every **honest** live joined node holds every payload in `payloads`;
+/// the adversary's own delivery log is its business.
+pub fn check_delivery(
+    snaps: &[NodeSnapshot],
+    payloads: &[u64],
+    adversary: Option<&AdversarySpec>,
+) -> Vec<Violation> {
     let mut out = Vec::new();
     for &p in payloads {
-        let (live, delivered) = census_of(snaps, p);
+        let honest = snaps.iter().filter(|s| !is_adversary(s, adversary));
+        let (live, delivered) = census_of(honest, p);
         if delivered != live {
             out.push(Violation {
                 oracle: "delivery",
@@ -232,11 +246,15 @@ pub fn check_delivery(snaps: &[NodeSnapshot], payloads: &[u64]) -> Vec<Violation
     out
 }
 
-/// After settle (with join retries), no node should still be mid-join.
-pub fn check_join_completion(snaps: &[NodeSnapshot]) -> Vec<Violation> {
+/// After settle (with join retries), no honest node should still be
+/// mid-join.
+pub fn check_join_completion(
+    snaps: &[NodeSnapshot],
+    adversary: Option<&AdversarySpec>,
+) -> Vec<Violation> {
     snaps
         .iter()
-        .filter(|s| s.alive && !s.joined)
+        .filter(|s| s.alive && !s.joined && !is_adversary(s, adversary))
         .map(|s| violation("join_completion", s.index, "alive but never joined".into()))
         .collect()
 }
@@ -252,14 +270,30 @@ fn ideal_ring(snaps: &[NodeSnapshot]) -> Vec<Member> {
     ring
 }
 
-/// Successor and predecessor pointers match the ideal live ring.
-pub fn check_ring_convergence(snaps: &[NodeSnapshot]) -> Vec<Violation> {
+/// Live joined nodes whose own claims an oracle judges: every one but the
+/// planned adversary, which may report anything.
+fn judged<'a>(
+    snaps: &'a [NodeSnapshot],
+    adversary: Option<&'a AdversarySpec>,
+) -> impl Iterator<Item = &'a NodeSnapshot> {
+    snaps
+        .iter()
+        .filter(move |s| s.alive && s.joined && !is_adversary(s, adversary))
+}
+
+/// Successor and predecessor pointers match the ideal live ring. The ring
+/// still *includes* the adversary (it is live and joined, and honest
+/// pointers at it are correct); its own pointers are unchecked.
+pub fn check_ring_convergence(
+    snaps: &[NodeSnapshot],
+    adversary: Option<&AdversarySpec>,
+) -> Vec<Violation> {
     let ring = ideal_ring(snaps);
     if ring.len() < 2 {
         return Vec::new();
     }
     let mut out = Vec::new();
-    for s in snaps.iter().filter(|s| s.alive && s.joined) {
+    for s in judged(snaps, adversary) {
         let pos = ring
             .iter()
             .position(|m| m.id == s.member.id)
@@ -286,7 +320,9 @@ pub fn check_ring_convergence(snaps: &[NodeSnapshot]) -> Vec<Violation> {
 
 /// Every resolved neighbor entry points at the true owner of its target
 /// identifier on the ideal live ring — the capacity-derived neighbor
-/// tables have converged to what the paper's overlay maintains.
+/// tables have converged to what the paper's overlay maintains. Ownership
+/// is computed over the full live ring, adversary included; the
+/// adversary's own table is unchecked.
 ///
 /// Unresolved targets are not flagged here (a node whose neighbor table
 /// is still filling is a liveness matter, covered by delivery); a
@@ -294,6 +330,7 @@ pub fn check_ring_convergence(snaps: &[NodeSnapshot]) -> Vec<Violation> {
 pub fn check_neighbor_ideal(
     snaps: &[NodeSnapshot],
     targets_of: &dyn Fn(&Member) -> Vec<Id>,
+    adversary: Option<&AdversarySpec>,
 ) -> Vec<Violation> {
     let ring = ideal_ring(snaps);
     if ring.len() < 2 {
@@ -305,7 +342,7 @@ pub fn check_neighbor_ideal(
         ids[if i == ids.len() { 0 } else { i }]
     };
     let mut out = Vec::new();
-    for s in snaps.iter().filter(|s| s.alive && s.joined) {
+    for s in judged(snaps, adversary) {
         for target in targets_of(&s.member) {
             let Some(&(_, resolved)) = s.fingers.iter().find(|(t, _)| *t == target.value())
             else {
@@ -334,7 +371,19 @@ pub fn check_neighbor_ideal(
 /// maintenance timers (stabilize, fix-fingers, anti-entropy) and no
 /// unacknowledged frames. The pure-sim host has no frame layer; only the
 /// dead-node check applies there.
-pub fn check_cleanup(snaps: &[NodeSnapshot], wire_host: bool) -> Vec<Violation> {
+///
+/// Dead-node leaks and timer discipline are unconditional. Unacked frames
+/// are excused on the adversary, which wires frames to targets of its
+/// choosing, and on every node under
+/// [`ByzantineBehavior::StaleIncarnation`]: a frozen snapshot that keeps
+/// advertising corpses keeps honest re-probes legitimately in flight at
+/// any quiescent point.
+pub fn check_cleanup(
+    snaps: &[NodeSnapshot],
+    wire_host: bool,
+    adversary: Option<&AdversarySpec>,
+) -> Vec<Violation> {
+    let stale = adversary.is_some_and(|a| a.behavior == ByzantineBehavior::StaleIncarnation);
     let mut out = Vec::new();
     for s in snaps {
         if !s.alive {
@@ -353,7 +402,7 @@ pub fn check_cleanup(snaps: &[NodeSnapshot], wire_host: bool) -> Vec<Violation> 
         if !wire_host {
             continue;
         }
-        if s.unacked != 0 {
+        if s.unacked != 0 && !stale && !is_adversary(s, adversary) {
             out.push(violation(
                 "cleanup",
                 s.index,
@@ -390,93 +439,6 @@ pub fn check_cross_group_capacity(ledger: &CapacityLedger) -> Vec<Violation> {
             ),
         )],
     }
-}
-
-// ------------------------------------------- degraded catalog (f = 1)
-
-/// True when `s` is the planned adversary.
-fn is_adversary(s: &NodeSnapshot, adversary: Option<&AdversarySpec>) -> bool {
-    adversary.is_some_and(|a| s.index == a.node as usize)
-}
-
-/// Degraded `delivery`: every **honest** live joined node holds every
-/// required payload; the adversary's own delivery log is its business.
-pub fn check_delivery_degraded(
-    snaps: &[NodeSnapshot],
-    payloads: &[u64],
-    adversary: Option<&AdversarySpec>,
-) -> Vec<Violation> {
-    let honest: Vec<NodeSnapshot> = snaps
-        .iter()
-        .filter(|s| !is_adversary(s, adversary))
-        .cloned()
-        .collect();
-    check_delivery(&honest, payloads)
-}
-
-/// Degraded `join_completion`: judged for honest nodes only.
-pub fn check_join_completion_degraded(
-    snaps: &[NodeSnapshot],
-    adversary: Option<&AdversarySpec>,
-) -> Vec<Violation> {
-    let adv = adversary.map(|a| u64::from(a.node));
-    check_join_completion(snaps)
-        .into_iter()
-        .filter(|v| v.node != adv)
-        .collect()
-}
-
-/// Degraded `ring_convergence`: the ideal ring still *includes* the
-/// adversary (it is live and joined, and honest pointers at it are
-/// correct), but the adversary's own claimed pointers are unchecked.
-pub fn check_ring_convergence_degraded(
-    snaps: &[NodeSnapshot],
-    adversary: Option<&AdversarySpec>,
-) -> Vec<Violation> {
-    let adv = adversary.map(|a| u64::from(a.node));
-    check_ring_convergence(snaps)
-        .into_iter()
-        .filter(|v| v.node != adv)
-        .collect()
-}
-
-/// Degraded `neighbor_ideal`: ownership is computed over the full live
-/// ring (adversary included), but the adversary's own finger table is
-/// unchecked.
-pub fn check_neighbor_ideal_degraded(
-    snaps: &[NodeSnapshot],
-    targets_of: &dyn Fn(&Member) -> Vec<Id>,
-    adversary: Option<&AdversarySpec>,
-) -> Vec<Violation> {
-    let adv = adversary.map(|a| u64::from(a.node));
-    check_neighbor_ideal(snaps, targets_of)
-        .into_iter()
-        .filter(|v| v.node != adv)
-        .collect()
-}
-
-/// Degraded `cleanup`: dead-node leak checks and honest timer discipline
-/// stay unconditional. The adversary's unacked frames are unchecked, and
-/// under [`ByzantineBehavior::StaleIncarnation`] honest unacked counts
-/// are excused — a frozen snapshot that keeps advertising corpses keeps
-/// honest re-probes legitimately in flight at any quiescent point.
-pub fn check_cleanup_degraded(
-    snaps: &[NodeSnapshot],
-    wire_host: bool,
-    adversary: Option<&AdversarySpec>,
-) -> Vec<Violation> {
-    let stale = adversary.is_some_and(|a| a.behavior == ByzantineBehavior::StaleIncarnation);
-    check_cleanup(snaps, wire_host)
-        .into_iter()
-        .filter(|v| {
-            let about_adversary = adversary.is_some_and(|a| v.node == Some(u64::from(a.node)));
-            let unacked = v.detail.contains("unacked frames after quiescence");
-            // Dead-leak and timer violations always survive; unacked
-            // violations are dropped for the adversary, and for honest
-            // nodes only under a stale-incarnation adversary.
-            !(unacked && (about_adversary || stale))
-        })
-        .collect()
 }
 
 /// Sums detection counters across nodes, excluding the adversary's own
@@ -553,7 +515,7 @@ mod tests {
         dead.alive = false;
         let snaps = [a, dead, snap(2, 30)];
         assert_eq!(census_of(&snaps, 7), (2, 1));
-        let v = check_delivery(&snaps, &[7]);
+        let v = check_delivery(&snaps, &[7], None);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("1/2"));
     }
@@ -566,7 +528,7 @@ mod tests {
         a.predecessor = Some(Id(20));
         b.successor = Some(Id(10));
         b.predecessor = Some(Id(99)); // wrong
-        let v = check_ring_convergence(&[a, b]);
+        let v = check_ring_convergence(&[a, b], None);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].oracle, "ring_convergence");
         assert_eq!(v[0].node, Some(1));
@@ -578,7 +540,7 @@ mod tests {
         let b = snap(1, 100);
         // Target 50 is owned by 100; a stale entry says 10.
         a.fingers = vec![(50, Id(10))];
-        let v = check_neighbor_ideal(&[a, b], &|_m| vec![Id(50)]);
+        let v = check_neighbor_ideal(&[a, b], &|_m| vec![Id(50)], None);
         assert_eq!(v.len(), 1);
         assert!(v[0].detail.contains("ideal owner"));
     }
@@ -591,10 +553,10 @@ mod tests {
         dead.alive = false;
         dead.unacked = 2;
         dead.armed_timers = 0;
-        let v = check_cleanup(&[a.clone(), dead.clone()], true);
+        let v = check_cleanup(&[a.clone(), dead.clone()], true, None);
         assert_eq!(v.len(), 2);
         // Pure-sim host: only the dead-node leak check applies.
-        let v = check_cleanup(&[a, dead], false);
+        let v = check_cleanup(&[a, dead], false, None);
         assert_eq!(v.len(), 1);
     }
 
@@ -631,53 +593,19 @@ mod tests {
     }
 
     #[test]
-    fn degraded_catalog_reduces_to_base_without_adversary() {
-        let mut a = snap(0, 10);
-        a.successor = Some(Id(99)); // wrong on purpose
-        a.predecessor = Some(Id(20));
-        let mut b = snap(1, 20);
-        b.successor = Some(Id(10));
-        b.predecessor = Some(Id(10));
-        b.received = vec![(7, 0)];
-        b.seen = 1;
-        b.unacked = 4;
-        let snaps = [a, b];
-        assert_eq!(
-            check_delivery_degraded(&snaps, &[7], None),
-            check_delivery(&snaps, &[7])
-        );
-        assert_eq!(
-            check_join_completion_degraded(&snaps, None),
-            check_join_completion(&snaps)
-        );
-        assert_eq!(
-            check_ring_convergence_degraded(&snaps, None),
-            check_ring_convergence(&snaps)
-        );
-        assert_eq!(
-            check_neighbor_ideal_degraded(&snaps, &|_m| vec![Id(15)], None),
-            check_neighbor_ideal(&snaps, &|_m| vec![Id(15)])
-        );
-        assert_eq!(
-            check_cleanup_degraded(&snaps, true, None),
-            check_cleanup(&snaps, true)
-        );
-    }
-
-    #[test]
     fn degraded_delivery_excuses_only_the_adversary() {
         let mut a = snap(0, 10);
         a.received = vec![(7, 0)];
         a.seen = 1;
         let b = snap(1, 20); // starved
         let snaps = [a, b];
-        // Base flags the miss; degraded with node 1 as adversary does not.
-        assert_eq!(check_delivery(&snaps, &[7]).len(), 1);
+        // Flagged without an adversary; excused with node 1 as adversary.
+        assert_eq!(check_delivery(&snaps, &[7], None).len(), 1);
         let s = spec(1, ByzantineBehavior::SelectiveDrop);
-        assert!(check_delivery_degraded(&snaps, &[7], Some(&s)).is_empty());
+        assert!(check_delivery(&snaps, &[7], Some(&s)).is_empty());
         // An honest miss still counts with the adversary elsewhere.
         let s = spec(0, ByzantineBehavior::SelectiveDrop);
-        assert_eq!(check_delivery_degraded(&snaps, &[7], Some(&s)).len(), 1);
+        assert_eq!(check_delivery(&snaps, &[7], Some(&s)).len(), 1);
     }
 
     #[test]
@@ -694,8 +622,8 @@ mod tests {
         let snaps = [a, b, c];
         let s = spec(1, ByzantineBehavior::StaleIncarnation);
         // Honest pointers AT node 20 are demanded; node 20's own are not.
-        assert!(check_ring_convergence_degraded(&snaps, Some(&s)).is_empty());
-        assert_eq!(check_ring_convergence(&snaps).len(), 1);
+        assert!(check_ring_convergence(&snaps, Some(&s)).is_empty());
+        assert_eq!(check_ring_convergence(&snaps, None).len(), 1);
     }
 
     #[test]
@@ -710,17 +638,21 @@ mod tests {
         dead.alive = false;
         dead.armed_timers = 1;
         let snaps = [adv, honest, bad_timers, dead];
+        let flagged = |adversary: Option<&AdversarySpec>| -> Vec<Option<u64>> {
+            check_cleanup(&snaps, true, adversary)
+                .iter()
+                .map(|v| v.node)
+                .collect()
+        };
+        // No adversary: both unacked counts, the timers and the leak.
+        assert_eq!(flagged(None), [Some(0), Some(1), Some(2), Some(3)]);
         // Stale adversary: both unacked counts excused; timer-discipline
         // and dead-leak violations survive.
         let s = spec(0, ByzantineBehavior::StaleIncarnation);
-        let v = check_cleanup_degraded(&snaps, true, Some(&s));
-        assert_eq!(v.len(), 2);
-        assert!(v.iter().all(|x| !x.detail.contains("unacked frames after")));
+        assert_eq!(flagged(Some(&s)), [Some(2), Some(3)]);
         // Non-stale adversary: only the adversary's unacked is excused.
         let s = spec(0, ByzantineBehavior::Replay);
-        let v = check_cleanup_degraded(&snaps, true, Some(&s));
-        assert_eq!(v.len(), 3);
-        assert!(v.iter().all(|x| x.node != Some(0)));
+        assert_eq!(flagged(Some(&s)), [Some(1), Some(2), Some(3)]);
     }
 
     #[test]

@@ -249,9 +249,9 @@ const TORTURE: PresetCfg = PresetCfg {
 /// here): with ~30 finger-fix rounds needed to purge a crashed node from
 /// 100,000 routing tables, a multicast tree built inside the settle
 /// window can orphan a subtree, and epidemic pull repair is what closes
-/// it — exactly the paper's resilience story. Run in release mode; the
-/// pinned seed lives in `tests/torture.rs` behind `#[ignore]` with a
-/// dedicated CI step.
+/// it — exactly the paper's resilience story. Run in release mode; seed
+/// 1 is pinned in `tests/pins/chaos_colossal.txt`, checked by an
+/// `#[ignore]`d test in a dedicated CI job.
 const COLOSSAL: PresetCfg = PresetCfg {
     name: "colossal",
     nodes: 100_000,
@@ -278,7 +278,7 @@ impl FaultPlan {
     }
 
     /// Torture preset: 220 nodes, crash/churn/multicast only — the chaos
-    /// promotion of the legacy `tests/torture.rs` suite. Always CAM-Chord
+    /// promotion of the legacy randomized torture suite. Always CAM-Chord
     /// with region splitting, like the original.
     pub fn torture(seed: u64) -> FaultPlan {
         generate(seed, &TORTURE)

@@ -25,33 +25,7 @@
 
 use std::process::ExitCode;
 
-use cam_experiments::{ext, fig10, fig11, fig6, fig7, fig8, fig9, Options};
-use cam_metrics::DataTable;
-
-type Figure = fn(&Options) -> DataTable;
-
-/// Every figure `repro` can regenerate, in the order `all` runs them: the
-/// one list behind dispatch, `all` and the usage text.
-const FIGURES: &[(&str, Figure)] = &[
-    ("fig6", fig6::run),
-    ("fig7", fig7::run),
-    ("fig8", fig8::run),
-    ("fig9", fig9::run),
-    ("fig10", fig10::run),
-    ("fig11", fig11::run),
-    ("resilience", ext::resilience),
-    ("overhead", ext::overhead),
-    ("ablation", ext::ablation),
-    ("lookup", ext::lookup_hops),
-    ("load", ext::load_balance),
-    ("churn", ext::churn),
-    ("proximity", ext::proximity),
-    ("loss", ext::loss),
-    ("theory", ext::theory),
-    ("heterogeneity", ext::heterogeneity),
-    ("stability", ext::tree_stability),
-    ("multigroup", ext::multigroup),
-];
+use cam_experiments::{ext, Options, FIGURES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -34,3 +34,32 @@ pub mod fig9;
 pub mod runner;
 
 pub use runner::Options;
+
+use cam_metrics::DataTable;
+
+/// One table's harness.
+pub type Figure = fn(&Options) -> DataTable;
+
+/// Every table the harness regenerates, in the order `repro all` runs
+/// them: the one list behind `repro`'s dispatch and usage text and the
+/// pinned `results/<name>.csv` files.
+pub const FIGURES: &[(&str, Figure)] = &[
+    ("fig6", fig6::run),
+    ("fig7", fig7::run),
+    ("fig8", fig8::run),
+    ("fig9", fig9::run),
+    ("fig10", fig10::run),
+    ("fig11", fig11::run),
+    ("resilience", ext::resilience),
+    ("overhead", ext::overhead),
+    ("ablation", ext::ablation),
+    ("lookup", ext::lookup_hops),
+    ("load", ext::load_balance),
+    ("churn", ext::churn),
+    ("proximity", ext::proximity),
+    ("loss", ext::loss),
+    ("theory", ext::theory),
+    ("heterogeneity", ext::heterogeneity),
+    ("stability", ext::tree_stability),
+    ("multigroup", ext::multigroup),
+];

@@ -521,13 +521,13 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
     /// Virtual time: hop the clock to the next event instant (frame
     /// delivery, timer, or RTO) and process everything due there: frames
     /// first, in delivery-sequence order, then timers and retransmissions.
-    /// The parity suite's golden table pins this event order.
+    /// The reactor pin (`tests/pins/reactor.txt`) holds this event order.
     ///
     /// Each frame's response ships before the next frame is polled: a
     /// response scheduled with zero latency must be pollable at this same
     /// instant, inside the drain loop, and the in-memory wire draws
     /// latency and assigns delivery sequence at send time — so batching
-    /// the flush here would reorder events and move the golden table.
+    /// the flush here would reorder events and move that pin.
     fn step_virtual(&mut self, deadline: SimTime) -> bool {
         let mut next = self.transport.next_ready();
         next = match (next, self.core.next_wake()) {

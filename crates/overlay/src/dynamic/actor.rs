@@ -695,7 +695,7 @@ impl PayloadRecord {
 
 /// The neighbor rule, in one place: the members of `fingers` (ascending
 /// target), each placed by the first slot naming it, `me` left out. Every
-/// GOLDEN table and chaos fingerprint rests on this order.
+/// reactor row and chaos fingerprint pin rests on this order.
 fn neighbor_rule(me: Id, fingers: &[(u64, Member)]) -> impl Iterator<Item = Member> + '_ {
     fingers.iter().enumerate().filter_map(move |(i, &(_, m))| {
         let first = !fingers[..i].iter().any(|&(_, o)| o.id == m.id);

@@ -61,16 +61,6 @@ fn census_parity_between_net_and_sim() {
     }
 }
 
-#[test]
-fn runs_are_bit_identical_within_a_host() {
-    let plan = FaultPlan::small(4);
-    let a = run_plan(&plan, HostKind::Net, false);
-    let b = run_plan(&plan, HostKind::Net, false);
-    assert_eq!(a.fingerprint, b.fingerprint);
-    assert_eq!(a.violations, b.violations);
-    assert_eq!(a.census, b.census);
-}
-
 /// Forces a violation (a settle window far too short for convergence),
 /// shrinks it, and proves the whole failure-capture pipeline: the
 /// minimized plan still fails, reproduces bit-identically, survives a
