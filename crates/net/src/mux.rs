@@ -176,7 +176,7 @@ impl MuxUdpTransport {
         self.local
     }
 
-    /// Routes `endpoint` to another mux socket (e.g. a different shard
+    /// Routes `endpoint` to another mux socket (e.g. one in another
     /// process). Returns `false` if `endpoint` is out of range.
     pub fn set_route(&mut self, endpoint: usize, addr: SocketAddr) -> bool {
         match self.routes.get_mut(endpoint) {
@@ -697,7 +697,7 @@ mod tests {
 
     #[test]
     fn routes_carry_frames_to_another_mux() {
-        // Two mux sockets modeling two shard processes sharing an
+        // Two mux sockets modeling two processes sharing an
         // endpoint namespace: endpoints 0..2 live on `a`, 2..4 on `b`.
         let mut a = MuxUdpTransport::bind(4).expect("bind a");
         let mut b = MuxUdpTransport::bind(4).expect("bind b");

@@ -381,26 +381,12 @@ impl<P: DhtProtocol> DhtActor<P> {
         self.subscriptions.contains(&group)
     }
 
-    /// Groups this node subscribes to, ascending.
-    pub fn subscribed_groups(&self) -> Vec<u64> {
-        self.subscriptions.iter().copied().collect()
-    }
-
     /// Whether the group publish `(group, payload)` was delivered here
     /// (i.e. this node was a subscriber when the payload arrived).
     pub fn has_group_payload(&self, group: u64, payload: u64) -> bool {
         self.group_received_log
             .iter()
             .any(|&(g, p, _)| g == group && p == payload)
-    }
-
-    /// Rendezvous-root view: the subscriber identifiers recorded for
-    /// `group` *at this node*. Non-empty only on the group's root.
-    pub fn group_members_of(&self, group: u64) -> Vec<u64> {
-        self.group_members
-            .get(&group)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
     }
 
     /// Whether this node has completed its join.

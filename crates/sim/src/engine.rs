@@ -97,8 +97,8 @@ enum Payload<M> {
 pub struct Context<'a, M> {
     now: SimTime,
     me: ActorId,
-    outbox: &'a mut Vec<(ActorId, ActorId, M, Option<Duration>)>,
-    timers: &'a mut Vec<(ActorId, Duration, u64)>,
+    outbox: &'a mut Vec<(ActorId, M)>,
+    timers: &'a mut Vec<(Duration, u64)>,
     rng: &'a mut SimRng,
     tracer: &'a mut dyn Tracer,
 }
@@ -118,19 +118,13 @@ impl<'a, M> Context<'a, M> {
 
     /// Sends `msg` to `to`; latency is drawn from the simulation's model.
     pub fn send(&mut self, to: ActorId, msg: M) {
-        self.outbox.push((self.me, to, msg, None));
-    }
-
-    /// Sends `msg` to `to` with an explicit one-way delay, bypassing the
-    /// latency model (useful for local/loopback work).
-    pub fn send_after(&mut self, to: ActorId, msg: M, delay: Duration) {
-        self.outbox.push((self.me, to, msg, Some(delay)));
+        self.outbox.push((to, msg));
     }
 
     /// Arms a one-shot timer that fires on this actor after `delay`,
     /// delivering `tag` to [`Actor::on_timer`].
     pub fn set_timer(&mut self, delay: Duration, tag: u64) {
-        self.timers.push((self.me, delay, tag));
+        self.timers.push((delay, tag));
     }
 
     /// Deterministic randomness for protocol decisions.
@@ -281,11 +275,6 @@ impl<A: Actor> Simulation<A> {
         ActorId(self.actors.len() - 1)
     }
 
-    /// Number of registered actors (live or dead).
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Whether `id` refers to a live actor.
     pub fn is_alive(&self, id: ActorId) -> bool {
         self.actors.get(id.0).is_some_and(Option::is_some)
@@ -365,8 +354,8 @@ impl<A: Actor> Simulation<A> {
 
     fn run_inner(&mut self, deadline: SimTime, max_events: u64) -> u64 {
         let mut processed = 0u64;
-        let mut outbox: Vec<(ActorId, ActorId, A::Msg, Option<Duration>)> = Vec::new();
-        let mut timers: Vec<(ActorId, Duration, u64)> = Vec::new();
+        let mut outbox: Vec<(ActorId, A::Msg)> = Vec::new();
+        let mut timers: Vec<(Duration, u64)> = Vec::new();
 
         while let Some((at, (to, payload))) = self.queue.pop_due(deadline) {
             self.now = at;
@@ -411,8 +400,10 @@ impl<A: Actor> Simulation<A> {
                 }
             }
 
-            // Flush actions produced by the handler.
-            for (from, to, msg, explicit) in outbox.drain(..) {
+            // Flush what the handler produced: the handling actor sent
+            // every message and owns every timer.
+            let from = to;
+            for (to, msg) in outbox.drain(..) {
                 self.stats.sent += 1;
                 if let Some(cost) = self.wire_cost {
                     self.stats.bytes_sent += cost(&msg) as u64;
@@ -425,14 +416,11 @@ impl<A: Actor> Simulation<A> {
                     self.stats.dropped += 1;
                     continue;
                 }
-                let delay = match explicit {
-                    Some(d) => d,
-                    None => self.latency.sample(from.0, to.0, &mut self.rng),
-                };
+                let delay = self.latency.sample(from.0, to.0, &mut self.rng);
                 self.schedule(self.now + delay, to, Payload::Message { from, msg });
             }
-            for (to, delay, tag) in timers.drain(..) {
-                self.schedule(self.now + delay, to, Payload::Timer { tag });
+            for (delay, tag) in timers.drain(..) {
+                self.schedule(self.now + delay, from, Payload::Timer { tag });
             }
         }
         processed

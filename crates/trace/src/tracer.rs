@@ -147,11 +147,6 @@ impl RecordingTracer {
         &self.registry
     }
 
-    /// Mutable access to the telemetry registry.
-    pub fn registry_mut(&mut self) -> &mut TelemetryRegistry {
-        &mut self.registry
-    }
-
     /// Serializes the held events as Chrome Trace Event Format JSON
     /// (open in `chrome://tracing` or Perfetto).
     pub fn chrome_trace_json(&self) -> String {

@@ -232,12 +232,6 @@ impl Scenario {
         self
     }
 
-    /// Returns the scenario with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Deterministically generates the member set: distinct random
     /// identifiers (SHA-1-style uniform spread is modelled by the seeded
     /// RNG), bandwidths, and capacities.
