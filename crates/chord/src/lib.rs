@@ -13,7 +13,10 @@
 //! base-`k` fingers — node `x` tracks the owners of `(x + j·k^i) mod N`
 //! for `j ∈ [1..k−1]` — so the baseline's average out-degree can be swept
 //! like the paper's Figure 6 does. `k = 2` is exactly classic Chord
-//! (fingers at `x + 2^i`).
+//! (fingers at `x + 2^i`). Those fingers and the greedy lookup are
+//! CAM-Chord's neighbor and `LOOKUP` rules (`cam_core::cam_chord`) with
+//! every node's capacity fixed at `k`; the only rule of this crate's own is
+//! the broadcast child selection below.
 //!
 //! Multicast is the El-Ansary et al. broadcast (IPTPS'03) the paper cites
 //! as the state of the art for Chord: a node responsible for the segment
@@ -39,9 +42,10 @@
 //! # Ok::<(), cam_overlay::peer::BuildMemberSetError>(())
 //! ```
 
+use cam_core::cam_chord::lookup::lookup;
+use cam_core::cam_chord::neighbors::{distinct_neighbor_count, neighbor_targets};
 use cam_overlay::stream::{adopt_owner, region_walk, RegionChild};
 use cam_overlay::{DeliverySink, LookupResult, MemberSet, StaticOverlay};
-use cam_ring::math::level_and_seq;
 use cam_ring::Id;
 
 /// A resolved base-`k` Chord overlay (capacity-oblivious baseline).
@@ -73,26 +77,10 @@ impl Chord {
     }
 
     /// Finger target identifiers of node `x`: `(x + j·k^i) mod N` for
-    /// `j ∈ [1..k−1]`, `j·k^i < N`, in increasing clockwise offset.
+    /// `j ∈ [1..k−1]`, `j·k^i < N`, in increasing clockwise offset —
+    /// CAM-Chord's neighbor identifiers at capacity `k`.
     pub fn finger_targets(&self, x: Id) -> Vec<Id> {
-        let space = self.group.space();
-        let k = u64::from(self.base);
-        let n = space.size();
-        let mut out = Vec::new();
-        let mut stride = 1u64;
-        while stride < n {
-            for j in 1..k {
-                match j.checked_mul(stride) {
-                    Some(off) if off < n => out.push(space.add(x, off)),
-                    _ => break,
-                }
-            }
-            stride = match stride.checked_mul(k) {
-                Some(s) => s,
-                None => break,
-            };
-        }
-        out
+        neighbor_targets(self.group.space(), x, self.base)
     }
 
     /// El-Ansary broadcast children of `x_idx` for segment `(x, limit]`,
@@ -108,9 +96,7 @@ impl Chord {
         // Walk fingers from the farthest clockwise down to the successor;
         // each accepted child covers (child, k'] and k' then retreats to
         // just below the finger target.
-        let mut targets = self.finger_targets(x);
-        targets.sort_by_key(|&t| std::cmp::Reverse(space.seg_len(x, t)));
-        for target in targets {
+        for target in self.finger_targets(x).into_iter().rev() {
             if space.seg_len(x, target) > space.seg_len(x, k_prime) {
                 continue; // finger beyond the remaining segment
             }
@@ -127,38 +113,10 @@ impl StaticOverlay for Chord {
         &self.group
     }
 
-    /// Chord's greedy closest-preceding-finger lookup, expressed with the
-    /// same level/sequence arithmetic as CAM-Chord (base `k` fixed).
+    /// Chord's greedy closest-preceding-finger lookup: CAM-Chord's
+    /// `LOOKUP` with every member's base fixed at `k`.
     fn lookup(&self, origin: usize, key: Id) -> LookupResult {
-        let space = self.group.space();
-        let mut cur = origin;
-        let mut path = vec![origin];
-        loop {
-            assert!(
-                path.len() <= self.group.len() + 1,
-                "Chord lookup exceeded n hops — routing loop"
-            );
-            if let Some(owner) = self.group.local_owner(cur, key) {
-                return LookupResult { owner, path };
-            }
-            let x = self.group.id_at(cur);
-            let dist = space.seg_len(x, key);
-            let (i, j) = level_and_seq(dist, u64::from(self.base));
-            let target = space.add(
-                x,
-                j * cam_ring::math::pow_saturating(u64::from(self.base), i),
-            );
-            let nb_idx = self.group.owner_idx(target);
-            let nb = self.group.member(nb_idx).id;
-            if space.in_segment(key, x, nb) {
-                return LookupResult {
-                    owner: nb_idx,
-                    path,
-                };
-            }
-            cur = nb_idx;
-            path.push(cur);
-        }
+        lookup(&self.group, origin, key, |_| self.base)
     }
 
     fn multicast_into(&self, source: usize, sink: &mut dyn DeliverySink) {
@@ -168,16 +126,7 @@ impl StaticOverlay for Chord {
     }
 
     fn neighbor_count(&self, member: usize) -> usize {
-        let x = self.group.member(member).id;
-        let mut owners: Vec<usize> = self
-            .finger_targets(x)
-            .into_iter()
-            .map(|t| self.group.owner_idx(t))
-            .filter(|&i| i != member)
-            .collect();
-        owners.sort_unstable();
-        owners.dedup();
-        owners.len()
+        distinct_neighbor_count(&self.group, member, self.base)
     }
 
     fn name(&self) -> &'static str {

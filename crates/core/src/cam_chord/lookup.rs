@@ -19,18 +19,25 @@ use cam_ring::Id;
 
 use super::neighbors::level_seq_of;
 
-/// Routes a CAM-Chord lookup for `key` starting at member `origin`.
+/// Routes a CAM-Chord lookup for `key` starting at member `origin`, where
+/// member `i` takes its level and sequence number from base `base(i)`.
 ///
-/// Every hop is a member that processed the request; the returned owner is
-/// the member responsible for `key` (verified against the ring oracle in
-/// tests).
+/// CAM-Chord passes each member's capacity `c_x`; the capacity-oblivious
+/// Chord baseline is the same routine at a fixed base `k`. Every hop is a
+/// member that processed the request; the returned owner is the member
+/// responsible for `key` (verified against the ring oracle in tests).
 ///
 /// # Panics
 ///
-/// Panics if `origin` is out of range, or if routing fails to make progress
-/// (which would indicate a broken neighbor table — impossible for a
-/// resolved [`MemberSet`]).
-pub fn lookup(group: &MemberSet, origin: usize, key: Id) -> LookupResult {
+/// Panics if `origin` is out of range, if a base is below 2, or if routing
+/// fails to make progress (which would indicate a broken neighbor table —
+/// impossible for a resolved [`MemberSet`]).
+pub fn lookup<F: Fn(usize) -> u32>(
+    group: &MemberSet,
+    origin: usize,
+    key: Id,
+    base: F,
+) -> LookupResult {
     let space = group.space();
     let mut cur = origin;
     let mut path = vec![origin];
@@ -40,7 +47,7 @@ pub fn lookup(group: &MemberSet, origin: usize, key: Id) -> LookupResult {
     loop {
         assert!(
             path.len() <= hop_limit,
-            "CAM-Chord lookup exceeded {hop_limit} hops — routing loop"
+            "Chord lookup exceeded {hop_limit} hops — routing loop"
         );
         // k ∈ (predecessor(x), x] → x is responsible; line 1:
         // k ∈ (x, successor(x)] → successor.
@@ -48,7 +55,7 @@ pub fn lookup(group: &MemberSet, origin: usize, key: Id) -> LookupResult {
             return LookupResult { owner, path };
         }
         let x = group.id_at(cur);
-        let c = group.capacity_at(cur);
+        let c = base(cur);
         // Lines 4–5: level and sequence number of k w.r.t. x.
         let (i, j) = level_seq_of(space, x, c, key);
         let target = space.add(x, j * pow_saturating(u64::from(c), i));
@@ -77,6 +84,10 @@ mod tests {
     use cam_overlay::Member;
     use cam_ring::IdSpace;
 
+    fn cam_lookup(g: &MemberSet, origin: usize, key: Id) -> LookupResult {
+        lookup(g, origin, key, |i| g.capacity_at(i))
+    }
+
     fn fig2_group() -> MemberSet {
         MemberSet::new(
             IdSpace::new(5),
@@ -94,7 +105,7 @@ mod tests {
         // (owner of x_{2,2} = 18); node 18 answers node 26 because
         // 25 ∈ (18, 26] with (x+18)_{1,2} = 24 resolving to 26.
         let g = fig2_group();
-        let r = lookup(&g, 0, Id(25));
+        let r = cam_lookup(&g, 0, Id(25));
         assert_eq!(g.member(r.owner).id, Id(26));
         let path_ids: Vec<u64> = r.path.iter().map(|&i| g.member(i).id.value()).collect();
         assert_eq!(path_ids, vec![0, 18]);
@@ -106,7 +117,7 @@ mod tests {
         let g = fig2_group();
         for origin in 0..g.len() {
             for k in 0..32u64 {
-                let r = lookup(&g, origin, Id(k));
+                let r = cam_lookup(&g, origin, Id(k));
                 assert_eq!(
                     r.owner,
                     g.owner_idx(Id(k)),
@@ -119,7 +130,7 @@ mod tests {
     #[test]
     fn self_lookup_is_local() {
         let g = fig2_group();
-        let r = lookup(&g, 3, Id(13));
+        let r = cam_lookup(&g, 3, Id(13));
         assert_eq!(r.owner, 3);
         assert_eq!(r.hops(), 0);
     }
@@ -128,7 +139,7 @@ mod tests {
     fn single_member_owns_everything() {
         let g = MemberSet::new(IdSpace::new(5), vec![Member::with_capacity(Id(9), 3)]).unwrap();
         for k in 0..32u64 {
-            let r = lookup(&g, 0, Id(k));
+            let r = cam_lookup(&g, 0, Id(k));
             assert_eq!(r.owner, 0);
             assert_eq!(r.hops(), 0);
         }
@@ -145,7 +156,7 @@ mod tests {
         .unwrap();
         for origin in 0..g.len() {
             for k in (0..256u64).step_by(3) {
-                let r = lookup(&g, origin, Id(k));
+                let r = cam_lookup(&g, origin, Id(k));
                 assert_eq!(r.owner, g.owner_idx(Id(k)), "origin {origin} key {k}");
             }
         }

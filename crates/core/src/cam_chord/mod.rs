@@ -11,8 +11,11 @@
 //!
 //! Modules:
 //!
-//! * [`neighbors`] — neighbor-identifier arithmetic (levels, sequences);
-//! * [`lookup`] — the `LOOKUP` routine of §3.2;
+//! * [`neighbors`] — neighbor-identifier arithmetic (levels, sequences)
+//!   and the distinct-neighbor count;
+//! * [`lookup`] — the `LOOKUP` routine of §3.2, generic over the per-hop
+//!   base (the Chord baseline runs it, and the neighbor rule, at a fixed
+//!   base `k`);
 //! * [`multicast`] — the `MULTICAST` child-selection of §3.4 (with the
 //!   `ceil`/`floor` interpretation switch, see `ChildSelection`);
 //! * [`overlay`] — [`CamChord`], the resolved overlay implementing

@@ -7,7 +7,8 @@
 //! `i = ⌊log(k−x)/log c⌋`, `j = ⌊(k−x)/c^i⌋`, which make `x_{i,j}` the
 //! neighbor identifier counter-clockwise closest to `k`.
 
-use cam_ring::math::{level_and_seq, pow_saturating};
+use cam_overlay::MemberSet;
+use cam_ring::math::level_and_seq;
 use cam_ring::{Id, IdSpace};
 
 /// All neighbor identifiers of `x` (in increasing clockwise offset), given
@@ -70,16 +71,30 @@ pub fn for_each_neighbor_target(space: IdSpace, x: Id, c: u32, mut visit: impl F
     }
 }
 
-/// The neighbor identifier `x_{i,j} = x + j·c^i`, or `None` when the offset
-/// leaves the identifier space (`j·c^i ≥ N`).
-pub fn neighbor_target(space: IdSpace, x: Id, c: u32, i: u32, j: u64) -> Option<Id> {
-    debug_assert!(j >= 1 && j < u64::from(c.max(2)));
-    let off = j.checked_mul(pow_saturating(u64::from(c), i))?;
-    if off < space.size() {
-        Some(space.add(x, off))
-    } else {
-        None
-    }
+/// The number of distinct members, other than `member` itself, that own
+/// `member`'s neighbor identifiers at base `c`: its neighbor-table size.
+///
+/// Targets are visited in increasing clockwise offset, so owner resolution
+/// walks the ring monotonically and each distinct owner occupies one
+/// consecutive run of visits: counting changes between adjacent visits
+/// deduplicates without a sort.
+///
+/// # Panics
+///
+/// Panics if `member` is out of range or `c < 2`.
+pub fn distinct_neighbor_count(group: &MemberSet, member: usize, c: u32) -> usize {
+    let mut count = 0usize;
+    let mut prev = usize::MAX;
+    for_each_neighbor_target(group.space(), group.id_at(member), c, |t| {
+        let idx = group.owner_idx(t);
+        if idx != prev {
+            prev = idx;
+            if idx != member {
+                count += 1;
+            }
+        }
+    });
+    count
 }
 
 /// The level and sequence number of identifier `k` with respect to node `x`
@@ -151,19 +166,6 @@ mod tests {
             assert!(S32.contains(*id));
             assert!(seen.insert(id.value()), "duplicate target {id}");
         }
-    }
-
-    #[test]
-    fn neighbor_target_bounds() {
-        let space = IdSpace::new(5);
-        assert_eq!(neighbor_target(space, Id(0), 3, 1, 2), Some(Id(6)));
-        assert_eq!(neighbor_target(space, Id(0), 3, 3, 1), Some(Id(27)));
-        assert_eq!(neighbor_target(space, Id(0), 3, 3, 2), None, "54 ≥ 32");
-        assert_eq!(
-            neighbor_target(space, Id(30), 3, 1, 1),
-            Some(Id(1)),
-            "wraps"
-        );
     }
 
     #[test]

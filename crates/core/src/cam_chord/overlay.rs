@@ -4,7 +4,7 @@ use cam_overlay::{DeliverySink, LookupResult, MemberSet, StaticOverlay};
 use cam_ring::Id;
 
 use super::multicast::{multicast_into_capped, ChildSelection};
-use super::neighbors::for_each_neighbor_target;
+use super::neighbors::distinct_neighbor_count;
 
 /// A CAM-Chord overlay resolved against full membership — the converged
 /// state of the maintenance protocol, used for large-scale experiments.
@@ -44,7 +44,7 @@ impl StaticOverlay for CamChord {
     }
 
     fn lookup(&self, origin: usize, key: Id) -> LookupResult {
-        super::lookup::lookup(&self.group, origin, key)
+        super::lookup::lookup(&self.group, origin, key, |i| self.group.capacity_at(i))
     }
 
     fn multicast_into(&self, source: usize, sink: &mut dyn DeliverySink) {
@@ -53,24 +53,7 @@ impl StaticOverlay for CamChord {
     }
 
     fn neighbor_count(&self, member: usize) -> usize {
-        // Targets are visited in increasing clockwise offset, so owner
-        // resolution walks the ring monotonically and each distinct owner
-        // occupies one consecutive run of visits: counting changes between
-        // adjacent visits deduplicates without the former sort + dedup
-        // allocation.
-        let m = self.group.member(member);
-        let mut count = 0usize;
-        let mut prev = usize::MAX;
-        for_each_neighbor_target(self.group.space(), m.id, m.capacity, |t| {
-            let idx = self.group.owner_idx(t);
-            if idx != prev {
-                prev = idx;
-                if idx != member {
-                    count += 1;
-                }
-            }
-        });
-        count
+        distinct_neighbor_count(&self.group, member, self.group.capacity_at(member))
     }
 
     fn name(&self) -> &'static str {

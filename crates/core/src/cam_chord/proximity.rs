@@ -104,11 +104,6 @@ impl<'a> ProximityCamChord<'a> {
         }
     }
 
-    /// The chosen neighbors of a member (slot offset, member index).
-    pub fn chosen_neighbors(&self, member: usize) -> &[(u64, usize)] {
-        &self.table[member]
-    }
-
     /// Total one-way delay along the tree path from the source to
     /// `member`, in milliseconds (`None` if unreached).
     pub fn path_delay_ms(&self, tree: &MulticastTree, member: usize) -> Option<f64> {
@@ -305,7 +300,7 @@ mod tests {
         for m in [0usize, 37, 399] {
             let x = g.member(m).id;
             let c = u64::from(g.member(m).capacity);
-            for &(lo, idx) in overlay.chosen_neighbors(m) {
+            for &(lo, idx) in &overlay.table[m] {
                 // Slot [x+lo, x+lo+stride) where stride = c^level of lo.
                 let level = cam_ring::math::floor_log(lo, c);
                 let stride = pow_saturating(c, level);

@@ -50,11 +50,6 @@ impl CamKoorde {
     pub fn edges(&self) -> FloodEdges {
         self.edges
     }
-
-    /// The flooding adjacency list of a member.
-    pub fn flood_neighbors(&self, member: usize) -> &[usize] {
-        self.adj.neighbors_of(member)
-    }
 }
 
 impl StaticOverlay for CamKoorde {
@@ -124,6 +119,13 @@ mod tests {
         let t = dyn_o.multicast_tree(0);
         assert!(t.is_complete());
         t.check_invariants(o.members()).unwrap();
+    }
+
+    impl CamKoorde {
+        /// The flooding adjacency list of a member.
+        fn flood_neighbors(&self, member: usize) -> &[usize] {
+            self.adj.neighbors_of(member)
+        }
     }
 
     #[test]

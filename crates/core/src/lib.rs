@@ -12,9 +12,10 @@
 //! *Zhang, Chen, Ling, Chow — "Resilient Capacity-Aware Multicast Based on
 //! Overlay Networks" (ICDCS 2005)*: two structured-overlay multicast
 //! systems in which each node's number of multicast children is bounded by
-//! its declared **capacity** `c_x` (chosen roughly proportional to upload
-//! bandwidth), so that slow nodes are never overloaded and fast nodes are
-//! never under-used.
+//! its declared **capacity** `c_x` (roughly proportional to upload
+//! bandwidth: the paper's `c_x = ⌊B_x / p⌋`, which
+//! `cam_workload::CapacityAssignment::PerLink` assigns), so that slow nodes
+//! are never overloaded and fast nodes are never under-used.
 //!
 //! * [`cam_chord`] — extends Chord: node `x` keeps `O(c_x · log n / log c_x)`
 //!   neighbors at identifiers `(x + j·c_x^i) mod N`, and the recursive
@@ -26,7 +27,6 @@
 //!   bits (three neighbor groups), which spreads neighbors evenly around
 //!   the ring; multicast is constrained flooding with duplicate
 //!   suppression.
-//! * [`capacity`] — the paper's capacity model `c_x = ⌊B_x / p⌋`;
 //! * [`tree_building`] — the Section 5.1 *tree-building* alternative (one
 //!   shared, capacity-bounded tree per group on a global overlay), built
 //!   to quantify the forwarding-load comparison the paper argues from.
@@ -60,11 +60,9 @@
 
 pub mod cam_chord;
 pub mod cam_koorde;
-pub mod capacity;
 pub mod theory;
 pub mod tree_building;
 
 pub use cam_chord::CamChord;
 pub use cam_koorde::CamKoorde;
-pub use capacity::CapacityModel;
 pub use tree_building::SharedTree;

@@ -42,16 +42,6 @@ pub fn fig11_bound(n: usize, mean_capacity: f64) -> f64 {
     1.5 * (n as f64).ln() / mean_capacity.ln()
 }
 
-/// Theorems 2/4/6 shape: `ln(n) / ln(c)` for uniform capacity `c`.
-///
-/// # Panics
-///
-/// Panics unless `n ≥ 2` and `c > 1`.
-pub fn log_c_n(n: usize, c: f64) -> f64 {
-    assert!(n >= 2 && c > 1.0);
-    (n as f64).ln() / c.ln()
-}
-
 /// Theorems 1/3 shape for an arbitrary capacity distribution: the expected
 /// CAM-Chord path length `−ln n / ln E[ln c_x / c_x]`, with the
 /// expectation taken over the supplied capacity samples.
@@ -63,11 +53,12 @@ pub fn log_c_n(n: usize, c: f64) -> f64 {
 /// # Example
 ///
 /// ```
-/// use cam_core::theory::{expected_cam_chord_path, log_c_n};
+/// use cam_core::theory::expected_cam_chord_path;
 /// // A degenerate distribution is close to (slightly above) ln n / ln c.
 /// let uniform = expected_cam_chord_path(10_000, &[8; 100]);
-/// assert!(uniform > log_c_n(10_000, 8.0));
-/// assert!(uniform < 2.0 * log_c_n(10_000, 8.0));
+/// let log_c_n = 10_000f64.ln() / 8f64.ln();
+/// assert!(uniform > log_c_n);
+/// assert!(uniform < 2.0 * log_c_n);
 /// ```
 pub fn expected_cam_chord_path(n: usize, capacities: &[u32]) -> f64 {
     assert!(n >= 2, "need at least two members");
@@ -111,6 +102,12 @@ pub fn expected_cam_koorde_path(bits: f64, capacities: &[u32]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Theorems 2/4/6 shape: `ln(n) / ln(c)` for uniform capacity `c`.
+    fn log_c_n(n: usize, c: f64) -> f64 {
+        assert!(n >= 2 && c > 1.0);
+        (n as f64).ln() / c.ln()
+    }
 
     #[test]
     fn bounds_decrease_with_capacity() {

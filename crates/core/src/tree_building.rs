@@ -32,7 +32,6 @@ pub struct SharedTree {
     root: usize,
     parent: Vec<Option<usize>>,
     children: Vec<Vec<usize>>,
-    depth: Vec<u32>,
 }
 
 impl SharedTree {
@@ -55,7 +54,6 @@ impl SharedTree {
             root,
             parent: vec![None; n],
             children: vec![Vec::new(); n],
-            depth: vec![0; n],
         };
         let mut on_tree = vec![false; n];
         on_tree[root] = true;
@@ -109,7 +107,6 @@ impl SharedTree {
         debug_assert!(self.parent[child].is_none());
         self.parent[child] = Some(parent);
         self.children[parent].push(child);
-        self.depth[child] = self.depth[parent] + 1;
     }
 
     /// The rendezvous (root) member index.
@@ -127,11 +124,6 @@ impl SharedTree {
         &self.children[member]
     }
 
-    /// Tree depth of `member` (root = 0).
-    pub fn depth_of(&self, member: usize) -> u32 {
-        self.depth[member]
-    }
-
     /// Number of members attached (always the full group by construction).
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -140,17 +132,6 @@ impl SharedTree {
     /// Whether the tree is empty (never: construction requires members).
     pub fn is_empty(&self) -> bool {
         self.parent.is_empty()
-    }
-
-    /// Whether every member is connected to the root.
-    pub fn is_spanning(&self) -> bool {
-        (0..self.len()).all(|m| m == self.root || self.parent[m].is_some())
-    }
-
-    /// Hop count from `source` to `member` under the paper's model: the
-    /// message climbs to the root, then disseminates down the tree.
-    pub fn path_hops(&self, source: usize, member: usize) -> u32 {
-        self.depth[source] + self.depth[member]
     }
 
     /// Adds this session's forwarding load for one message from `source`
@@ -212,6 +193,30 @@ mod tests {
             )
             .unwrap(),
         )
+    }
+
+    impl SharedTree {
+        /// Tree depth of `member` (root = 0).
+        fn depth_of(&self, member: usize) -> u32 {
+            let mut depth = 0;
+            let mut cur = member;
+            while let Some(p) = self.parent[cur] {
+                depth += 1;
+                cur = p;
+            }
+            depth
+        }
+
+        /// Whether every member is connected to the root.
+        fn is_spanning(&self) -> bool {
+            (0..self.len()).all(|m| m == self.root || self.parent[m].is_some())
+        }
+
+        /// Hop count from `source` to `member` under the paper's model: the
+        /// message climbs to the root, then disseminates down the tree.
+        fn path_hops(&self, source: usize, member: usize) -> u32 {
+            self.depth_of(source) + self.depth_of(member)
+        }
     }
 
     #[test]

@@ -96,7 +96,7 @@ fn main() -> ExitCode {
         let table = run(&opts);
         println!("{}", table.to_text());
         if plot {
-            println!("{}", cam_metrics::ascii_plot(&table, 72, 20));
+            println!("{}", cam_experiments::ascii_plot(&table, 72, 20));
         }
         let path = format!("{out_dir}/{fig}.csv");
         if let Err(e) = table.write_csv(&path) {

@@ -1,13 +1,14 @@
-//! Extension experiments beyond the paper's figures (DESIGN.md Ext-A–D):
-//! resilience under crash failures, maintenance overhead, design-choice
-//! ablations, and lookup-hop scaling.
+//! Extension experiments beyond the paper's figures (DESIGN.md Ext-A–L):
+//! resilience under crashes, churn and loss, maintenance overhead,
+//! design-choice ablations, lookup-hop scaling, shared-tree load,
+//! proximity, the theorems against measurements, heavy-tailed bandwidth,
+//! tree stability and multi-group pub/sub.
 
 use cam_core::cam_chord::{CamChordProtocol, ChildSelection, ProximityCamChord};
 use cam_core::cam_koorde::multicast::FloodEdges;
 use cam_core::cam_koorde::CamKoordeProtocol;
 use cam_core::SharedTree;
 use cam_core::{CamChord, CamKoorde};
-use cam_metrics::{DataSeries, DataTable};
 use cam_overlay::dynamic::{DhtProtocol, DynamicNetwork};
 use cam_overlay::StaticOverlay;
 use cam_sim::time::Duration;
@@ -16,6 +17,7 @@ use cam_trace::Summary;
 use cam_workload::{CapacityAssignment, Scenario};
 
 use crate::runner::{parallel_sweep, sample_trees, Options};
+use crate::{DataSeries, DataTable};
 
 /// Ext-A: delivery ratio of a multicast started immediately after a crash
 /// of `f%` of the nodes, before stabilization has repaired anything, and
@@ -333,12 +335,12 @@ pub fn load_balance(opts: &Options) -> DataTable {
     let cam_stats = stat(&mut cam_load.clone());
 
     let gini_shared =
-        cam_metrics::fairness::gini(&shared_load.iter().map(|&l| l as f64).collect::<Vec<_>>());
+        crate::fairness::gini(&shared_load.iter().map(|&l| l as f64).collect::<Vec<_>>());
     let gini_cam =
-        cam_metrics::fairness::gini(&cam_load.iter().map(|&l| l as f64).collect::<Vec<_>>());
+        crate::fairness::gini(&cam_load.iter().map(|&l| l as f64).collect::<Vec<_>>());
     let mut table = DataTable::new(
         format!(
-            "Ext-E: forwarding load per message — shared tree (gini {gini_shared:.2}) vs              per-source trees (gini {gini_cam:.2})"
+            "Ext-E: forwarding load per message — shared tree (gini {gini_shared:.2}) vs per-source trees (gini {gini_cam:.2})"
         ),
         "percentile",
     );
@@ -872,7 +874,7 @@ pub fn multigroup(opts: &Options) -> DataTable {
         let load: Vec<f64> = (0..n).map(|i| f64::from(reg.ledger().charged(i))).collect();
         delivery.push(groups as f64, mean_ratio);
         admitted_frac.push(groups as f64, admitted as f64 / attempts.max(1) as f64);
-        jain_load.push(groups as f64, cam_metrics::fairness::jain(&load));
+        jain_load.push(groups as f64, crate::fairness::jain(&load));
     }
     table.push(delivery);
     table.push(admitted_frac);
@@ -978,7 +980,7 @@ mod tests {
         let table = proximity(&opts);
         let plain = table.series_named("plain delay (ms)").unwrap();
         let prox = table.series_named("proximity delay (ms)").unwrap();
-        let mean = |s: &cam_metrics::DataSeries| {
+        let mean = |s: &crate::DataSeries| {
             s.points.iter().map(|&(_, y)| y).sum::<f64>() / s.points.len() as f64
         };
         assert!(

@@ -2,9 +2,9 @@
 //! ranges (the paper's legend omits `[4..60]`).
 
 use cam_core::CamKoorde;
-use cam_metrics::DataTable;
 
 use crate::runner::Options;
+use crate::DataTable;
 
 /// The paper's capacity ranges for Figure 10 (upper bounds; lower fixed 4).
 pub const RANGES: [u32; 8] = [4, 6, 8, 10, 20, 40, 100, 200];

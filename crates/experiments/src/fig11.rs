@@ -5,11 +5,12 @@
 //! and CAM-Koorde's shorter above ≈ 12, both staying under the analytic
 //! curve (Theorems 4 and 6).
 
+use cam_core::theory::fig11_bound;
 use cam_core::{CamChord, CamKoorde};
-use cam_metrics::{DataSeries, DataTable};
 use cam_workload::{CapacityAssignment, Scenario};
 
 use crate::runner::{parallel_sweep, sample_trees, Options};
+use crate::{DataSeries, DataTable};
 
 /// Average capacities swept (range `[4 .. 2c̄−4]` gives mean `c̄`; the
 /// first entry uses the constant range `[4..4]`).
@@ -44,11 +45,10 @@ pub fn run(opts: &Options) -> DataTable {
     let mut cam_chord = DataSeries::new("CAM-Chord");
     let mut cam_koorde = DataSeries::new("CAM-Koorde");
     let mut reference = DataSeries::new("1.5*ln(n)/ln(c)");
-    let n = opts.n as f64;
     for (c, lc, lk) in points {
         cam_chord.push(c, lc);
         cam_koorde.push(c, lk);
-        reference.push(c, 1.5 * n.ln() / c.ln());
+        reference.push(c, fig11_bound(opts.n, c));
     }
     table.push(cam_chord);
     table.push(cam_koorde);

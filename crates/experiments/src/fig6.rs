@@ -27,12 +27,12 @@
 //!   quantify exactly that clustering.)
 
 use cam_core::{CamChord, CamKoorde};
-use cam_metrics::{DataSeries, DataTable};
 use cam_workload::{BandwidthDist, CapacityAssignment, Scenario};
 use chord_overlay::Chord;
 use koorde_overlay::Koorde;
 
 use crate::runner::{parallel_sweep, sample_trees, Options};
+use crate::{DataSeries, DataTable};
 
 /// Mean degrees swept (CAMs: mean capacity; baselines: uniform degree).
 pub const DEGREE_TARGETS: [u32; 8] = [5, 7, 10, 14, 20, 28, 45, 70];

@@ -9,10 +9,10 @@
 //! emitted as a reference series.
 
 use cam_core::{CamChord, CamKoorde};
-use cam_metrics::{DataSeries, DataTable};
 use cam_workload::{BandwidthDist, CapacityAssignment, Scenario};
 
 use crate::runner::{parallel_sweep, sample_trees, Options};
+use crate::{DataSeries, DataTable};
 
 /// Upper bounds of the bandwidth range swept (kbps); `a` fixed at 400.
 pub const UPPER_BOUNDS: [f64; 9] = [

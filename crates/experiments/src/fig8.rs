@@ -8,10 +8,10 @@
 //! low throughput / large capacities.
 
 use cam_core::{CamChord, CamKoorde};
-use cam_metrics::{DataSeries, DataTable};
 use cam_workload::{BandwidthDist, CapacityAssignment, Scenario};
 
 use crate::runner::{parallel_sweep, sample_trees, Options};
+use crate::{DataSeries, DataTable};
 
 /// Per-link bandwidth targets swept (kbps).
 pub const P_VALUES: [f64; 9] = [10.0, 15.0, 20.0, 28.0, 38.0, 46.0, 60.0, 80.0, 100.0];

@@ -6,10 +6,10 @@
 //! over the sampled sources and normalized to a single tree of `n` nodes.
 
 use cam_core::CamChord;
-use cam_metrics::{DataSeries, DataTable};
 use cam_workload::{CapacityAssignment, Scenario};
 
 use crate::runner::{parallel_sweep, sample_trees, Options};
+use crate::{DataSeries, DataTable};
 
 /// The paper's capacity ranges for Figure 9 (upper bounds; lower fixed 4).
 pub const RANGES: [u32; 9] = [4, 6, 8, 10, 20, 40, 60, 100, 200];

@@ -23,19 +23,29 @@
 //! | [`fig10`] | Figure 10 | CAM-Koorde path-length distribution per capacity range |
 //! | [`fig11`] | Figure 11 | average path length vs. average capacity + 1.5·ln n/ln c |
 //! | [`ext`] | — | resilience under churn, maintenance overhead, ablations, lookup hops |
+//!
+//! The measurement utilities the figures share live here too:
+//! [`treeagg`] aggregates multicast-tree statistics across sources,
+//! [`series`] holds the tables and writes their CSVs, [`plot`] draws them
+//! as ASCII charts, and [`fairness`] scores load spread.
 
 pub mod ext;
+pub mod fairness;
 pub mod fig10;
 pub mod fig11;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod plot;
 pub mod runner;
+pub mod series;
+pub mod treeagg;
 
+pub use plot::ascii_plot;
 pub use runner::Options;
-
-use cam_metrics::DataTable;
+pub use series::{DataSeries, DataTable};
+pub use treeagg::TreeAggregator;
 
 /// One table's harness.
 pub type Figure = fn(&Options) -> DataTable;

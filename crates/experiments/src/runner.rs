@@ -13,9 +13,10 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cam_metrics::TreeAggregator;
 use cam_overlay::{StaticOverlay, TreeStats};
 use rand::{Rng, SeedableRng};
+
+use crate::TreeAggregator;
 
 /// Knobs shared by all experiments.
 #[derive(Debug, Clone, Copy)]

@@ -9,7 +9,7 @@
 
 use cam_core::{CamChord, CamKoorde};
 use cam_experiments::runner::{sample_distinct_sources, sample_trees};
-use cam_metrics::TreeAggregator;
+use cam_experiments::TreeAggregator;
 use cam_overlay::StaticOverlay;
 use cam_workload::Scenario;
 

@@ -110,11 +110,6 @@ impl Koorde {
         out.retain(|&n| n != idx);
         out
     }
-
-    /// The flooding adjacency of a member (pred, succ, de Bruijn owners).
-    pub fn flood_neighbors(&self, member: usize) -> &[usize] {
-        &self.adj[member]
-    }
 }
 
 impl StaticOverlay for Koorde {

@@ -188,11 +188,6 @@ impl MuxUdpTransport {
         }
     }
 
-    /// Frames currently parked awaiting socket writability.
-    pub fn backpressured_frames(&self) -> usize {
-        self.pending_frames
-    }
-
     /// Datagrams sent and received so far.
     pub fn datagrams(&self) -> DatagramCounters {
         self.datagrams
@@ -724,10 +719,10 @@ mod tests {
             bytes,
             frames: 2,
         });
-        assert_eq!(t.backpressured_frames(), 2);
+        assert_eq!(t.pending_frames, 2);
         t.send(SimTime::ZERO, 0, 1, b"third");
         assert_eq!(t.counters().send_backpressure, 3, "frames, not datagrams");
-        assert_eq!(t.backpressured_frames(), 0, "the queue drained");
+        assert_eq!(t.pending_frames, 0, "the queue drained");
         assert_eq!(t.counters().frames_dropped, 0, "backpressure is not loss");
         let got = receive(&mut t, 3);
         assert_eq!(
@@ -753,7 +748,7 @@ mod tests {
         t.park(small);
         // 8,193 frames would be parked: the oldest datagram goes, whole.
         assert_eq!(t.counters().frames_dropped, (MAX_BACKPRESSURE - 2) as u64);
-        assert_eq!(t.backpressured_frames(), 3);
+        assert_eq!(t.pending_frames, 3);
         assert_eq!(t.counters().send_backpressure, MAX_BACKPRESSURE as u64 + 1);
     }
 }

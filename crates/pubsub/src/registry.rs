@@ -263,13 +263,6 @@ impl GroupRegistry {
         self.groups.get(&group).is_some_and(|s| s.stalled)
     }
 
-    /// Universe index of `group`'s canonical source (the subscriber
-    /// owning the group's rendezvous identifier), if the tree is live.
-    pub fn group_root(&self, group: u64) -> Option<usize> {
-        let tree = self.groups.get(&group)?.tree.as_ref()?;
-        Some(tree.to_universe[tree.root])
-    }
-
     /// Registers an empty group.
     ///
     /// # Errors
@@ -579,6 +572,15 @@ mod tests {
     use super::*;
     use cam_overlay::Member;
     use cam_ring::{Id, IdSpace};
+
+    impl GroupRegistry {
+        /// Universe index of `group`'s canonical source (the subscriber
+        /// owning the group's rendezvous identifier), if the tree is live.
+        fn group_root(&self, group: u64) -> Option<usize> {
+            let tree = self.groups.get(&group)?.tree.as_ref()?;
+            Some(tree.to_universe[tree.root])
+        }
+    }
 
     /// `n` nodes spread over an 8-bit ring, all with capacity `c`.
     fn uniform_universe(n: u64, c: u32) -> MemberSet {

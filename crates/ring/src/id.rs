@@ -167,16 +167,6 @@ impl IdSpace {
         off != 0 && off <= len
     }
 
-    /// Whether `id` lies in the half-open clockwise interval `[from, to)`.
-    ///
-    /// Used by Koorde-style neighbor freedom checks; `[x, x)` is empty.
-    #[inline]
-    pub fn in_interval_incl_excl(self, id: Id, from: Id, to: Id) -> bool {
-        let len = self.seg_len(from, to);
-        let off = self.seg_len(from, id);
-        off < len
-    }
-
     /// Hashes arbitrary bytes to an identifier with SHA-1 (as the paper
     /// prescribes), taking the low `b` bits of the first 8 digest bytes.
     pub fn hash_to_id(self, data: &[u8]) -> Id {
@@ -258,19 +248,6 @@ mod tests {
         // Empty segment contains nothing, not even its own endpoint.
         assert!(!s.in_segment(Id(5), Id(5), Id(5)));
         assert!(!s.in_segment(Id(6), Id(5), Id(5)));
-    }
-
-    #[test]
-    fn in_interval_incl_excl_basics() {
-        let s = IdSpace::new(5);
-        // [29, 2) = {29, 30, 31, 0, 1}
-        for v in [29u64, 30, 31, 0, 1] {
-            assert!(s.in_interval_incl_excl(Id(v), Id(29), Id(2)), "{v}");
-        }
-        for v in [2u64, 3, 28] {
-            assert!(!s.in_interval_incl_excl(Id(v), Id(29), Id(2)), "{v}");
-        }
-        assert!(!s.in_interval_incl_excl(Id(5), Id(5), Id(5)), "[x,x) empty");
     }
 
     #[test]

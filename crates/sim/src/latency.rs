@@ -53,17 +53,6 @@ impl LatencyModel {
         }
     }
 
-    /// Generates random planar coordinates for `n` hosts.
-    pub fn random_planar(n: usize, rng: &mut SimRng) -> LatencyModel {
-        let coords = (0..n).map(|_| (rng.unit(), rng.unit())).collect();
-        LatencyModel::Planar {
-            coords,
-            base: Duration::from_millis(5),
-            per_unit: Duration::from_millis(100),
-            jitter_frac: 0.1,
-        }
-    }
-
     /// Samples the one-way delay for a message from actor `from` to actor
     /// `to` (indices into the simulation's actor table).
     ///
@@ -133,19 +122,5 @@ mod tests {
         let far = m.sample(0, 2, &mut rng);
         assert!(near < far, "near={near} far={far}");
         assert!(near >= Duration::from_millis(5), "floor applies");
-    }
-
-    #[test]
-    fn random_planar_covers_all_hosts() {
-        let mut rng = SimRng::new(4);
-        let m = LatencyModel::random_planar(16, &mut rng);
-        match &m {
-            LatencyModel::Planar { coords, .. } => assert_eq!(coords.len(), 16),
-            _ => unreachable!(),
-        }
-        // Sampling any pair works.
-        for i in 0..16 {
-            let _ = m.sample(i, (i + 5) % 16, &mut rng);
-        }
     }
 }

@@ -1,8 +1,8 @@
 //! Integer-valued histograms and running summaries.
 //!
 //! They live here, at the bottom of the stack, because the telemetry
-//! registry needs them and `cam-metrics` sits *above* the overlay in the
-//! dependency graph.
+//! registry needs them and the experiment harness (`cam-experiments`)
+//! sits *above* the overlay in the dependency graph.
 
 /// A dense histogram over small non-negative integer values (hop counts,
 /// fan-outs).
@@ -121,8 +121,8 @@ impl Histogram {
     }
 }
 
-/// Running mean / min / max / standard deviation over `f64` samples
-/// (Welford's algorithm).
+/// Running mean / min / max over `f64` samples (Welford's incremental
+/// mean).
 ///
 /// # Example
 ///
@@ -135,13 +135,11 @@ impl Histogram {
 /// }
 /// assert_eq!(s.count(), 8);
 /// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.stddev() - 2.138).abs() < 0.01);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -158,7 +156,6 @@ impl Summary {
         Summary {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -174,7 +171,6 @@ impl Summary {
         self.count += 1;
         let delta = v - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (v - self.mean);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -201,15 +197,6 @@ impl Summary {
     /// Largest sample (−∞ when empty).
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Sample standard deviation (0 for < 2 samples).
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).sqrt()
-        }
     }
 }
 
@@ -281,10 +268,7 @@ mod tests {
             s.record(v);
         }
         let mean = data.iter().sum::<f64>() / data.len() as f64;
-        let var =
-            data.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (data.len() - 1) as f64;
         assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.stddev() - var.sqrt()).abs() < 1e-12);
         assert_eq!(s.min(), -1.25);
         assert_eq!(s.max(), 8.0);
     }
@@ -293,10 +277,8 @@ mod tests {
     fn summary_empty_and_single() {
         let mut s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
         s.record(4.0);
         assert_eq!(s.mean(), 4.0);
-        assert_eq!(s.stddev(), 0.0);
     }
 
     #[test]

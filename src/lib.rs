@@ -49,7 +49,6 @@
 
 pub use cam_chaos as chaos;
 pub use cam_core as core;
-pub use cam_metrics as metrics;
 pub use cam_net as net;
 pub use cam_overlay as overlay;
 pub use cam_pubsub as pubsub;
@@ -64,7 +63,6 @@ pub use koorde_overlay as koorde;
 pub mod prelude {
     pub use cam_core::cam_chord::{CamChord, CamChordProtocol, ChildSelection};
     pub use cam_core::cam_koorde::{CamKoorde, CamKoordeProtocol};
-    pub use cam_core::CapacityModel;
     pub use cam_overlay::{Member, MemberSet, MulticastTree, StaticOverlay, TreeStats};
     pub use cam_ring::{Id, IdSpace, Segment};
     pub use cam_workload::{BandwidthDist, CapacityAssignment, Scenario};

@@ -34,7 +34,6 @@ use cam::chaos::{robustness_report, run_plan, FaultPlan, HostKind};
 use cam::core::cam_chord::{CamChordProtocol, ChildSelection};
 use cam::core::cam_koorde::CamKoordeProtocol;
 use cam::core::CamChord;
-use cam::metrics::{DataSeries, DataTable};
 use cam::net::runtime::{Cluster, RetransmitPolicy};
 use cam::net::transport::{InMemoryTransport, WireCounters};
 use cam::overlay::dynamic::DhtProtocol;
@@ -46,7 +45,7 @@ use cam::sim::{Duration, LatencyModel, SimTime};
 use cam::trace::{EventKind, RecordingTracer};
 use cam::workload::Scenario;
 use cam_experiments::runner::sample_trees;
-use cam_experiments::{Options, FIGURES};
+use cam_experiments::{DataSeries, DataTable, Options, FIGURES};
 use pin_check::{chaos_rows, committed, compare, BLESS};
 
 /// A committed file and the code that prints it.

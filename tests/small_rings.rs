@@ -1,11 +1,13 @@
-//! Exhaustive small rings through the shared walks.
+//! Exhaustive small rings through the shared walks and the shared rules.
 //!
 //! Every member subset of size 1..=5 of a 2^4 identifier space, every
 //! source, all five static overlays: the delivery log a walk feeds its sink
 //! is checked edge by edge, and the streaming summary is held to the
 //! materialized tree bit for bit. This is the oracle for
 //! `cam_overlay::stream::{region_walk, flood_walk}` and each overlay's
-//! child rule.
+//! child rule. Over the same rings, every origin and every key, the Chord
+//! baseline must route and count neighbors exactly as CAM-Chord does with
+//! every capacity fixed at Chord's base.
 
 use cam::chord::Chord;
 use cam::core::cam_chord::ProximityCamChord;
@@ -116,27 +118,66 @@ fn check(overlay: &dyn StaticOverlay, source: usize, region: bool, bounded: bool
     );
 }
 
+/// The member subsets of size 1..=5 of a 2^4 identifier space, as masks.
+fn masks() -> impl Iterator<Item = u32> {
+    (1u32..1 << 16).filter(|m| m.count_ones() <= 5)
+}
+
+/// The ring `mask` with every member at capacity `c`.
+fn ring(mask: u32, c: u32) -> MemberSet {
+    let members = (0..16u64)
+        .filter(|id| mask >> id & 1 == 1)
+        .map(|id| Member {
+            id: Id(id),
+            capacity: c,
+            upload_kbps: 100.0 * (1 + id) as f64,
+        })
+        .collect();
+    MemberSet::new(IdSpace::new(4), members).unwrap()
+}
+
 #[test]
 fn every_small_ring_every_source_every_overlay() {
-    let space = IdSpace::new(4);
     let cases = REGION
         .iter()
         .flat_map(|case| [2, 3, 4].map(|c| (case, c, true)))
         .chain(FLOOD.iter().map(|case| (case, 4, false)));
     for ((name, bounded, build), c, region) in cases {
-        for mask in (1u32..1 << 16).filter(|m| m.count_ones() <= 5) {
-            let members = (0..16u64)
-                .filter(|id| mask >> id & 1 == 1)
-                .map(|id| Member {
-                    id: Id(id),
-                    capacity: c,
-                    upload_kbps: 100.0 * (1 + id) as f64,
-                })
-                .collect();
-            let overlay = build(MemberSet::new(space, members).unwrap());
+        for mask in masks() {
+            let overlay = build(ring(mask, c));
             for source in 0..overlay.members().len() {
                 let at = format!("{name} c={c} ring {mask:#06x} source {source}");
                 check(overlay.as_ref(), source, region, *bounded, &at);
+            }
+        }
+    }
+}
+
+/// Chord at base `k` is CAM-Chord with every capacity fixed at `k`,
+/// whatever capacity `c` the ring's members declare: the same lookup path
+/// for every origin and key, and the same neighbor count.
+#[test]
+fn chord_is_cam_chord_at_its_base_on_every_small_ring() {
+    for mask in masks() {
+        for c in [2, 3, 4] {
+            for k in [2, 3, 4] {
+                let chord = Chord::new(ring(mask, c), k);
+                let cam = CamChord::new(ring(mask, k));
+                for origin in 0..cam.members().len() {
+                    let at = format!("c={c} k={k} ring {mask:#06x} origin {origin}");
+                    assert_eq!(
+                        chord.neighbor_count(origin),
+                        cam.neighbor_count(origin),
+                        "{at}"
+                    );
+                    for key in 0..16 {
+                        assert_eq!(
+                            chord.lookup(origin, Id(key)),
+                            cam.lookup(origin, Id(key)),
+                            "{at} key {key}"
+                        );
+                    }
+                }
             }
         }
     }
