@@ -564,9 +564,7 @@ impl<P: DhtProtocol> ChaosHost<P> for Cluster<P, InMemoryTransport> {
     }
 
     fn crash(&mut self, node: usize) {
-        if self.node(node).is_alive() {
-            self.kill(node);
-        }
+        self.kill(node);
     }
 
     fn restart_node(&mut self, node: usize, _protocol: &P) -> bool {
@@ -610,8 +608,7 @@ impl<P: DhtProtocol> ChaosHost<P> for Cluster<P, InMemoryTransport> {
     }
 
     fn actor_mut(&mut self, node: usize) -> Option<&mut DhtActor<P>> {
-        let nd = self.node_mut(node);
-        nd.is_alive().then(|| nd.actor_mut())
+        Cluster::actor_mut(self, node)
     }
 
     fn snapshots(&self) -> Vec<NodeSnapshot> {

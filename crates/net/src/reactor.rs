@@ -15,28 +15,21 @@
 //! * [`ReactorCore::next_wake`] — the earliest instant at which `poll`
 //!   would have work: `min(next timer, next RTO)` over all live nodes.
 //!
-//! That contract — `poll(now) → frames out` plus `next_wake() → wake-at`
-//! — is what lets one protocol core serve every host with zero
-//! divergence: the virtual-time [`Cluster`](crate::runtime::Cluster) over
-//! the deterministic in-memory wire (sim and chaos parity) and the same
-//! `Cluster` over real UDP where the wire loop sleeps *exactly* until
-//! `min(next_wake, socket readable, run deadline)` instead of spinning.
-//! The `atm0s-sdn` exemplar's SAN-I/O architecture is the model: protocol
-//! logic is written once, transports are pluggable shells.
+//! That contract lets one core serve every host, as in the `atm0s-sdn`
+//! exemplar's sans-I/O architecture: the virtual-time
+//! [`Cluster`](crate::runtime::Cluster) over the in-memory wire, and the
+//! same `Cluster` over real UDP, sleeping exactly until
+//! `min(next_wake, socket readable, run deadline)`.
 //!
 //! Hosts call `next_wake` and `poll` once per delivered frame, so neither
-//! may cost a walk over all N nodes: the paper bounds a member's work per
-//! message by its own capacity, whatever the group size, and the host
-//! must not undo that on the way in. Each node keeps its own timer heap
-//! and (sequence-ordered) retransmit buffer; above them sits one exact
-//! cluster-level index of every node's next deadline, a min tournament
-//! tree over node index. `next_wake` reads its root (O(1)); `poll` reads
-//! off the nodes due at `now` in ascending index order (O(due · log n))
-//! and pumps only those; and every place a node's deadline can move
-//! re-reads that node into the index (O(log n)) through one helper,
-//! `ReactorCore::refresh_deadline`, whose docs list the sites. A scan of
-//! all nodes survives only inside `debug_assert!`s that hold the index
-//! to it at every `next_wake` and `poll`.
+//! walks all N nodes (the paper bounds a member's work per message by its
+//! capacity, whatever the group size). Above each node's timer heap and
+//! retransmit buffer sits one exact index of every node's next deadline,
+//! a min tournament tree: `next_wake` reads its root (O(1)) and `poll`
+//! pumps only the nodes it lists as due (O(due · log n)). A node changes
+//! only through `NodeTable::update`, which re-reads its deadline right
+//! after; a scan of all nodes survives only in the `debug_assert!`s of
+//! `next_wake` and `poll`.
 //!
 //! Outgoing frames are encoded into buffers drawn from the sink's pool
 //! ([`FrameSink::alloc`]) and recycled after the transport ships them, so
@@ -193,12 +186,6 @@ impl<P: DhtProtocol> NodeRuntime<P> {
         &self.actor
     }
 
-    /// Exclusive access to the hosted actor (e.g. for a harness to toggle
-    /// anti-entropy on a running node).
-    pub fn actor_mut(&mut self) -> &mut DhtActor<P> {
-        &mut self.actor
-    }
-
     /// Whether the node is alive (not crash-killed by the harness).
     pub fn is_alive(&self) -> bool {
         self.alive
@@ -328,6 +315,70 @@ impl DeadlineIndex {
     }
 }
 
+mod table {
+    use super::{DeadlineIndex, DhtActor, DhtProtocol, NodeRuntime};
+
+    /// The nodes and the [`DeadlineIndex`] of their deadlines, in a module
+    /// of their own so that a node changes only through
+    /// [`NodeTable::update`], which re-reads its deadline right after.
+    /// Reads go through `Deref` to the node slice.
+    #[derive(Debug)]
+    pub(super) struct NodeTable<P: DhtProtocol> {
+        nodes: Vec<NodeRuntime<P>>,
+        deadlines: DeadlineIndex,
+    }
+
+    impl<P: DhtProtocol> NodeTable<P> {
+        pub(super) fn new() -> Self {
+            NodeTable {
+                nodes: Vec::new(),
+                deadlines: DeadlineIndex::new(0),
+            }
+        }
+
+        /// Adds a node as the last index.
+        pub(super) fn push(&mut self, nd: NodeRuntime<P>) {
+            self.deadlines.set(self.nodes.len(), nd.next_deadline());
+            self.nodes.push(nd);
+        }
+
+        /// Runs `f` on node `i`, then re-reads its deadline into the
+        /// index. `None` (and `f` never runs) for an unknown `i`.
+        pub(super) fn update<R>(
+            &mut self,
+            i: usize,
+            f: impl FnOnce(&mut NodeRuntime<P>) -> R,
+        ) -> Option<R> {
+            let nd = self.nodes.get_mut(i)?;
+            let out = f(nd);
+            self.deadlines.set(i, nd.next_deadline());
+            Some(out)
+        }
+
+        /// Node `i`'s actor, if `i` is a live node. The actor holds no
+        /// deadline: its timers and sends leave as effects.
+        pub(super) fn actor_mut(&mut self, i: usize) -> Option<&mut DhtActor<P>> {
+            let nd = self.nodes.get_mut(i).filter(|nd| nd.alive)?;
+            Some(&mut nd.actor)
+        }
+
+        /// The deadline index, to read.
+        pub(super) fn deadlines(&self) -> &DeadlineIndex {
+            &self.deadlines
+        }
+    }
+
+    impl<P: DhtProtocol> std::ops::Deref for NodeTable<P> {
+        type Target = [NodeRuntime<P>];
+
+        fn deref(&self) -> &[NodeRuntime<P>] {
+            &self.nodes
+        }
+    }
+}
+
+use table::NodeTable;
+
 /// The sans-I/O reactor core: N nodes' protocol state driven purely by
 /// `handle_frame` / `poll` / `next_wake`, with every outgoing frame
 /// pushed through a [`FrameSink`] and every counter delta written into a
@@ -336,10 +387,7 @@ impl DeadlineIndex {
 pub struct ReactorCore<P: DhtProtocol> {
     space: IdSpace,
     protocol: P,
-    nodes: Vec<NodeRuntime<P>>,
-    /// Every node's next deadline, kept exact by
-    /// [`ReactorCore::refresh_deadline`].
-    deadlines: DeadlineIndex,
+    nodes: NodeTable<P>,
     /// Reusable list of the nodes one [`ReactorCore::poll`] pumps.
     due: Vec<usize>,
     policy: RetransmitPolicy,
@@ -359,12 +407,10 @@ pub struct ReactorCore<P: DhtProtocol> {
 
 impl<P: DhtProtocol> ReactorCore<P> {
     /// Builds a *converged* core of `members` on endpoints
-    /// `0..members.len()`: every node starts with correct successors,
-    /// predecessor, and fingers (what stabilization would eventually
-    /// produce) and its maintenance timers armed — the same bootstrap the
-    /// sim harness uses. Endpoints up to `endpoints` stay free for
-    /// [`ReactorCore::join`]. Maintenance-arming may emit frames; they
-    /// land in `sink` for the host to ship at its time zero.
+    /// `0..members.len()`: correct successors, predecessor and fingers, and
+    /// maintenance timers armed — the sim harness's bootstrap. Endpoints up
+    /// to `endpoints` stay free for [`ReactorCore::join`]; frames the
+    /// arming emits land in `sink`, for the host to ship at time zero.
     ///
     /// # Panics
     ///
@@ -388,21 +434,20 @@ impl<P: DhtProtocol> ReactorCore<P> {
             endpoints >= n,
             "transport has {endpoints} endpoints for {n} members"
         );
-        let nodes = converged_actors(space, members, &protocol)
-            .enumerate()
-            .map(|(i, actor)| NodeRuntime::new(i, actor, seed))
-            .collect();
+        let mut nodes = NodeTable::new();
+        for (i, actor) in converged_actors(space, members, &protocol).enumerate() {
+            nodes.push(NodeRuntime::new(i, actor, seed));
+        }
         let mut core = ReactorCore {
             space,
             protocol,
             nodes,
-            deadlines: DeadlineIndex::new(n),
             due: Vec::new(),
             policy,
             endpoints,
             seed,
             next_payload: 1,
-            effects: CollectedEffects::new(),
+            effects: CollectedEffects::default(),
             tracer: Box::new(NopTracer),
         };
         for i in 0..n {
@@ -416,10 +461,9 @@ impl<P: DhtProtocol> ReactorCore<P> {
     }
 
     /// Runs `f` on node `i`'s actor through an [`EffectDriver`] stamped
-    /// with `now`, then turns the effects it buffered into timer-heap
-    /// entries and frames in `sink`. The one place an actor is called; an
-    /// out-of-range `i` is counted in `internal_errors` and `f` never
-    /// runs.
+    /// with `now`, then turns its effects into timer-heap entries and
+    /// frames in `sink`, all inside one `update`. The one place an actor is
+    /// called; an unknown `i` counts in `internal_errors`.
     fn with_actor(
         &mut self,
         now: SimTime,
@@ -428,43 +472,67 @@ impl<P: DhtProtocol> ReactorCore<P> {
         counters: &mut WireCounters,
         f: impl FnOnce(&mut DhtActor<P>, &mut EffectDriver<'_>),
     ) {
-        let mut fx = std::mem::take(&mut self.effects);
-        match self.nodes.get_mut(i) {
-            Some(nd) => {
-                let mut drv = EffectDriver {
-                    me: ActorId(i),
-                    effects: &mut fx,
-                    rng: &mut nd.rng,
-                    tracer: self.tracer.as_mut(),
-                    now_micros: now.micros(),
-                };
-                f(&mut nd.actor, &mut drv);
-                self.flush_effects(now, i, &mut fx, sink, counters);
-                fx.clear();
-                self.refresh_deadline(i);
+        let ran = self.nodes.update(i, |nd| {
+            let mut drv = EffectDriver {
+                me: ActorId(i),
+                effects: &mut self.effects,
+                rng: &mut nd.rng,
+                tracer: self.tracer.as_mut(),
+                now_micros: now.micros(),
+            };
+            f(&mut nd.actor, &mut drv);
+            for (delay, tag) in self.effects.timers.drain(..) {
+                nd.push_timer(now + delay, tag);
             }
-            None => counters.internal_errors += 1,
-        }
-        self.effects = fx;
-    }
-
-    /// Re-reads node `i`'s next deadline into the cluster index. Must
-    /// follow every change to a node's timers, retransmit buffer or
-    /// liveness: the end of [`ReactorCore::with_actor`] (timers armed,
-    /// payload frames sent) and of [`ReactorCore::pump_node`] (timers
-    /// popped, RTOs backed off or abandoned), ack removal in
-    /// [`ReactorCore::handle_frame`], [`ReactorCore::kill`],
-    /// [`ReactorCore::restart`], [`ReactorCore::join`] (a new leaf) and
-    /// the direct send in [`ReactorCore::send_join_request`]. (The last
-    /// three re-read a deadline that is `None` before and after today — a
-    /// restarted or fresh node has nothing armed and join requests are
-    /// not acked — rather than lean on that.) Debug builds check the
-    /// index against a scan of all nodes at every `next_wake` and `poll`,
-    /// so a forgotten site fails the first test that steps a cluster
-    /// past it.
-    fn refresh_deadline(&mut self, i: usize) {
-        if let Some(nd) = self.nodes.get(i) {
-            self.deadlines.set(i, nd.next_deadline());
+            // Each send becomes a DATA frame in the sink; payload frames
+            // also enter the retransmit buffer.
+            for (to, msg) in self.effects.sends.drain(..) {
+                let to = to.index();
+                if to >= self.endpoints {
+                    continue; // stale address: lost, like the sim's unknown actor
+                }
+                let needs_ack = matches!(
+                    msg,
+                    DhtMsg::Multicast { .. }
+                        | DhtMsg::PayloadPush { .. }
+                        | DhtMsg::GroupPublish { .. }
+                );
+                let seq = nd.next_seq;
+                nd.next_seq += 1;
+                let frame = Frame::Data {
+                    from: i as u64,
+                    seq,
+                    ack_required: needs_ack,
+                    msg,
+                };
+                let mut buf = sink.alloc();
+                match encode_frame_into(&frame, &mut buf) {
+                    Err(_) => {
+                        // Too large for one frame (e.g. an oversized payload
+                        // or digest): counted, not sent. Anti-entropy will
+                        // not help here either — the payload itself must fit.
+                        counters.encode_oversize += 1;
+                        sink.give_back(buf);
+                    }
+                    Ok(()) => {
+                        counters.frames_encoded += 1;
+                        if needs_ack {
+                            let pending = PendingAck {
+                                to,
+                                frame: buf.clone(),
+                                attempts: 1,
+                                rto: self.policy.initial_rto,
+                                next_at: now + self.policy.initial_rto,
+                            };
+                            nd.awaiting_ack.insert(seq, pending);
+                        }
+                        sink.push(i, to, buf);
+                    }
+                }
+            }
+        });
+        if ran.is_none() {
+            counters.internal_errors += 1;
         }
     }
 
@@ -477,8 +545,9 @@ impl<P: DhtProtocol> ReactorCore<P> {
     /// Sets the base maintenance period on every node (see
     /// [`DhtActor::set_stabilize_every`]).
     pub fn set_maintenance_period(&mut self, every: Duration) {
-        for nd in &mut self.nodes {
-            nd.actor.set_stabilize_every(every);
+        for i in 0..self.nodes.len() {
+            self.nodes
+                .update(i, |nd| nd.actor.set_stabilize_every(every));
         }
     }
 
@@ -497,38 +566,26 @@ impl<P: DhtProtocol> ReactorCore<P> {
         self.nodes.is_empty()
     }
 
-    /// The runtime hosting node `i` (in ring order for seeded nodes, then
-    /// join order). With [`ReactorCore::node_mut`], the only raw
-    /// `nodes[…]` index in the reactor: internal callers pass an index from
-    /// a `0..self.nodes.len()` loop or an iterator position, and
-    /// wire-derived indices are bounds-checked before reaching here
+    /// The runtime hosting node `i` (ring order for seeded nodes, then join
+    /// order): the reactor's one raw `nodes[…]` index. Internal callers pass
+    /// loop-bounded indices; wire-derived ones are checked first
     /// ([`ReactorCore::handle_frame`]).
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()` — node indices are part of the caller's
-    /// contract, exactly like slice indexing.
+    /// Panics if `i >= self.len()`, exactly like slice indexing.
     #[expect(
         clippy::indexing_slicing,
-        reason = "single audited index; callers pass loop-bounded or pre-checked indices, \
-                  never raw wire input"
+        reason = "single audited index; callers pass loop-bounded or pre-checked indices"
     )]
     pub fn node(&self, i: usize) -> &NodeRuntime<P> {
         &self.nodes[i]
     }
 
-    /// Exclusive access to node `i`; same contract as
-    /// [`ReactorCore::node`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "single audited index; same contract as `node`"
-    )]
-    pub fn node_mut(&mut self, i: usize) -> &mut NodeRuntime<P> {
-        &mut self.nodes[i]
+    /// Exclusive access to node `i`'s actor (e.g. to attach an adversary),
+    /// or `None` if `i` is crash-killed or unknown.
+    pub fn actor_mut(&mut self, i: usize) -> Option<&mut DhtActor<P>> {
+        self.nodes.actor_mut(i)
     }
 
     /// Installs an event tracer (e.g. a `RecordingTracer`). Protocol
@@ -561,27 +618,30 @@ impl<P: DhtProtocol> ReactorCore<P> {
 
     /// Crash-kills node `i`: its timers and retransmissions stop and
     /// frames addressed to it are ignored, like a dead UDP host. Peers
-    /// discover the crash through failure detection.
+    /// discover the crash through failure detection. Returns `false`, and
+    /// does nothing, if `i` is already dead.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
-    pub fn kill(&mut self, now: SimTime, i: usize) {
-        let nd = self.node_mut(i);
-        nd.alive = false;
-        nd.timers.clear();
-        nd.awaiting_ack.clear();
-        self.refresh_deadline(i);
+    pub fn kill(&mut self, now: SimTime, i: usize) -> bool {
+        if !self.node(i).alive {
+            return false;
+        }
+        self.nodes.update(i, |nd| {
+            nd.alive = false;
+            nd.timers.clear();
+            nd.awaiting_ack.clear();
+        });
         self.tracer.record(now.micros(), i as u64, EventKind::Crash);
+        true
     }
 
-    /// Restarts a crashed node `i` with *fresh* state — the deployment
-    /// model of a host rebooting: same identity and endpoint, empty
-    /// routing tables and payload store, rejoining through a live peer.
-    /// The node's RNG stream and wire sequence numbers continue where they
-    /// left off, so restarts stay deterministic and old in-flight frames
-    /// cannot collide with new ones. Returns `false` if `i` is alive (a
-    /// running node cannot be restarted).
+    /// Restarts a crashed node `i` with *fresh* state, like a host
+    /// rebooting: same identity and endpoint, empty tables, rejoining
+    /// through a live peer. Its RNG stream and wire sequence numbers
+    /// continue, so old in-flight frames cannot collide with new ones.
+    /// Returns `false` if `i` is alive.
     ///
     /// # Panics
     ///
@@ -598,12 +658,12 @@ impl<P: DhtProtocol> ReactorCore<P> {
         }
         let member = *self.node(i).actor.member();
         let actor = DhtActor::new(self.space, member, self.protocol.clone());
-        let nd = self.node_mut(i);
-        nd.actor = actor;
-        nd.alive = true;
-        nd.timers.clear();
-        nd.awaiting_ack.clear();
-        self.refresh_deadline(i);
+        self.nodes.update(i, |nd| {
+            nd.actor = actor;
+            nd.alive = true;
+            nd.timers.clear();
+            nd.awaiting_ack.clear();
+        });
         self.reshare_directory();
         self.tracer
             .record(now.micros(), i as u64, EventKind::Restart);
@@ -611,9 +671,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
         true
     }
 
-    /// Rebuilds the id → endpoint directory from `self.nodes` and installs
-    /// the single shared allocation on every node (one `O(n)` book, not a
-    /// private copy per node).
+    /// Rebuilds the id → endpoint directory and installs one shared
+    /// allocation on every node (one `O(n)` book, not a copy per node).
     fn reshare_directory(&mut self) {
         let directory = host::shared_directory(
             self.nodes
@@ -621,15 +680,15 @@ impl<P: DhtProtocol> ReactorCore<P> {
                 .enumerate()
                 .map(|(i, nd)| (nd.actor.member().id, ActorId(i))),
         );
-        for nd in &mut self.nodes {
-            nd.actor.set_directory(Arc::clone(&directory));
+        for i in 0..self.nodes.len() {
+            self.nodes
+                .update(i, |nd| nd.actor.set_directory(Arc::clone(&directory)));
         }
     }
 
-    /// Re-sends a join request for every live node whose join has not
-    /// completed (join traffic is unacknowledged, so a lost request would
-    /// otherwise strand the joiner forever). Returns how many requests
-    /// were re-sent.
+    /// Re-sends the join request of every live node not yet joined (join
+    /// traffic is unacknowledged, so a lost request would strand it).
+    /// Returns how many were re-sent.
     pub fn retry_stalled_joins(
         &mut self,
         now: SimTime,
@@ -668,15 +727,14 @@ impl<P: DhtProtocol> ReactorCore<P> {
         let bootstrap = host::join_bootstrap(self.slots())?;
         let actor = DhtActor::new(self.space, member, self.protocol.clone());
         self.nodes.push(NodeRuntime::new(idx, actor, self.seed));
-        self.refresh_deadline(idx);
         self.reshare_directory();
         self.send_join_request(now, idx, bootstrap, sink, counters);
         Some(idx)
     }
 
     /// Re-sends node `joiner`'s join request through the first live,
-    /// joined node (used by the host's join-retry loop). Returns whether
-    /// a bootstrap existed.
+    /// joined node (the host's join-retry loop). Returns whether it was
+    /// sent: not from a dead `joiner`, nor without a bootstrap.
     pub fn resend_join_request(
         &mut self,
         now: SimTime,
@@ -685,7 +743,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
         counters: &mut WireCounters,
     ) -> bool {
         let joiner_id = self.node(joiner).actor.member().id;
-        let Some(bootstrap) = host::rejoin_bootstrap(self.slots(), joiner_id) else {
+        let bootstrap = host::rejoin_bootstrap(self.slots(), joiner_id);
+        let Some(bootstrap) = bootstrap.filter(|_| self.node(joiner).alive) else {
             return false;
         };
         self.send_join_request(now, joiner, bootstrap, sink, counters);
@@ -700,9 +759,12 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        let msg = host::join_request(self.node(joiner).actor.member(), ActorId(joiner));
-        self.send_msg(now, joiner, ActorId(bootstrap), msg, sink, counters);
-        self.refresh_deadline(joiner);
+        self.with_actor(now, joiner, sink, counters, |actor, drv| {
+            drv.send(
+                ActorId(bootstrap),
+                host::join_request(actor.member(), ActorId(joiner)),
+            );
+        });
     }
 
     /// Initiates a multicast at node `source` carrying `data`, returning
@@ -711,7 +773,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `source >= self.len()`.
+    /// Panics if `source >= self.len()` or node `source` is dead.
     pub fn start_multicast(
         &mut self,
         now: SimTime,
@@ -724,9 +786,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
         self.originate(now, source, None, region_split, data, sink, counters)
     }
 
-    /// Feeds the origin message of a multicast (`group == None`) or a
-    /// group publish to node `source` itself and returns the fresh payload
-    /// id.
+    /// Feeds the origin message of a multicast (`group == None`) or group
+    /// publish to node `source` itself; returns the fresh payload id.
     #[expect(
         clippy::too_many_arguments,
         reason = "one multicast plus the caller-owned sink and counters"
@@ -743,20 +804,21 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ) -> u64 {
         let payload = self.next_payload;
         self.next_payload += 1;
-        let member = self.node(source).actor.member();
-        let msg = host::origin_message(self.space, member, payload, group, region_split, data);
+        let (nd, space) = (self.node(source), self.space);
+        assert!(nd.alive, "source must be alive");
+        let msg =
+            host::origin_message(space, nd.actor.member(), payload, group, region_split, data);
         self.dispatch(now, source, ActorId(source), msg, sink, counters);
         payload
     }
 
-    /// Subscribes node `subscriber` to pub/sub group `group`: its local
-    /// delivery filter flips immediately and the membership routes over
-    /// the wire to the group's rendezvous root — the same message flow as
-    /// the sim harness, so censuses from both hosts are comparable.
+    /// Subscribes node `subscriber` to pub/sub group `group`: its delivery
+    /// filter flips at once and the membership routes to the group's
+    /// rendezvous root, the sim harness's message flow.
     ///
     /// # Panics
     ///
-    /// Panics if `subscriber >= self.len()`.
+    /// Panics if `subscriber >= self.len()` or node `subscriber` is dead.
     pub fn subscribe(
         &mut self,
         now: SimTime,
@@ -765,7 +827,9 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        let msg = host::membership_message(self.node(subscriber).actor.member(), group, true);
+        let nd = self.node(subscriber);
+        assert!(nd.alive, "subscriber must be alive");
+        let msg = host::membership_message(nd.actor.member(), group, true);
         self.dispatch(now, subscriber, ActorId(subscriber), msg, sink, counters);
     }
 
@@ -774,7 +838,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `subscriber >= self.len()`.
+    /// Panics if `subscriber >= self.len()` or node `subscriber` is dead.
     pub fn unsubscribe(
         &mut self,
         now: SimTime,
@@ -783,7 +847,9 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        let msg = host::membership_message(self.node(subscriber).actor.member(), group, false);
+        let nd = self.node(subscriber);
+        assert!(nd.alive, "subscriber must be alive");
+        let msg = host::membership_message(nd.actor.member(), group, false);
         self.dispatch(now, subscriber, ActorId(subscriber), msg, sink, counters);
     }
 
@@ -793,7 +859,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `source >= self.len()`.
+    /// Panics if `source >= self.len()` or node `source` is dead.
     #[expect(
         clippy::too_many_arguments,
         reason = "one publish plus the caller-owned sink and counters"
@@ -811,49 +877,41 @@ impl<P: DhtProtocol> ReactorCore<P> {
         self.originate(now, source, Some(group), region_split, data, sink, counters)
     }
 
-    /// Folds the given `(group, payload)` publishes into a per-group
-    /// [`GroupDeliveryCensus`] over each group's live subscribers — the
-    /// same fold as the sim harness's `group_delivery_census`, so equal
-    /// seeds produce bit-identical censuses across hosts.
+    /// Folds `(group, payload)` publishes into a per-group
+    /// [`GroupDeliveryCensus`] over live subscribers, the sim harness's
+    /// fold, so equal seeds give bit-identical censuses on both hosts.
     pub fn group_delivery_census(&self, publishes: &[(u64, u64)]) -> GroupDeliveryCensus {
         host::group_delivery_census(self.slots(), publishes)
     }
 
     /// Fraction of live nodes that have received `payload`
-    /// ([`host::delivery_census`], the fold the sim harness uses, so ratios
-    /// from both hosts are directly comparable).
+    /// ([`host::delivery_census`], the sim harness's fold).
     pub fn delivery_ratio(&self, payload: u64) -> f64 {
         host::delivery_census(self.slots(), payload).ratio()
     }
 
-    /// Mean overlay hop count of `payload` over live nodes that received
-    /// it.
+    /// Mean overlay hop count of `payload` over its live receivers.
     pub fn mean_hops(&self, payload: u64) -> f64 {
         host::hop_stats(self.slots(), payload).0
     }
 
-    /// Maximum overlay hop count of `payload` over live nodes that
-    /// received it.
+    /// Maximum overlay hop count of `payload` over its live receivers.
     pub fn max_hops(&self, payload: u64) -> u32 {
         host::hop_stats(self.slots(), payload).1
     }
 
     /// The earliest instant [`ReactorCore::poll`] has work — the minimum
-    /// over every live node's next timer and next retransmission. `None`
-    /// when the core is fully quiescent.
-    ///
-    /// O(1): the root of the deadline index, whatever the cluster size.
-    /// The answer is exact — hosts hop or sleep to it — and debug builds
-    /// assert it equals the minimum found by scanning every node.
+    /// over every live node's next timer and next retransmission, `None`
+    /// when quiescent. O(1) and exact: hosts hop or sleep to it.
     pub fn next_wake(&self) -> Option<SimTime> {
-        let next = self.deadlines.min();
+        let next = self.nodes.deadlines().min();
         debug_assert_eq!(
             next,
             self.nodes
                 .iter()
                 .filter_map(NodeRuntime::next_deadline)
                 .min(),
-            "deadline index out of step with the nodes: a refresh site is missing"
+            "deadline index out of step with the nodes"
         );
         next
     }
@@ -881,8 +939,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
             Err(_) => counters.frames_rejected += 1,
             Ok(Frame::Ack { seq, .. }) => {
                 counters.frames_decoded += 1;
-                self.node_mut(to).awaiting_ack.remove(&seq);
-                self.refresh_deadline(to); // the acked frame may have held the node's earliest RTO
+                self.nodes.update(to, |nd| nd.awaiting_ack.remove(&seq));
             }
             Ok(Frame::Data {
                 from,
@@ -941,92 +998,14 @@ impl<P: DhtProtocol> ReactorCore<P> {
         });
     }
 
-    /// Turns collected effects into frames in the sink and timer-heap
-    /// entries.
-    fn flush_effects(
-        &mut self,
-        now: SimTime,
-        i: usize,
-        fx: &mut CollectedEffects,
-        sink: &mut FrameSink,
-        counters: &mut WireCounters,
-    ) {
-        for (delay, tag) in fx.timers.drain(..) {
-            let at = now + delay;
-            self.node_mut(i).push_timer(at, tag);
-        }
-        for (to, msg) in fx.sends.drain(..) {
-            self.send_msg(now, i, to, msg, sink, counters);
-        }
-    }
-
-    /// Encodes `msg` as a DATA frame from node `i` and pushes it into the
-    /// sink; payload frames additionally enter the retransmit buffer.
-    fn send_msg(
-        &mut self,
-        now: SimTime,
-        i: usize,
-        to: ActorId,
-        msg: DhtMsg,
-        sink: &mut FrameSink,
-        counters: &mut WireCounters,
-    ) {
-        let to = to.index();
-        if to >= self.endpoints {
-            return; // stale address: lost, like the sim's unknown actor
-        }
-        let needs_ack = matches!(
-            msg,
-            DhtMsg::Multicast { .. } | DhtMsg::PayloadPush { .. } | DhtMsg::GroupPublish { .. }
-        );
-        let nd = self.node_mut(i);
-        let seq = nd.next_seq;
-        nd.next_seq += 1;
-        let frame = Frame::Data {
-            from: i as u64,
-            seq,
-            ack_required: needs_ack,
-            msg,
-        };
-        let mut buf = sink.alloc();
-        match encode_frame_into(&frame, &mut buf) {
-            Err(_) => {
-                // Too large for one frame (e.g. an oversized payload or
-                // digest): counted, not sent. Anti-entropy will not help
-                // here either — the payload itself must fit.
-                counters.encode_oversize += 1;
-                sink.give_back(buf);
-            }
-            Ok(()) => {
-                counters.frames_encoded += 1;
-                if needs_ack {
-                    let pending = PendingAck {
-                        to,
-                        frame: buf.clone(),
-                        attempts: 1,
-                        rto: self.policy.initial_rto,
-                        next_at: now + self.policy.initial_rto,
-                    };
-                    self.node_mut(i).awaiting_ack.insert(seq, pending);
-                }
-                sink.push(i, to, buf);
-            }
-        }
-    }
-
-    /// Fires every timer and retransmission due at or before `now`,
-    /// across all nodes in index order — a fixed order, so what nodes
-    /// emit at the same instant reaches the sink (and hence the wire)
+    /// Fires every timer and retransmission due at or before `now`, node
+    /// by node in index order, so same-instant emissions reach the sink
     /// identically on every run. Returns whether anything fired.
     ///
-    /// O(due · log n): the nodes with a deadline at or before `now` are
-    /// read off the deadline index first, in ascending index order, and
-    /// only those are pumped. Collecting before pumping yields the same
-    /// frames in the same order as pumping every node in turn, because
-    /// pumping node `i` touches only node `i`'s timers and retransmit
-    /// buffer — everything else it causes leaves through `sink` — so it
-    /// can neither make another node due nor un-due one already listed.
-    /// Debug builds assert the list equals what a scan of all nodes finds.
+    /// O(due · log n): the due nodes are read off the index first. That
+    /// equals pumping every node in turn, because pumping node `i` touches
+    /// only node `i`'s timers and retransmit buffer, so it can neither
+    /// make another node due nor un-due one already listed.
     pub fn poll(
         &mut self,
         now: SimTime,
@@ -1035,7 +1014,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
     ) -> bool {
         let mut due = std::mem::take(&mut self.due);
         due.clear();
-        self.deadlines.due_into(now, &mut due);
+        self.nodes.deadlines().due_into(now, &mut due);
         debug_assert!(
             due.iter().copied().eq(self
                 .nodes
@@ -1043,7 +1022,7 @@ impl<P: DhtProtocol> ReactorCore<P> {
                 .enumerate()
                 .filter(|(_, nd)| nd.next_deadline().is_some_and(|at| at <= now))
                 .map(|(i, _)| i)),
-            "deadline index out of step with the nodes: a refresh site is missing"
+            "deadline index out of step with the nodes"
         );
         let mut did = false;
         for &i in &due {
@@ -1069,45 +1048,41 @@ impl<P: DhtProtocol> ReactorCore<P> {
             if at > now {
                 break;
             }
-            self.node_mut(i).timers.pop();
+            self.nodes.update(i, |nd| nd.timers.pop());
             did = true;
             self.with_actor(now, i, sink, counters, |actor, drv| {
                 actor.deliver_timer(drv, tag)
             });
         }
-        let policy = self.policy;
-        let tracer = self.tracer.as_mut();
-        let Some(nd) = self.nodes.get_mut(i) else {
-            return did;
-        };
-        nd.awaiting_ack.retain(|&seq, p| {
-            if p.next_at > now {
-                return true;
-            }
-            did = true;
-            if p.attempts >= policy.max_attempts {
-                return false;
-            }
-            p.attempts += 1;
-            p.rto = p.rto.saturating_mul(2).min(policy.max_rto);
-            p.next_at = now + p.rto;
-            let mut buf = sink.alloc();
-            buf.extend_from_slice(&p.frame);
-            counters.frames_retransmitted += 1;
-            tracer.record(
-                now.micros(),
-                i as u64,
-                EventKind::Retransmit {
-                    to: p.to as u64,
-                    wire_seq: seq,
-                    attempt: p.attempts - 1,
-                    rto_micros: p.rto.micros(),
-                },
-            );
-            sink.push(i, p.to, buf);
-            true
+        self.nodes.update(i, |nd| {
+            nd.awaiting_ack.retain(|&seq, p| {
+                if p.next_at > now {
+                    return true;
+                }
+                did = true;
+                if p.attempts >= self.policy.max_attempts {
+                    return false;
+                }
+                p.attempts += 1;
+                p.rto = p.rto.saturating_mul(2).min(self.policy.max_rto);
+                p.next_at = now + p.rto;
+                let mut buf = sink.alloc();
+                buf.extend_from_slice(&p.frame);
+                counters.frames_retransmitted += 1;
+                self.tracer.record(
+                    now.micros(),
+                    i as u64,
+                    EventKind::Retransmit {
+                        to: p.to as u64,
+                        wire_seq: seq,
+                        attempt: p.attempts - 1,
+                        rto_micros: p.rto.micros(),
+                    },
+                );
+                sink.push(i, p.to, buf);
+                true
+            });
         });
-        self.refresh_deadline(i);
         did
     }
 }
@@ -1159,5 +1134,103 @@ mod tests {
             let armed: Vec<usize> = (0..model.len()).filter(|&i| model[i].is_some()).collect();
             assert_eq!(due, armed);
         }
+    }
+
+    /// Holds the index to a scan of every node: its earliest deadline,
+    /// and the nodes due at `now` and at that deadline.
+    fn assert_index_exact<P: DhtProtocol>(core: &ReactorCore<P>, now: SimTime) {
+        let scan: Vec<_> = core.nodes.iter().map(NodeRuntime::next_deadline).collect();
+        let wake = core.next_wake();
+        assert_eq!(
+            wake,
+            scan.iter().flatten().min().copied(),
+            "deadline index out of step"
+        );
+        for at in [now, wake.unwrap_or(now)] {
+            let mut due = Vec::new();
+            core.nodes.deadlines().due_into(at, &mut due);
+            let want = (0..scan.len()).filter(|&i| scan[i].is_some_and(|d| d <= at));
+            assert_eq!(
+                due,
+                want.collect::<Vec<_>>(),
+                "deadline index out of step at {at:?}"
+            );
+        }
+    }
+
+    /// Each kind of change to a node's deadline once, the index checked
+    /// after each, in release builds too (where the `debug_assert!`s are
+    /// compiled out): the counterpart of the actor's
+    /// `neighbor_table_equals_the_rule_after_every_kind_of_write`.
+    #[test]
+    fn deadline_index_is_exact_after_every_kind_of_change() {
+        use cam_core::cam_chord::CamChordProtocol;
+        use cam_ring::Id;
+
+        let members =
+            [1_000, 140_000, 270_000, 400_000].map(|id| Member::with_capacity(Id(id), 3));
+        let policy = RetransmitPolicy {
+            max_attempts: 2,
+            ..RetransmitPolicy::default()
+        };
+        let rto = policy.initial_rto;
+        let (mut sink, mut counters) = (FrameSink::new(), WireCounters::default());
+        let mut core = ReactorCore::converged(
+            IdSpace::PAPER,
+            &members,
+            CamChordProtocol,
+            7,
+            members.len() + 1,
+            policy,
+            &mut sink,
+            &mut counters,
+        );
+        assert_index_exact(&core, SimTime::ZERO);
+
+        // A handler arming a timer: the first maintenance timer re-arms.
+        let t = core.next_wake().unwrap();
+        assert!(core.poll(t, &mut sink, &mut counters));
+        assert_index_exact(&core, t);
+        sink.recycle_all();
+
+        // A payload send enters node 0's retransmit buffer.
+        let data = bytes::Bytes::from_static(b"x");
+        core.start_multicast(t, 0, true, data, &mut sink, &mut counters);
+        let sent = core.node(0).unacked_frames();
+        assert!(sent > 1);
+        assert_index_exact(&core, t);
+
+        // An ack: the first payload frame's receiver acks it first thing.
+        let OutFrame { to, buf, .. } = sink.frames.swap_remove(0);
+        sink.recycle_all();
+        core.handle_frame(t, to, &buf, &mut sink, &mut counters);
+        let ack = sink.frames.swap_remove(0);
+        core.handle_frame(t, 0, &ack.buf, &mut sink, &mut counters);
+        assert_eq!(core.node(0).unacked_frames(), sent - 1);
+        assert_index_exact(&core, t);
+
+        // An RTO backoff, then those frames abandoned at their last attempt.
+        for (at, left) in [(t + rto, sent - 1), (t + rto.saturating_mul(3), 0)] {
+            core.poll(at, &mut sink, &mut counters);
+            assert_eq!(core.node(0).unacked_frames(), left);
+            assert_index_exact(&core, at);
+        }
+        assert!(counters.frames_retransmitted > 0);
+        let t = t + rto.saturating_mul(3);
+
+        // A crash empties node 1's deadline; a second kill changes nothing.
+        assert!(core.kill(t, 1));
+        assert!(!core.kill(t, 1));
+        assert_index_exact(&core, t);
+
+        // A restart and a join past the table each send one join request.
+        sink.recycle_all();
+        assert!(core.restart(t, 1, &mut sink, &mut counters));
+        assert_index_exact(&core, t);
+        let newcomer = Member::with_capacity(Id(200_000), 3);
+        assert_eq!(core.join(t, newcomer, &mut sink, &mut counters), Some(4));
+        assert_index_exact(&core, t);
+        let senders: Vec<usize> = sink.frames().iter().map(|f| f.from).collect();
+        assert_eq!(senders, [1, 4]);
     }
 }

@@ -21,19 +21,14 @@
 //! tolerates loss by design, exactly as in the sim.
 //!
 //! Time: with a virtual-time transport ([`Transport::is_virtual`]) the
-//! cluster advances its clock from event to event like the simulator, so
-//! runs are deterministic under a fixed seed. With a real transport the
-//! clock is the wall clock and the loop is **deadline-driven**: each
-//! iteration drains ready frames in batches (shipping the responses once
-//! per batch, not once per frame), fires due timers, then —
-//! only when nothing was ready — parks until
-//! `min(next timer, next RTO, run deadline)`, waking early if the
-//! transport signals readiness ([`Transport::wait`]). The loop never
-//! spins at a fixed cadence and never sleeps past a deadline; see
-//! [`LoopStats`] for the observable wake-up/park accounting the
-//! regression tests assert on and the repo benchmark reports.
+//! clock hops from event to event like the simulator, so runs are
+//! deterministic under a fixed seed. With a real transport the loop is
+//! **deadline-driven**: it drains ready frames in batches, fires due
+//! timers, and only when nothing was ready parks until
+//! `min(next timer, next RTO, run deadline)` or transport readiness
+//! ([`Transport::wait`]) — never a fixed cadence ([`LoopStats`]).
 
-use cam_overlay::dynamic::DhtProtocol;
+use cam_overlay::dynamic::{DhtActor, DhtProtocol};
 use cam_overlay::Member;
 use cam_ring::IdSpace;
 use cam_sim::{Duration, SimTime};
@@ -54,13 +49,9 @@ const RECV_BATCH: usize = 64;
 /// no writable-readiness signal).
 const BACKPRESSURE_RETRY: Duration = Duration(500);
 
-/// Observable scheduler accounting for the real-time wire loop.
-///
-/// The loop parks exactly until the next deadline instead of polling on
-/// a fixed tick, so `wakeups` over an idle stretch is one per timer, not
-/// thousands per second. The deadline-sleep regression test
-/// (`tests/deadline.rs`) and the repo benchmark's `runtime.*` metrics
-/// both read these numbers.
+/// Scheduler accounting for the real-time wire loop: over an idle
+/// stretch `wakeups` is one per timer, not thousands per second. Read by
+/// `tests/deadline.rs` and the repo benchmark's `runtime.*` metrics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LoopStats {
     /// Loop iterations in real-time mode (each one drains + polls).
@@ -164,9 +155,8 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         self.sink.recycle_all();
     }
 
-    /// Sets the base maintenance period on every node (see
-    /// `DhtActor::set_stabilize_every`). Real clusters typically lower
-    /// it so convergence takes wall-clock seconds, not minutes.
+    /// [`ReactorCore::set_maintenance_period`]; real clusters lower it to
+    /// converge in wall-clock seconds, not minutes.
     pub fn set_maintenance_period(&mut self, every: Duration) {
         self.core.set_maintenance_period(every);
     }
@@ -191,24 +181,15 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         self.core.is_empty()
     }
 
-    /// The runtime hosting node `i` (in ring order for seeded nodes, then
-    /// join order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()` — node indices are part of the caller's
-    /// contract, exactly like slice indexing.
+    /// The runtime hosting node `i`; panics like [`ReactorCore::node`].
     pub fn node(&self, i: usize) -> &NodeRuntime<P> {
         self.core.node(i)
     }
 
-    /// Exclusive access to node `i` (e.g. to toggle anti-entropy).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()` — same contract as [`Cluster::node`].
-    pub fn node_mut(&mut self, i: usize) -> &mut NodeRuntime<P> {
-        self.core.node_mut(i)
+    /// Exclusive access to node `i`'s actor (e.g. to toggle anti-entropy),
+    /// or `None` if `i` is crash-killed or unknown.
+    pub fn actor_mut(&mut self, i: usize) -> Option<&mut DhtActor<P>> {
+        self.core.actor_mut(i)
     }
 
     /// The embedded protocol core.
@@ -243,9 +224,7 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         self.stats = LoopStats::default();
     }
 
-    /// Installs an event tracer (e.g. a `RecordingTracer`). Protocol
-    /// events from every node's actor and runtime-level events
-    /// (retransmits, crashes) flow into it, stamped with the wire clock.
+    /// [`ReactorCore::set_tracer`]: events are stamped with the wire clock.
     pub fn set_tracer(&mut self, tracer: Box<dyn Tracer>) {
         self.core.set_tracer(tracer);
     }
@@ -260,16 +239,14 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         self.core.tracer_mut()
     }
 
-    /// Removes and returns the installed tracer, leaving a `NopTracer`
-    /// behind — call once at the end of a run to export the trace.
+    /// [`ReactorCore::take_tracer`], once at the end of a run to export.
     pub fn take_tracer(&mut self) -> Box<dyn Tracer> {
         self.core.take_tracer()
     }
 
-    /// Copies the transport's wire counters and cluster-level gauges into
-    /// the tracer's telemetry registry, unifying both in one trace
-    /// artifact. Counters are absolute snapshots — call once, at the end
-    /// of a run, before exporting.
+    /// Copies the wire counters and cluster gauges into the tracer's
+    /// telemetry registry as absolute snapshots: call once, at the end of
+    /// a run, before exporting.
     pub fn export_telemetry(&mut self) {
         let c = self.transport.counters();
         let nodes = self.core.len() as i64;
@@ -293,61 +270,38 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         t.gauge_set("loop.io_wakes", stats.io_wakes as i64);
     }
 
-    /// Crash-kills node `i`: its timers and retransmissions stop and
-    /// frames addressed to it are ignored, like a dead UDP host. Peers
-    /// discover the crash through failure detection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
-    pub fn kill(&mut self, i: usize) {
-        self.core.kill(self.now, i);
+    /// [`ReactorCore::kill`] at the cluster clock: same result and panics.
+    pub fn kill(&mut self, i: usize) -> bool {
+        self.core.kill(self.now, i)
     }
 
-    /// Restarts a crashed node `i` with *fresh* state — the deployment
-    /// model of a host rebooting. See `ReactorCore::restart`. Returns
-    /// `false` if `i` is alive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.len()`.
+    /// [`ReactorCore::restart`] at the cluster clock: same result and
+    /// panics.
     pub fn restart(&mut self, i: usize) -> bool {
         self.with_core(|core, now, sink, counters| core.restart(now, i, sink, counters))
     }
 
-    /// Re-sends a join request for every live node whose join has not
-    /// completed. Join traffic is unacknowledged, so a request lost to the
-    /// wire — or answered by a bootstrap that crashed first — would strand
-    /// the joiner forever; a periodic retry makes joins self-healing, the
-    /// same way [`Cluster::join_and_wait`] retries inline. Returns how many
-    /// requests were re-sent.
+    /// [`ReactorCore::retry_stalled_joins`] at the cluster clock. Called
+    /// periodically, it makes joins self-healing, the same way
+    /// [`Cluster::join_and_wait`] retries inline.
     pub fn retry_stalled_joins(&mut self) -> usize {
         self.with_core(|core, now, sink, counters| {
             core.retry_stalled_joins(now, sink, counters)
         })
     }
 
-    /// Adds `member` as a fresh node on the next free transport endpoint
-    /// and starts its join through the lowest-numbered live node, exactly
-    /// like the sim harness: the address book is updated out of band (the
-    /// deployment equivalent is carrying addresses on the wire), but ring
-    /// membership is negotiated by the join protocol itself.
-    ///
-    /// Returns the new node's index, or `None` if the id is taken, no
-    /// live bootstrap exists, or the transport is out of endpoints.
+    /// [`ReactorCore::join`] at the cluster clock: the address book is
+    /// updated out of band, as in the sim harness, but ring membership is
+    /// negotiated by the join protocol itself.
     pub fn join(&mut self, member: Member) -> Option<usize> {
         self.with_core(|core, now, sink, counters| core.join(now, member, sink, counters))
     }
 
-    /// Runs until node `i` completes its join, re-sending the join
-    /// request every `retry_every` (join traffic is unacknowledged, so a
-    /// lost request would otherwise strand the joiner). Returns whether
-    /// the join completed within `timeout`.
-    ///
-    /// Elapsed time is measured against the cluster clock (`self.now`),
-    /// not accumulated from requested slices — under real time the loop
-    /// may wake late, and counting slices would silently extend the
-    /// timeout by the accumulated drift.
+    /// Joins `member` and runs until its join completes, re-sending the
+    /// (unacknowledged) join request every `retry_every`. Returns whether
+    /// it completed within `timeout`, measured on the cluster clock: under
+    /// real time the loop may wake late, and summing requested slices
+    /// would extend the timeout by that drift.
     pub fn join_and_wait(
         &mut self,
         member: Member,
@@ -371,13 +325,8 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         self.node(idx).actor().is_joined()
     }
 
-    /// Initiates a multicast at node `source` carrying `data`, returning
-    /// the payload id. `region_split` chooses CAM-Chord region multicast
-    /// over constrained flooding, as in the sim harness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source >= self.len()`.
+    /// [`ReactorCore::start_multicast`] at the cluster clock: same result
+    /// and panics.
     pub fn start_multicast(
         &mut self,
         source: usize,
@@ -389,39 +338,22 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         })
     }
 
-    /// Subscribes node `subscriber` to pub/sub group `group`: its local
-    /// delivery filter flips immediately and the membership routes over
-    /// the wire to the group's rendezvous root — the same message flow as
-    /// the sim harness, so censuses from both hosts are comparable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subscriber >= self.len()`.
+    /// [`ReactorCore::subscribe`] at the cluster clock: same panics.
     pub fn subscribe(&mut self, subscriber: usize, group: u64) {
         self.with_core(|core, now, sink, counters| {
             core.subscribe(now, subscriber, group, sink, counters)
         });
     }
 
-    /// Removes node `subscriber`'s subscription to `group` (routed like
-    /// [`Cluster::subscribe`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subscriber >= self.len()`.
+    /// [`ReactorCore::unsubscribe`] at the cluster clock: same panics.
     pub fn unsubscribe(&mut self, subscriber: usize, group: u64) {
         self.with_core(|core, now, sink, counters| {
             core.unsubscribe(now, subscriber, group, sink, counters)
         });
     }
 
-    /// Initiates a publish in `group` at node `source`, returning the
-    /// payload id. Forwarded like a multicast (acked, retransmitted), but
-    /// only subscribers deliver it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source >= self.len()`.
+    /// [`ReactorCore::start_group_publish`] at the cluster clock: same
+    /// result and panics.
     pub fn start_group_publish(
         &mut self,
         source: usize,
@@ -434,17 +366,12 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         })
     }
 
-    /// Folds the given `(group, payload)` publishes into a per-group
-    /// [`GroupDeliveryCensus`] over each group's live subscribers — the
-    /// same fold as the sim harness's `group_delivery_census`, so equal
-    /// seeds produce bit-identical censuses across hosts.
+    /// See [`ReactorCore::group_delivery_census`].
     pub fn group_delivery_census(&self, publishes: &[(u64, u64)]) -> GroupDeliveryCensus {
         self.core.group_delivery_census(publishes)
     }
 
-    /// Fraction of live nodes that have received `payload`, under the
-    /// same `DeliveryCensus` rules the sim harness uses, so ratios from
-    /// both hosts are directly comparable.
+    /// See [`ReactorCore::delivery_ratio`].
     pub fn delivery_ratio(&self, payload: u64) -> f64 {
         self.core.delivery_ratio(payload)
     }

@@ -244,9 +244,11 @@ fn nodes_join_over_the_wire_and_receive_multicasts() {
 #[test]
 fn killed_nodes_do_not_count_against_delivery() {
     let mut cluster = converged(16, CamChordProtocol, 31, 0.0);
+    cluster.set_tracer(Box::new(RecordingTracer::new()));
     cluster.run_for(Duration::from_secs(2));
-    cluster.kill(5);
-    cluster.kill(11);
+    assert!(cluster.kill(5));
+    assert!(cluster.kill(11));
+    assert!(!cluster.kill(5), "a dead node cannot be killed again");
     // Let failure detection notice before multicasting.
     cluster.run_for(Duration::from_secs(15));
     let payload = cluster.start_multicast(0, true, Bytes::from(vec![3u8; 32]));
@@ -259,6 +261,16 @@ fn killed_nodes_do_not_count_against_delivery() {
         cluster.delivery_ratio(payload)
     );
     assert!(cluster.node(5).actor().payload_hops(payload).is_none());
+    let trace = cluster.take_tracer();
+    assert_eq!(trace.as_recording().unwrap().count("crash"), 2);
+}
+
+#[test]
+#[should_panic(expected = "source must be alive")]
+fn a_dead_node_cannot_originate() {
+    let mut cluster = converged(8, CamChordProtocol, 3, 0.0);
+    cluster.kill(2);
+    cluster.start_multicast(2, true, Bytes::new());
 }
 
 /// `join_and_wait` holds its timeout to the cluster clock even when the
@@ -286,14 +298,11 @@ fn join_and_wait_gives_up_exactly_at_its_timeout() {
     assert_eq!(cluster.now().since(start), Duration::from_secs(1));
 }
 
-/// One run through every place a node's next deadline can move — timers
-/// armed and fired, payload frames sent, acked before their RTO, acked
-/// after it, backed off and abandoned, a node killed with frames in
-/// flight, restarted, and a fresh node joined past the end of the table.
-/// Debug builds compare the reactor's deadline index with a scan of all
-/// nodes at every step, so a refresh forgotten at any of those sites
-/// fails here; in any build the run must still deliver, and repeat
-/// bit for bit.
+/// One run through every way a node's next deadline moves — timers,
+/// acks before and after their RTO, backoff and abandonment, a kill with
+/// frames in flight, a restart, a join past the seeded table. Debug
+/// builds check the deadline index at every step; in any build the run
+/// must deliver, and repeat bit for bit.
 #[test]
 fn deadline_index_survives_every_way_a_deadline_moves() {
     let run = || {

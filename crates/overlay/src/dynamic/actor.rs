@@ -74,13 +74,13 @@ pub struct DhtActor<P: DhtProtocol> {
     pub(super) protocol: P,
     /// Resolved routing entries `(target identifier, member currently
     /// believed responsible for it)`: a map of at most ~60 slots kept
-    /// sorted by target, written only through `put_finger` and the
-    /// `retain` in `evict`.
-    pub(super) fingers: Vec<(u64, Member)>,
+    /// sorted by target. Private to this file, like `neighbors`: only
+    /// `put_finger`, `drop_finger_member` and `seed_state` write it, each
+    /// re-deriving `neighbors`.
+    fingers: Vec<(u64, Member)>,
     /// The neighbor table every reader borrows (see
-    /// [`DhtActor::neighbor_members`]), re-derived from `fingers` by
-    /// `rebuild_neighbors` after each write that changes a slot's member.
-    pub(super) neighbors: Vec<Member>,
+    /// [`DhtActor::neighbor_members`]).
+    neighbors: Vec<Member>,
     /// Identifier targets (cached from the protocol).
     pub(super) targets: Vec<Id>,
     pub(super) successors: Vec<Member>,
@@ -267,16 +267,14 @@ impl<P: DhtProtocol> DhtActor<P> {
 
     /// Current resolved neighbor members: deduplicated by id, never `me`,
     /// in ascending finger-target order (the first slot naming a member
-    /// places it). Maintained on write, so every lookup hop and forward
-    /// borrows it instead of rebuilding it; the order is deterministic, so
-    /// equal seeds produce equal runs.
+    /// places it). Maintained on write, so every reader borrows it.
     pub fn neighbor_members(&self) -> &[Member] {
         debug_assert!(
             self.neighbors
                 .iter()
                 .copied()
                 .eq(neighbor_rule(self.me.id, &self.fingers)),
-            "neighbor table is stale: a finger write skipped rebuild_neighbors"
+            "neighbor table is stale"
         );
         &self.neighbors
     }
@@ -290,10 +288,27 @@ impl<P: DhtProtocol> DhtActor<P> {
         Some(&self.fingers[i].1)
     }
 
-    /// Points finger slot `target` at `member`, keeping `fingers` sorted
-    /// (a repeated target keeps the last member). Returns whether the
-    /// slot's member changed; if so the caller owes `rebuild_neighbors`.
-    pub(super) fn put_finger(&mut self, target: u64, member: Member) -> bool {
+    /// Points finger slot `target` at `member` and re-derives the neighbor
+    /// table if the slot's member changed.
+    pub(super) fn put_finger(&mut self, target: u64, member: Member) {
+        if self.write_slot(target, member) {
+            self.rebuild_neighbors();
+        }
+    }
+
+    /// Empties every finger slot naming `member` and re-derives the
+    /// neighbor table if one emptied.
+    pub(super) fn drop_finger_member(&mut self, member: Id) {
+        let slots = self.fingers.len();
+        self.fingers.retain(|&(_, m)| m.id != member);
+        if self.fingers.len() != slots {
+            self.rebuild_neighbors();
+        }
+    }
+
+    /// Points slot `target` at `member` (a repeated target keeps the last)
+    /// and returns whether its member changed. Leaves `neighbors` be.
+    fn write_slot(&mut self, target: u64, member: Member) -> bool {
         match self.fingers.binary_search_by_key(&target, |&(t, _)| t) {
             Ok(i) => std::mem::replace(&mut self.fingers[i].1, member) != member,
             Err(i) => {
@@ -303,12 +318,10 @@ impl<P: DhtProtocol> DhtActor<P> {
         }
     }
 
-    /// Re-derives the neighbor table from `fingers` in place; called only
-    /// after a write that changed a finger's member. Counted before it is
-    /// filled, so the buffer grows to exactly the largest table this node
-    /// has held — every actor of an 8k-node run keeps one, and an
-    /// over-allocate-then-shrink leaves a hole per actor in the heap.
-    pub(super) fn rebuild_neighbors(&mut self) {
+    /// Re-derives the neighbor table from `fingers` in place, counted first
+    /// so the buffer is exactly the largest table this node has held (an
+    /// over-allocate-then-shrink leaves a heap hole per actor at 8k nodes).
+    fn rebuild_neighbors(&mut self) {
         let me = self.me.id;
         let len = neighbor_rule(me, &self.fingers).count();
         self.neighbors.clear();
@@ -335,9 +348,9 @@ impl<P: DhtProtocol> DhtActor<P> {
         self.fingers.reserve_exact(finger_seeds.len());
         for (t, m) in finger_seeds {
             self.capacity_pins.insert(m.id.value(), m.capacity);
-            self.put_finger(t.value(), m);
+            self.write_slot(t.value(), m);
         }
-        self.rebuild_neighbors();
+        self.rebuild_neighbors(); // once, not once per slot
         self.joined = true;
     }
 
@@ -576,9 +589,7 @@ impl<P: DhtProtocol> DhtActor<P> {
                         target: target.value(),
                         neighbor: owner.id.value(),
                     });
-                    if self.put_finger(target.value(), owner) {
-                        self.rebuild_neighbors();
-                    }
+                    self.put_finger(target.value(), owner);
                 }
             }
             DhtMsg::StabilizeQuery => {

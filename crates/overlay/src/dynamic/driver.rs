@@ -95,24 +95,6 @@ pub struct CollectedEffects {
     pub timers: Vec<(Duration, u64)>,
 }
 
-impl CollectedEffects {
-    /// An empty effect buffer.
-    pub fn new() -> Self {
-        CollectedEffects::default()
-    }
-
-    /// Whether no effects are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.sends.is_empty() && self.timers.is_empty()
-    }
-
-    /// Drops all buffered effects (capacity is kept for reuse).
-    pub fn clear(&mut self) {
-        self.sends.clear();
-        self.timers.clear();
-    }
-}
-
 /// A [`DhtDriver`] that buffers effects into [`CollectedEffects`] instead
 /// of performing them — the bridge between the pure actor and a poll-style
 /// host. The host lends the actor's RNG stream and its tracer for the

@@ -240,10 +240,8 @@ impl<P: DhtProtocol> DhtActor<P> {
                 // but no longer responsible) resident must not clobber that
                 // resolution back to stale.
                 self.ping_strikes.remove(&member.id.value());
-                if self.finger(target).is_some_and(|m| m.id == probed)
-                    && self.put_finger(target, member)
-                {
-                    self.rebuild_neighbors();
+                if self.finger(target).is_some_and(|m| m.id == probed) {
+                    self.put_finger(target, member);
                 }
             }
         }

@@ -477,8 +477,8 @@ fn replay_row(seed: u64) -> String {
     let mut cluster = converged(&members(seed), CamChordProtocol, seed);
     cluster.set_tracer(Box::new(RecordingTracer::with_capacity(1 << 14)));
     cluster
-        .node_mut(ADVERSARY)
-        .actor_mut()
+        .actor_mut(ADVERSARY)
+        .expect("the adversary is alive")
         .attach_adversary(ByzantineBehavior::Replay, seed);
     cluster.run_for(Duration::from_secs(1));
     let payload = cluster.start_multicast(0, true, Bytes::from(vec![0xC3u8; 256]));
