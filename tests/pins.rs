@@ -14,6 +14,7 @@
 //! |---|---|---|
 //! | `tests/pins/figures_quick.txt` | SHA-1 of each static table's CSV at `Options::quick()` | tier-1 |
 //! | `tests/pins/reactor.txt` | 20 lossy-wire `Cluster` scenarios and one replay attack | tier-1 |
+//! | `tests/pins/pubsub.txt` | every decision of one subscription-churn run of `GroupRegistry` | tier-1 |
 //! | `tests/pins/chaos_small.txt` | `cam-chaos --preset small --seeds 25 --host both` | tier-1 |
 //! | `tests/pins/chaos_torture.txt` | `cam-chaos --preset torture --seeds 4 --host sim` | tier-1, one test per seed in `tests/torture.rs` |
 //! | `tests/pins/chaos_default.txt` | `cam-chaos --preset default --seeds 25 --host both` | ignored; release CI |
@@ -37,13 +38,14 @@ use cam::core::CamChord;
 use cam::net::runtime::{Cluster, RetransmitPolicy};
 use cam::net::transport::{InMemoryTransport, WireCounters};
 use cam::overlay::dynamic::DhtProtocol;
-use cam::overlay::{ByzantineBehavior, DetectionCounters, Member};
+use cam::overlay::{ByzantineBehavior, DeliverySink, DetectionCounters, Member};
+use cam::pubsub::{Admission, GroupRegistry};
 use cam::ring::sha1::Sha1;
 use cam::ring::{Id, IdSet, IdSpace};
 use cam::sim::rng::SimRng;
 use cam::sim::{Duration, LatencyModel, SimTime};
 use cam::trace::{EventKind, RecordingTracer};
-use cam::workload::Scenario;
+use cam::workload::{GroupOp, MultiGroupScenario, Scenario};
 use cam_experiments::runner::sample_trees;
 use cam_experiments::{DataSeries, DataTable, Options, FIGURES};
 use pin_check::{chaos_rows, committed, compare, BLESS};
@@ -70,6 +72,7 @@ fn pins() -> Vec<Pin> {
     let mut pins = vec![
         Pin::new("tests/pins/figures_quick.txt", quick_digests),
         Pin::new("tests/pins/reactor.txt", reactor_rows),
+        Pin::new("tests/pins/pubsub.txt", pubsub_rows),
         chaos("small", 25, BOTH),
         chaos("torture", 4, &[HostKind::Sim]),
         chaos("default", 25, BOTH),
@@ -103,6 +106,11 @@ fn figures_quick() {
 #[test]
 fn reactor() {
     verify(|f| f == "tests/pins/reactor.txt");
+}
+
+#[test]
+fn pubsub() {
+    verify(|f| f == "tests/pins/pubsub.txt");
 }
 
 #[test]
@@ -561,5 +569,155 @@ fn replay_row(seed: u64) -> String {
         cluster.now().micros(),
         wire_field(&cluster.counters()),
         trace_field(&rec.chrome_trace_json())
+    )
+}
+
+// -------------------------------------------------------------- pub/sub
+//
+// Every decision `GroupRegistry` takes over one subscription-churn run:
+// each admission (a refusal's node included), whether each unsubscribe
+// left its group stalled, every publish's deliveries in order, and at the
+// end each group's flags and ledger charges. Any change to a tree, a
+// charge or an admission moves a digest.
+
+const PUBSUB_SEED: u64 = 1;
+const PUBSUB_NODES: usize = 4_000;
+const PUBSUB_GROUPS: usize = 64;
+const PUBSUB_SEED_SUBSCRIPTIONS: usize = 4_000;
+const PUBSUB_CHURN_OPS: usize = 8_000;
+
+/// Feeds each delivery of a publish, in order, into a digest.
+struct DeliveryDigest<'a> {
+    sha: &'a mut Sha1,
+    deliveries: usize,
+}
+
+impl DeliverySink for DeliveryDigest<'_> {
+    fn deliver(&mut self, parent: usize, child: usize, hops: u32) -> bool {
+        self.deliveries += 1;
+        for v in [parent as u64, child as u64, u64::from(hops)] {
+            self.sha.update(&v.to_le_bytes());
+        }
+        true
+    }
+}
+
+/// One phase's counts and the digest of its decisions.
+#[derive(Default)]
+struct PhaseDigest {
+    sha: Sha1,
+    ops: usize,
+    admitted: usize,
+    degraded: usize,
+    rejected: usize,
+    stalls: usize,
+    deliveries: usize,
+}
+
+impl PhaseDigest {
+    fn play(&mut self, reg: &mut GroupRegistry, op: GroupOp) {
+        self.ops += 1;
+        let record = |sha: &mut Sha1, tag: u8, v: u64| {
+            sha.update(&[tag]);
+            sha.update(&v.to_le_bytes());
+        };
+        match op {
+            GroupOp::Create { group } => {
+                reg.create_group(group).expect("fresh group id");
+                record(&mut self.sha, b'C', group);
+            }
+            GroupOp::Subscribe { group, node } => {
+                match reg.subscribe(group, node).expect("known group and node") {
+                    Admission::Admitted => self.admitted += 1,
+                    Admission::AdmittedDegraded => self.degraded += 1,
+                    Admission::Rejected { node } => {
+                        self.rejected += 1;
+                        record(&mut self.sha, b'R', node as u64);
+                    }
+                }
+                let degraded = reg.is_degraded(group);
+                record(&mut self.sha, b'S', u64::from(degraded));
+            }
+            GroupOp::Unsubscribe { group, node } => {
+                reg.unsubscribe(group, node).expect("known group");
+                let stalled = reg.is_stalled(group);
+                self.stalls += usize::from(stalled);
+                record(&mut self.sha, b'U', u64::from(stalled));
+            }
+            GroupOp::Publish { group } => {
+                let mut sink = DeliveryDigest {
+                    sha: &mut self.sha,
+                    deliveries: 0,
+                };
+                let stats = reg.publish_into(group, &mut sink).expect("known group");
+                self.deliveries += sink.deliveries;
+                record(&mut self.sha, b'P', stats.reached as u64);
+            }
+        }
+    }
+
+    fn row(self, phase: &str) -> String {
+        format!(
+            "{phase} ops={} admitted={} degraded={} rejected={} stalls={} deliveries={} {}",
+            self.ops,
+            self.admitted,
+            self.degraded,
+            self.rejected,
+            self.stalls,
+            self.deliveries,
+            Sha1::to_hex(&self.sha.finalize())
+        )
+    }
+}
+
+/// Three rows: the Zipf set-up phase, the churn tail, and the final
+/// registry state (each group's subscriber count, flags and charges).
+fn pubsub_rows() -> String {
+    let universe = Scenario::paper_default(PUBSUB_SEED)
+        .with_n(PUBSUB_NODES)
+        .members();
+    let ops = MultiGroupScenario::new(PUBSUB_NODES, PUBSUB_GROUPS, PUBSUB_SEED)
+        .with_zipf(0.5)
+        .subscription_churn(PUBSUB_SEED_SUBSCRIPTIONS, PUBSUB_CHURN_OPS);
+    let (setup_ops, churn_ops) = ops.split_at(ops.len() - PUBSUB_CHURN_OPS);
+    let mut reg = GroupRegistry::new(universe);
+    let mut setup = PhaseDigest::default();
+    for &op in setup_ops {
+        setup.play(&mut reg, op);
+    }
+    let mut churn = PhaseDigest::default();
+    for &op in churn_ops {
+        churn.play(&mut reg, op);
+    }
+    // A run that never refuses or stalls would pin neither path.
+    assert!(
+        setup.rejected + churn.rejected > 0 && churn.stalls > 0,
+        "tests/pins/pubsub.txt: the run must reject a subscribe and stall an unsubscribe"
+    );
+    let mut last = Sha1::new();
+    let (mut stalled, mut degraded, mut charged) = (0, 0, 0u64);
+    for g in reg.group_ids() {
+        let flags = [reg.is_stalled(g), reg.is_degraded(g)];
+        stalled += usize::from(flags[0]);
+        degraded += usize::from(flags[1]);
+        last.update(&g.to_le_bytes());
+        last.update(&(reg.subscriber_count(g) as u64).to_le_bytes());
+        last.update(&flags.map(u8::from));
+        for &(node, children) in reg.ledger().group_charges(g) {
+            charged += u64::from(children);
+            last.update(&(node as u64).to_le_bytes());
+            last.update(&children.to_le_bytes());
+        }
+    }
+    assert!(
+        reg.ledger().verify().is_ok(),
+        "tests/pins/pubsub.txt: ledger overcommitted"
+    );
+    format!(
+        "{}\n{}\nfinal groups={} stalled={stalled} degraded={degraded} charged={charged} {}\n",
+        setup.row("setup"),
+        churn.row("churn"),
+        reg.len(),
+        Sha1::to_hex(&last.finalize())
     )
 }
