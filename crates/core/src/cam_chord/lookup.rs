@@ -14,10 +14,9 @@
 //! before computing levels — otherwise `k − x = 0` has no level.
 
 use cam_overlay::{LookupResult, MemberSet};
-use cam_ring::math::pow_saturating;
 use cam_ring::Id;
 
-use super::neighbors::level_seq_of;
+use super::neighbors::level_of;
 
 /// Routes a CAM-Chord lookup for `key` starting at member `origin`, where
 /// member `i` takes its level and sequence number from base `base(i)`.
@@ -57,8 +56,8 @@ pub fn lookup<F: Fn(usize) -> u32>(
         let x = group.id_at(cur);
         let c = base(cur);
         // Lines 4–5: level and sequence number of k w.r.t. x.
-        let (i, j) = level_seq_of(space, x, c, key);
-        let target = space.add(x, j * pow_saturating(u64::from(c), i));
+        let level = level_of(space, x, c, key);
+        let target = space.add(x, level.j * level.pow);
         let nb_idx = group.owner_idx(target);
         let nb = group.member(nb_idx).id;
         // Lines 6–7: x̂_{i,j} is responsible for k.

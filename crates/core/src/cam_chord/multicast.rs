@@ -31,10 +31,9 @@
 
 use cam_overlay::stream::{adopt_owner, region_walk, RegionChild};
 use cam_overlay::{DeliverySink, MemberSet};
-use cam_ring::math::pow_saturating;
 use cam_ring::{Id, IdSpace};
 
-use super::neighbors::level_seq_of;
+use super::neighbors::level_of;
 
 /// How line 13's fractional neighbor index is rounded.
 ///
@@ -94,6 +93,11 @@ pub fn select_children(
 ///   (the service layer rejects the subscribe), not to the region math,
 ///   which must never strand a region undelivered.
 ///
+/// A region is empty (lines 1–2) when no member is left in `(x, k′]`,
+/// that is when it does not reach `x`'s ring successor: the selection
+/// returns nothing for such a region and stops as soon as the shrinking
+/// `k′` makes it one, since every later step would adopt nobody.
+///
 /// # Panics
 ///
 /// Panics if `x_idx` is out of range.
@@ -107,51 +111,54 @@ pub fn select_children_capped_into(
 ) {
     out.clear();
     let space = group.space();
-    let x = group.member(x_idx).id;
-    let c = u64::from(cap);
-    if space.seg_len(x, k) == 0 {
+    let x = group.id_at(x_idx);
+    let succ = group.next_idx(x_idx);
+    let succ_dist = if succ == x_idx {
+        u64::MAX // alone on the ring: no region holds a member
+    } else {
+        space.seg_len(x, group.id_at(succ))
+    };
+    let holds_member = |k_prime: Id| space.seg_len(x, k_prime) >= succ_dist;
+    if !holds_member(k) {
         return; // Lines 1–2: empty region.
     }
 
-    let mut k_prime = k;
     // Every selection below is one `adopt_owner` step: owner(target) takes
     // the tail (target, k'] and k' moves to target − 1 (lines 9 and 14).
-    let mut consider = |target: Id| adopt_owner(group, x, target, &mut k_prime, out);
-
+    let mut k_prime = k;
     if cap < 2 {
         // Chain mode: line 15 alone — the successor covers everything.
-        consider(space.add(x, 1));
+        adopt_owner(group, x, space.add(x, 1), &mut k_prime, out);
         return;
     }
-    let (i, j) = level_seq_of(space, x, cap, k);
+    let c = u64::from(cap);
+    let level = level_of(space, x, cap, k);
 
     // Lines 6–9: level-i neighbors m = j down to 1.
-    let ci = pow_saturating(c, i);
-    for m in (1..=j).rev() {
-        consider(space.add(x, m * ci));
-    }
+    let level_i = (1..=level.j).rev().map(|m| m * level.pow);
 
     // Lines 10–14: c − j − 1 evenly spaced level-(i−1) neighbors.
-    if i >= 1 && c > j + 1 {
-        let ci1 = pow_saturating(c, i - 1);
-        let slots = c - j - 1;
-        let b = c - j;
-        for t in 1..=slots {
-            // l after t updates is c·(c−j−t)/(c−j); round per `selection`.
-            let a = c * (c - j - t);
-            let seq = match selection {
-                ChildSelection::Ceil => a.div_ceil(b),
-                ChildSelection::Floor => a / b,
-            };
-            if seq == 0 {
-                continue; // floor rounding can hit 0 only in degenerate cases
-            }
-            consider(space.add(x, seq * ci1));
+    let slots = if level.i == 0 { 0 } else { c - level.j - 1 };
+    let b = c - level.j;
+    let level_below = (1..=slots).filter_map(|t| {
+        // l after t updates is c·(c−j−t)/(c−j); round per `selection`.
+        let a = c * (c - level.j - t);
+        let seq = match selection {
+            ChildSelection::Ceil => a.div_ceil(b),
+            ChildSelection::Floor => a / b,
+        };
+        // Floor rounding can hit 0 only in degenerate cases.
+        (seq != 0).then_some(seq * level.pow_below)
+    });
+
+    // Line 15: the successor x̂_{0,1}. Offsets never grow, so k' only
+    // shrinks and a region left with no member stays so.
+    for offset in level_i.chain(level_below).chain([1]) {
+        adopt_owner(group, x, space.add(x, offset), &mut k_prime, out);
+        if !holds_member(k_prime) {
+            break;
         }
     }
-
-    // Line 15: the successor x̂_{0,1}.
-    consider(space.add(x, 1));
 
     debug_assert!(
         out.len() <= c as usize,

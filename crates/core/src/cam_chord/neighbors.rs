@@ -8,7 +8,7 @@
 //! neighbor identifier counter-clockwise closest to `k`.
 
 use cam_overlay::MemberSet;
-use cam_ring::math::level_and_seq;
+use cam_ring::math::{level, Level};
 use cam_ring::{Id, IdSpace};
 
 /// All neighbor identifiers of `x` (in increasing clockwise offset), given
@@ -98,14 +98,14 @@ pub fn distinct_neighbor_count(group: &MemberSet, member: usize, c: u32) -> usiz
 }
 
 /// The level and sequence number of identifier `k` with respect to node `x`
-/// of capacity `c` (paper equations (1)–(2)).
+/// of capacity `c` (paper equations (1)–(2)), with the level's neighbor
+/// spacings `c^i` and `c^(i−1)`.
 ///
 /// # Panics
 ///
 /// Panics if `k == x` (the empty segment has no level) or `c < 2`.
-pub fn level_seq_of(space: IdSpace, x: Id, c: u32, k: Id) -> (u32, u64) {
-    let dist = space.seg_len(x, k);
-    level_and_seq(dist, u64::from(c))
+pub fn level_of(space: IdSpace, x: Id, c: u32, k: Id) -> Level {
+    level(space.seg_len(x, k), u64::from(c))
 }
 
 #[cfg(test)]
@@ -172,11 +172,14 @@ mod tests {
     fn level_seq_matches_paper_lookup_example() {
         let space = IdSpace::new(5);
         // §3.2: identifier x+25 w.r.t. x (c=3) has level 2, seq 2.
-        assert_eq!(level_seq_of(space, Id(0), 3, Id(25)), (2, 2));
+        let l = level_of(space, Id(0), 3, Id(25));
+        assert_eq!((l.i, l.j, l.pow), (2, 2, 9));
         // w.r.t. node x+18, k−x = 7 → level 1, seq 2.
-        assert_eq!(level_seq_of(space, Id(18), 3, Id(25)), (1, 2));
+        let l = level_of(space, Id(18), 3, Id(25));
+        assert_eq!((l.i, l.j, l.pow), (1, 2, 3));
         // §3.4: x−1 = 31 w.r.t. x → level 3, seq 1.
-        assert_eq!(level_seq_of(space, Id(0), 3, Id(31)), (3, 1));
+        let l = level_of(space, Id(0), 3, Id(31));
+        assert_eq!((l.i, l.j, l.pow_below), (3, 1, 9));
     }
 
     #[test]

@@ -166,6 +166,31 @@ impl MemberSet {
         Ok(MemberSet::from_sorted(space, members))
     }
 
+    /// The sub-group of the members at `indices`, which must strictly
+    /// ascend: its columns and bucket index are read straight from this
+    /// group's columns, so the members are neither re-validated nor
+    /// re-sorted (a valid group's members in ascending index order are
+    /// already a valid, id-sorted group). Sub-member `i` is member
+    /// `indices[i]` here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` is empty or an index is out of range, and (via
+    /// `debug_assert`) if the indices do not strictly ascend.
+    pub fn subset(&self, indices: &[usize]) -> MemberSet {
+        assert!(!indices.is_empty(), "a member set is never empty");
+        debug_assert!(
+            indices.windows(2).all(|w| w[0] < w[1]),
+            "subset indices must strictly ascend"
+        );
+        MemberSet::from_columns(
+            self.space,
+            indices.iter().map(|&i| self.ids[i]).collect(),
+            indices.iter().map(|&i| self.capacities[i]).collect(),
+            indices.iter().map(|&i| self.upload_kbps[i]).collect(),
+        )
+    }
+
     /// Builds the group plus its bucket index from already-sorted,
     /// already-validated members, splitting the rows into columns.
     fn from_sorted(space: IdSpace, members: Vec<Member>) -> MemberSet {

@@ -4,7 +4,8 @@
 //! The binary-search [`RingOracle`] is the reference: the indexed
 //! resolvers must agree with it on **every key of the identifier space**
 //! for arbitrary member sets — including the wrap-around region past the
-//! last member and single-member groups.
+//! last member and single-member groups. A subset of a group, built from
+//! its columns, must equal a fresh build over the same members.
 
 use std::collections::BTreeSet;
 
@@ -21,7 +22,7 @@ fn build(bits: u32, raw_ids: Vec<u64>) -> MemberSet {
     MemberSet::new(
         IdSpace::new(bits),
         ids.iter()
-            .map(|&v| Member::with_capacity(Id(v), 4))
+            .map(|&v| Member::with_capacity(Id(v), 2 + (v % 7) as u32))
             .collect(),
     )
     .expect("deduplicated ids build a valid member set")
@@ -57,6 +58,43 @@ proptest! {
     ) {
         let group = build(bits, raw_ids);
         assert_resolvers_agree(&group);
+    }
+
+    /// A subset of a universe is `MemberSet::new` over the same members:
+    /// column for column, and in every resolver over the whole key space.
+    #[test]
+    fn subset_equals_a_fresh_build(
+        (bits, raw_ids, picks) in (3u32..=11).prop_flat_map(|bits| {
+            (
+                Just(bits),
+                prop::collection::vec(0u64..(1u64 << bits), 1..200),
+                prop::collection::vec(0u8..2, 200..201),
+            )
+        })
+    ) {
+        let universe = build(bits, raw_ids);
+        let mut idx: Vec<usize> = (0..universe.len()).filter(|&i| picks[i] == 1).collect();
+        if idx.is_empty() {
+            idx.push(universe.len() / 2);
+        }
+        let subset = universe.subset(&idx);
+        let fresh = MemberSet::new(
+            universe.space(),
+            idx.iter().map(|&i| universe.member(i)).collect(),
+        )
+        .expect("a universe's members stay valid");
+        prop_assert_eq!(subset.len(), fresh.len());
+        for i in 0..fresh.len() {
+            prop_assert_eq!(subset.id_at(i), fresh.id_at(i));
+            prop_assert_eq!(subset.capacity_at(i), fresh.capacity_at(i));
+            prop_assert_eq!(subset.upload_kbps_at(i).to_bits(), fresh.upload_kbps_at(i).to_bits());
+        }
+        for k in 0..universe.space().size() {
+            let k = Id(k);
+            prop_assert_eq!(subset.owner_idx(k), fresh.owner_idx(k));
+            prop_assert_eq!(subset.successor_idx(k), fresh.successor_idx(k));
+            prop_assert_eq!(subset.predecessor_idx(k), fresh.predecessor_idx(k));
+        }
     }
 
     /// Dense groups stress buckets holding several members each.

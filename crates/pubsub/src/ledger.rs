@@ -107,11 +107,36 @@ impl CapacityLedger {
     /// Residual capacity of `node` ignoring whatever `group` itself has
     /// charged — the budget a *rebuild* of `group` is allowed to spend.
     pub fn residual_excluding(&self, node: usize, group: u64) -> u32 {
-        let own = self
-            .per_group
-            .get(&group)
-            .and_then(|cs| cs.iter().find(|&&(n, _)| n == node))
-            .map_or(0, |&(_, c)| c);
+        let charges = self.group_charges(group);
+        let own = charges
+            .binary_search_by_key(&node, |&(n, _)| n)
+            .map_or(0, |at| charges[at].1);
+        self.residual_with_own(node, own)
+    }
+
+    /// [`residual_excluding`](Self::residual_excluding) of every node in
+    /// `nodes`, which must strictly ascend: one merge of `nodes` with the
+    /// group's charges (sorted by node too), so a rebuild prices all its
+    /// members in `O(nodes + charges)`.
+    pub fn residuals_excluding(&self, nodes: &[usize], group: u64) -> Vec<u32> {
+        debug_assert!(
+            nodes.windows(2).all(|w| w[0] < w[1]),
+            "nodes must strictly ascend"
+        );
+        let mut charges = self.group_charges(group).iter().peekable();
+        nodes
+            .iter()
+            .map(|&node| {
+                while charges.next_if(|&&(n, _)| n < node).is_some() {}
+                let own = charges.next_if(|&&(n, _)| n == node).map_or(0, |&(_, c)| c);
+                self.residual_with_own(node, own)
+            })
+            .collect()
+    }
+
+    /// The one residual formula: `node`'s capacity less every charge but
+    /// `own`, saturating at zero.
+    fn residual_with_own(&self, node: usize, own: u32) -> u32 {
         self.capacities[node].saturating_sub(self.charged[node].saturating_sub(own))
     }
 
@@ -127,8 +152,8 @@ impl CapacityLedger {
     }
 
     /// Replaces `group`'s charges with `charges` (any previous commitment
-    /// for the group is released first). Entries must be unique nodes;
-    /// zero-child entries are dropped.
+    /// for the group is released first). Entries for the same node are
+    /// summed into one; zero-child entries are dropped.
     ///
     /// # Panics
     ///
@@ -137,6 +162,13 @@ impl CapacityLedger {
         self.release(group);
         charges.retain(|&(_, c)| c > 0);
         charges.sort_unstable_by_key(|&(n, _)| n);
+        charges.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
         for &(node, children) in &charges {
             self.charged[node] += children;
         }
@@ -213,6 +245,18 @@ mod tests {
         assert_eq!(ledger.residual_excluding(0, 1), 3);
         assert_eq!(ledger.residual_excluding(0, 2), 4);
         assert_eq!(ledger.residual_excluding(0, 99), 1);
+    }
+
+    #[test]
+    fn duplicate_entries_are_summed_into_one_charge() {
+        let mut ledger = CapacityLedger::new(vec![10]);
+        ledger.commit(7, vec![(0, 3), (0, 2)]);
+        assert_eq!(ledger.charged(0), 5);
+        assert_eq!(ledger.group_charges(7), &[(0, 5)]);
+        assert_eq!(ledger.residual_excluding(0, 7), 10);
+        assert_eq!(ledger.residuals_excluding(&[0], 7), vec![10]);
+        ledger.release(7);
+        assert_eq!(ledger.charged(0), 0);
     }
 
     #[test]

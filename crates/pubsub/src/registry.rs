@@ -1,7 +1,8 @@
 //! The multi-group registry: create/subscribe/unsubscribe/publish with
 //! admission control against the global [`CapacityLedger`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::mem;
 
 use cam_core::cam_chord::multicast::multicast_into_capped;
 use cam_core::cam_chord::ChildSelection;
@@ -77,10 +78,9 @@ pub struct PublishStats {
 #[derive(Debug, Clone)]
 struct GroupTree {
     /// Subscribers as a member set (full declared capacities; residual
-    /// limits are applied through `caps`, not the set).
+    /// limits are applied through `caps`, not the set). Sub-member `i` is
+    /// the group's `subscribers[i]`.
     members: MemberSet,
-    /// `to_universe[i]` is the universe index of sub-member `i`.
-    to_universe: Vec<usize>,
     /// Residual capacity granted to sub-member `i` at build time.
     caps: Vec<u32>,
     /// Canonical source: sub-index owning `group_root_id`.
@@ -89,8 +89,8 @@ struct GroupTree {
 
 #[derive(Debug, Clone, Default)]
 struct GroupState {
-    /// Subscribers by universe index.
-    subscribers: BTreeSet<usize>,
+    /// Subscribers by universe index, strictly ascending.
+    subscribers: Vec<usize>,
     /// Built tree; `None` while the group is empty or stalled.
     tree: Option<GroupTree>,
     /// True iff some internal node built with residual < full capacity.
@@ -99,6 +99,28 @@ struct GroupState {
     /// mandatory forwarder had residual zero) — publishes reach nobody
     /// until a rebalance frees capacity.
     stalled: bool,
+}
+
+impl GroupState {
+    /// The live tree, whose sub-member `i` is `subscribers[i]`.
+    fn tree(&self, universe: &MemberSet) -> Option<&GroupTree> {
+        let tree = self.tree.as_ref()?;
+        debug_assert!(
+            tree.members.len() == self.subscribers.len()
+                && (self.subscribers.iter().enumerate())
+                    .all(|(i, &u)| tree.members.id_at(i) == universe.id_at(u)),
+            "a group's tree spans exactly its subscribers"
+        );
+        Some(tree)
+    }
+
+    fn admission(&self) -> Admission {
+        if self.degraded {
+            Admission::AdmittedDegraded
+        } else {
+            Admission::Admitted
+        }
+    }
 }
 
 /// Result of one tree build, before it is committed anywhere.
@@ -244,7 +266,7 @@ impl GroupRegistry {
     pub fn is_subscribed(&self, group: u64, node: usize) -> bool {
         self.groups
             .get(&group)
-            .is_some_and(|s| s.subscribers.contains(&node))
+            .is_some_and(|s| s.subscribers.binary_search(&node).is_ok())
     }
 
     /// Subscriber count of `group` (zero if unknown).
@@ -309,28 +331,23 @@ impl GroupRegistry {
         }
         let state = self
             .groups
-            .get(&group)
+            .get_mut(&group)
             .ok_or(PubSubError::UnknownGroup(group))?;
-        if state.subscribers.contains(&node) {
-            return Ok(if state.degraded {
-                Admission::AdmittedDegraded
-            } else {
-                Admission::Admitted
-            });
-        }
-        let mut subscribers = state.subscribers.clone();
-        subscribers.insert(node);
+        let Err(at) = state.subscribers.binary_search(&node) else {
+            return Ok(state.admission());
+        };
+        let mut subscribers = mem::take(&mut state.subscribers);
+        subscribers.insert(at, node);
         match self.build(group, &subscribers) {
             Ok(built) => {
-                let admission = if built.degraded {
-                    Admission::AdmittedDegraded
-                } else {
-                    Admission::Admitted
-                };
                 self.commit(group, subscribers, built);
-                Ok(admission)
+                Ok(self.state_mut(group).admission())
             }
-            Err(exhausted) => Ok(Admission::Rejected { node: exhausted }),
+            Err(exhausted) => {
+                subscribers.remove(at);
+                self.state_mut(group).subscribers = subscribers;
+                Ok(Admission::Rejected { node: exhausted })
+            }
         }
     }
 
@@ -351,14 +368,15 @@ impl GroupRegistry {
             .groups
             .get_mut(&group)
             .ok_or(PubSubError::UnknownGroup(group))?;
-        if !state.subscribers.remove(&node) {
+        let Ok(at) = state.subscribers.binary_search(&node) else {
             return Ok(());
-        }
-        let subscribers = state.subscribers.clone();
+        };
+        let mut subscribers = mem::take(&mut state.subscribers);
+        subscribers.remove(at);
         match self.build(group, &subscribers) {
             Ok(built) => self.commit(group, subscribers, built),
             Err(_) => {
-                self.stall(group);
+                self.stall(group, subscribers);
                 self.rebalance();
             }
         }
@@ -376,10 +394,10 @@ impl GroupRegistry {
             .map(|(&g, _)| g)
             .collect();
         for group in targets {
-            let subscribers = self.groups[&group].subscribers.clone();
+            let subscribers = mem::take(&mut self.state_mut(group).subscribers);
             match self.build(group, &subscribers) {
                 Ok(built) => self.commit(group, subscribers, built),
-                Err(_) => self.stall(group),
+                Err(_) => self.stall(group, subscribers),
             }
         }
     }
@@ -400,7 +418,7 @@ impl GroupRegistry {
             .get(&group)
             .ok_or(PubSubError::UnknownGroup(group))?;
         let subscribers = state.subscribers.len();
-        let Some(tree) = &state.tree else {
+        let Some(tree) = state.tree(&self.universe) else {
             return Ok(PublishStats {
                 subscribers,
                 reached: 0,
@@ -408,7 +426,7 @@ impl GroupRegistry {
         };
         let mut remap = Remap {
             inner: sink,
-            to_universe: &tree.to_universe,
+            to_universe: &state.subscribers,
             seen: vec![false; tree.members.len()],
             reached: 1, // the source holds the payload from the start
         };
@@ -460,7 +478,7 @@ impl GroupRegistry {
             .get(&group)
             .ok_or(PubSubError::UnknownGroup(group))?;
         let subscribers = state.subscribers.len();
-        let Some(tree) = &state.tree else {
+        let Some(tree) = state.tree(&self.universe) else {
             for _ in 0..subscribers {
                 census.observe(group, true, false);
             }
@@ -490,10 +508,11 @@ impl GroupRegistry {
         })
     }
 
-    /// Builds `group`'s tree over `subscribers` against the current
-    /// ledger (the group's own existing charge does not count against
-    /// it). Returns the capacity-exhausted universe node on refusal.
-    fn build(&self, group: u64, subscribers: &BTreeSet<usize>) -> Result<Built, usize> {
+    /// Builds `group`'s tree over `subscribers` (strictly ascending)
+    /// against the current ledger (the group's own existing charge does
+    /// not count against it). Returns the capacity-exhausted universe node
+    /// on refusal.
+    fn build(&self, group: u64, subscribers: &[usize]) -> Result<Built, usize> {
         if subscribers.is_empty() {
             return Ok(Built {
                 tree: None,
@@ -501,21 +520,9 @@ impl GroupRegistry {
                 degraded: false,
             });
         }
-        let space = self.universe.space();
-        let to_universe: Vec<usize> = subscribers.iter().copied().collect();
-        let members = to_universe
-            .iter()
-            .map(|&u| self.universe.member(u))
-            .collect();
-        // Universe members are already validated and id-sorted; a subset
-        // in ascending index order re-sorts to itself.
-        let members = MemberSet::new(space, members)
-            .expect("subscriber subset inherits universe validity");
-        let caps: Vec<u32> = to_universe
-            .iter()
-            .map(|&u| self.ledger.residual_excluding(u, group))
-            .collect();
-        let root = members.owner_idx(group_root_id(space, group));
+        let members = self.universe.subset(subscribers);
+        let caps = self.ledger.residuals_excluding(subscribers, group);
+        let root = members.owner_idx(group_root_id(members.space(), group));
         let mut counter = FanoutCounter {
             fanout: vec![0; members.len()],
         };
@@ -526,11 +533,11 @@ impl GroupRegistry {
             if fanout > caps[i] {
                 // Only chain mode can do this: a mandatory forwarder with
                 // residual zero. Admission control refuses the build.
-                return Err(to_universe[i]);
+                return Err(subscribers[i]);
             }
             if fanout > 0 {
-                charges.push((to_universe[i], fanout));
-                if caps[i] < self.universe.capacity_at(to_universe[i]) {
+                charges.push((subscribers[i], fanout));
+                if caps[i] < members.capacity_at(i) {
                     degraded = true;
                 }
             }
@@ -538,7 +545,6 @@ impl GroupRegistry {
         Ok(Built {
             tree: Some(GroupTree {
                 members,
-                to_universe,
                 caps,
                 root,
             }),
@@ -547,20 +553,26 @@ impl GroupRegistry {
         })
     }
 
+    /// The state of `group`, which must be registered.
+    fn state_mut(&mut self, group: u64) -> &mut GroupState {
+        self.groups.get_mut(&group).expect("group exists")
+    }
+
     /// Installs a successful build: ledger charges plus group state.
-    fn commit(&mut self, group: u64, subscribers: BTreeSet<usize>, built: Built) {
+    fn commit(&mut self, group: u64, subscribers: Vec<usize>, built: Built) {
         self.ledger.commit(group, built.charges);
-        let state = self.groups.get_mut(&group).expect("group exists");
+        let state = self.state_mut(group);
         state.subscribers = subscribers;
         state.tree = built.tree;
         state.degraded = built.degraded;
         state.stalled = false;
     }
 
-    /// Parks `group` with no tree and no charges.
-    fn stall(&mut self, group: u64) {
+    /// Parks `group` over `subscribers` with no tree and no charges.
+    fn stall(&mut self, group: u64, subscribers: Vec<usize>) {
         self.ledger.release(group);
-        let state = self.groups.get_mut(&group).expect("group exists");
+        let state = self.state_mut(group);
+        state.subscribers = subscribers;
         state.tree = None;
         state.degraded = false;
         state.stalled = true;
@@ -577,8 +589,8 @@ mod tests {
         /// Universe index of `group`'s canonical source (the subscriber
         /// owning the group's rendezvous identifier), if the tree is live.
         fn group_root(&self, group: u64) -> Option<usize> {
-            let tree = self.groups.get(&group)?.tree.as_ref()?;
-            Some(tree.to_universe[tree.root])
+            let state = self.groups.get(&group)?;
+            Some(state.subscribers[state.tree(&self.universe)?.root])
         }
     }
 

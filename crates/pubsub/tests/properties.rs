@@ -1,6 +1,6 @@
 //! Property tests for the pub/sub service layer.
 //!
-//! Two laws under random universes and subscription schedules:
+//! Three laws under random universes, ledgers and subscription schedules:
 //!
 //! 1. **Residual-capacity partition exactness** — every group the
 //!    registry holds a tree for covers each of its subscribers exactly
@@ -9,9 +9,11 @@
 //!    overcommits any node — after every operation, not just at the end.
 //! 2. **Zipf determinism** — replaying a [`MultiGroupScenario`] sequence
 //!    from the same seed produces a bit-identical per-group census.
+//! 3. **One merge prices like the single lookups** — a whole subscriber
+//!    list's `residuals_excluding` equals `residual_excluding` node by node.
 
 use cam_overlay::{DeliverySink, Member, MemberSet};
-use cam_pubsub::GroupRegistry;
+use cam_pubsub::{CapacityLedger, GroupRegistry};
 use cam_ring::{Id, IdSpace};
 use cam_trace::GroupDeliveryCensus;
 use cam_workload::{GroupOp, MultiGroupScenario};
@@ -166,5 +168,36 @@ proptest! {
         let b = replay();
         prop_assert!(!a.is_empty(), "workload always publishes");
         prop_assert_eq!(a, b);
+    }
+
+    /// Random ledgers — commits with repeated nodes and zero entries,
+    /// recommits, releases — price any ascending node list in one merge
+    /// exactly as node-by-node lookups do, for every group and for one
+    /// that never committed.
+    #[test]
+    fn merged_residuals_equal_single_lookups(
+        capacities in prop::collection::vec(2u32..12, 1..40),
+        commits in prop::collection::vec(
+            (0u64..6, prop::collection::vec((0usize..1000, 0u32..4), 0..12)),
+            0..16,
+        ),
+        picks in prop::collection::vec(0u8..2, 40..41),
+    ) {
+        let n = capacities.len();
+        let mut ledger = CapacityLedger::new(capacities);
+        for (group, charges) in commits {
+            if charges.is_empty() {
+                ledger.release(group);
+            } else {
+                ledger.commit(group, charges.into_iter().map(|(node, c)| (node % n, c)).collect());
+            }
+        }
+        let nodes: Vec<usize> = (0..n).filter(|&i| picks[i] == 1).collect();
+        for group in 0..7u64 {
+            let merged = ledger.residuals_excluding(&nodes, group);
+            let single: Vec<u32> =
+                nodes.iter().map(|&node| ledger.residual_excluding(node, group)).collect();
+            prop_assert_eq!(merged, single, "group {}", group);
+        }
     }
 }

@@ -93,14 +93,26 @@ pub fn ceil_log(target: u64, base: u64) -> u32 {
 
 /// The CAM-Chord *level* `i` and *sequence number* `j` of a clockwise
 /// distance `dist = (k − x) mod N` with respect to capacity `c` (paper
-/// equations (1) and (2)):
-///
-/// * `i = ⌊log(dist) / log c⌋`
-/// * `j = ⌊dist / c^i⌋`
-///
-/// Hence `1 <= j <= c - 1` whenever `dist >= 1` — except that `j == c` can
-/// not occur because then `i` would have been larger. For `dist == 0` there
-/// is no level; callers must handle the empty segment first.
+/// equations (1) and (2)), with the two neighbor spacings `LOOKUP` and
+/// `MULTICAST` step by at that level. See [`level`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Level {
+    /// The level `i = ⌊log(dist) / log c⌋`.
+    pub i: u32,
+    /// The sequence number `j = ⌊dist / c^i⌋`, in `[1, c)`: `j == c` can
+    /// not occur because then `i` would have been larger.
+    pub j: u64,
+    /// `c^i`, the spacing of the level-`i` neighbors `x + m·c^i`.
+    pub pow: u64,
+    /// `c^(i−1)`, the spacing of the level-`(i−1)` neighbors; `0` at level
+    /// 0, which has no level below it.
+    pub pow_below: u64,
+}
+
+/// The [`Level`] of `dist` with respect to capacity `c`: `i`, `j`, `c^i`
+/// and `c^(i−1)` from one pass of multiplications (`c^i <= dist`, so
+/// neither power saturates). For `dist == 0` there is no level; callers
+/// must handle the empty segment first.
 ///
 /// # Panics
 ///
@@ -109,19 +121,29 @@ pub fn ceil_log(target: u64, base: u64) -> u32 {
 /// # Example
 ///
 /// ```
-/// use cam_ring::math::level_and_seq;
+/// use cam_ring::math::{level, Level};
 /// // Paper, Section 3.2 example: identifier x+25 w.r.t. x with c = 3
-/// assert_eq!(level_and_seq(25, 3), (2, 2));
+/// assert_eq!(level(25, 3), Level { i: 2, j: 2, pow: 9, pow_below: 3 });
 /// // Paper, Section 3.4 example: x−1 (= x+31 on a 32-ring) has level 3, seq 1
-/// assert_eq!(level_and_seq(31, 3), (3, 1));
+/// assert_eq!(level(31, 3), Level { i: 3, j: 1, pow: 27, pow_below: 9 });
+/// assert_eq!(level(2, 3), Level { i: 0, j: 2, pow: 1, pow_below: 0 });
 /// ```
-pub fn level_and_seq(dist: u64, c: u64) -> (u32, u64) {
-    assert!(dist >= 1, "level_and_seq of empty segment");
+pub fn level(dist: u64, c: u64) -> Level {
+    assert!(dist >= 1, "level of an empty segment");
     assert!(c >= 2, "capacity must be >= 2");
-    let i = floor_log(dist, c);
-    let j = dist / pow_saturating(c, i);
+    let (mut i, mut pow, mut pow_below) = (0, 1u64, 0);
+    // Invariant: pow == c^i <= dist and pow_below == c^(i−1), or 0 at i = 0.
+    while let Some(next) = pow.checked_mul(c).filter(|&next| next <= dist) {
+        (i, pow, pow_below) = (i + 1, next, pow);
+    }
+    let j = dist / pow;
     debug_assert!((1..c).contains(&j));
-    (i, j)
+    Level {
+        i,
+        j,
+        pow,
+        pow_below,
+    }
 }
 
 #[cfg(test)]
@@ -194,8 +216,7 @@ mod tests {
     fn level_seq_ranges() {
         for c in 2u64..=10 {
             for dist in 1u64..2000 {
-                let (i, j) = level_and_seq(dist, c);
-                let ci = pow_saturating(c, i);
+                let Level { j, pow: ci, .. } = level(dist, c);
                 assert!(ci <= dist, "c^i <= dist");
                 assert!(j >= 1 && j < c, "j in [1, c): c={c} dist={dist} j={j}");
                 assert!(j * ci <= dist && dist < (j + 1) * ci);
@@ -204,10 +225,26 @@ mod tests {
     }
 
     #[test]
+    fn level_powers_match_floor_log_and_pow() {
+        for c in 2u64..=10 {
+            for dist in (1u64..3000).chain([u64::MAX - 1, u64::MAX]) {
+                let l = level(dist, c);
+                assert_eq!(l.i, floor_log(dist, c), "c={c} dist={dist}");
+                assert_eq!(l.pow, pow_saturating(c, l.i));
+                let below = l.i.checked_sub(1).map_or(0, |i| pow_saturating(c, i));
+                assert_eq!(l.pow_below, below, "c={c} dist={dist}");
+                assert_eq!(l.j, dist / l.pow);
+            }
+        }
+    }
+
+    #[test]
     fn paper_lookup_example_levels() {
         // Section 3.2: from x, identifier x+25 with c=3 → level 2, seq 2.
-        assert_eq!(level_and_seq(25, 3), (2, 2));
+        let l = level(25, 3);
+        assert_eq!((l.i, l.j), (2, 2));
         // Forwarded to node x+18; from x+18 (also c=3), k−x = 7 → level 1, seq 2.
-        assert_eq!(level_and_seq(7, 3), (1, 2));
+        let l = level(7, 3);
+        assert_eq!((l.i, l.j), (1, 2));
     }
 }

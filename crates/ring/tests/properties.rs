@@ -1,6 +1,6 @@
 //! Property-based tests for ring arithmetic and segments.
 
-use cam_ring::math::{ceil_log, floor_log, level_and_seq, pow_saturating};
+use cam_ring::math::{ceil_log, floor_log, level, pow_saturating, Level};
 use cam_ring::{Id, IdSpace, Segment};
 use proptest::prelude::*;
 
@@ -86,11 +86,11 @@ proptest! {
         prop_assert!(c == 0 || pow_saturating(base, c - 1) < value);
     }
 
-    /// level_and_seq recovers dist within one c^i stride.
+    /// `level` recovers dist within one c^i stride.
     #[test]
     fn level_seq_recovers(dist in 1u64..u64::MAX / 2, c in 2u64..200) {
-        let (i, j) = level_and_seq(dist, c);
-        let ci = pow_saturating(c, i);
+        let Level { i, j, pow: ci, .. } = level(dist, c);
+        prop_assert_eq!(ci, pow_saturating(c, i));
         prop_assert!(j >= 1 && j < c);
         prop_assert!(j * ci <= dist);
         prop_assert!(dist - j * ci < ci);

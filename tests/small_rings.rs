@@ -7,14 +7,19 @@
 //! `cam_overlay::stream::{region_walk, flood_walk}` and each overlay's
 //! child rule. Over the same rings, every origin and every key, the Chord
 //! baseline must route and count neighbors exactly as CAM-Chord does with
-//! every capacity fixed at Chord's base.
+//! every capacity fixed at Chord's base, and CAM-Chord's capped child rule,
+//! which stops once its region holds no member, must pick exactly what the
+//! full walk of lines 4–15 picks.
 
 use cam::chord::Chord;
+use cam::core::cam_chord::multicast::select_children_capped_into;
 use cam::core::cam_chord::ProximityCamChord;
 use cam::core::cam_koorde::multicast::FloodEdges;
 use cam::koorde::Koorde;
+use cam::overlay::stream::{adopt_owner, RegionChild};
 use cam::overlay::DeliverySink;
 use cam::prelude::*;
+use cam::ring::math::{floor_log, pow_saturating};
 
 /// Records every delivery and accepts all of them, so a walk that repeats
 /// a child is seen rather than suppressed.
@@ -175,6 +180,83 @@ fn chord_is_cam_chord_at_its_base_on_every_small_ring() {
                             chord.lookup(origin, Id(key)),
                             cam.lookup(origin, Id(key)),
                             "{at} key {key}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The capped child rule as it was before it learned to stop early: every
+/// step of lines 6–15 runs, whether or not its region still holds a member.
+fn select_every_step(
+    group: &MemberSet,
+    x_idx: usize,
+    k: Id,
+    cap: u32,
+    selection: ChildSelection,
+    out: &mut Vec<RegionChild>,
+) {
+    out.clear();
+    let space = group.space();
+    let x = group.id_at(x_idx);
+    let c = u64::from(cap);
+    if space.seg_len(x, k) == 0 {
+        return;
+    }
+    let mut k_prime = k;
+    let mut consider = |target: Id| adopt_owner(group, x, target, &mut k_prime, out);
+    if cap < 2 {
+        consider(space.add(x, 1));
+        return;
+    }
+    let i = floor_log(space.seg_len(x, k), c);
+    let ci = pow_saturating(c, i);
+    let j = space.seg_len(x, k) / ci;
+    for m in (1..=j).rev() {
+        consider(space.add(x, m * ci));
+    }
+    if i >= 1 && c > j + 1 {
+        let ci1 = pow_saturating(c, i - 1);
+        let b = c - j;
+        for t in 1..=c - j - 1 {
+            let a = c * (c - j - t);
+            let seq = match selection {
+                ChildSelection::Ceil => a.div_ceil(b),
+                ChildSelection::Floor => a / b,
+            };
+            if seq != 0 {
+                consider(space.add(x, seq * ci1));
+            }
+        }
+    }
+    consider(space.add(x, 1));
+}
+
+/// Stopping once `(x, k′]` no longer reaches `x`'s successor changes no
+/// pick: every ring, member and region end, caps 0..=4, both roundings.
+#[test]
+fn capped_selection_stops_early_without_changing_a_pick() {
+    let (mut fast, mut full) = (Vec::new(), Vec::new());
+    for mask in masks() {
+        let group = ring(mask, 2);
+        for x in 0..group.len() {
+            for k in 0..16 {
+                for cap in 0..=4 {
+                    for selection in [ChildSelection::Ceil, ChildSelection::Floor] {
+                        select_children_capped_into(
+                            &group,
+                            x,
+                            Id(k),
+                            cap,
+                            selection,
+                            &mut fast,
+                        );
+                        select_every_step(&group, x, Id(k), cap, selection, &mut full);
+                        assert_eq!(
+                            fast, full,
+                            "ring {mask:#06x} member {x} k {k} cap {cap} {selection:?}"
                         );
                     }
                 }
