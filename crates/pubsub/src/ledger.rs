@@ -136,7 +136,7 @@ impl CapacityLedger {
 
     /// The one residual formula: `node`'s capacity less every charge but
     /// `own`, saturating at zero.
-    fn residual_with_own(&self, node: usize, own: u32) -> u32 {
+    pub(crate) fn residual_with_own(&self, node: usize, own: u32) -> u32 {
         self.capacities[node].saturating_sub(self.charged[node].saturating_sub(own))
     }
 

@@ -4,9 +4,10 @@
 use std::collections::BTreeMap;
 use std::mem;
 
-use cam_core::cam_chord::multicast::multicast_into_capped;
+use cam_core::cam_chord::multicast::{multicast_into_capped, select_children_capped_into};
 use cam_core::cam_chord::ChildSelection;
 use cam_overlay::dynamic::group_root_id;
+use cam_overlay::stream::region_walk;
 use cam_overlay::{DeliverySink, MemberSet};
 use cam_trace::GroupDeliveryCensus;
 
@@ -72,15 +73,10 @@ pub struct PublishStats {
     pub reached: usize,
 }
 
-/// One group's built multicast state: the sub-[`MemberSet`] spanning its
-/// subscribers plus the residual caps frozen at build time, so later
-/// ledger churn never silently reroutes an existing tree.
+/// One group's live multicast state: the residual caps frozen at build
+/// time, so later ledger churn never silently reroutes an existing tree.
 #[derive(Debug, Clone)]
 struct GroupTree {
-    /// Subscribers as a member set (full declared capacities; residual
-    /// limits are applied through `caps`, not the set). Sub-member `i` is
-    /// the group's `subscribers[i]`.
-    members: MemberSet,
     /// Residual capacity granted to sub-member `i` at build time.
     caps: Vec<u32>,
     /// Canonical source: sub-index owning `group_root_id`.
@@ -91,27 +87,36 @@ struct GroupTree {
 struct GroupState {
     /// Subscribers by universe index, strictly ascending.
     subscribers: Vec<usize>,
+    /// Subscribers as a member set (full declared capacities; residual
+    /// limits are applied through the tree's `caps`, not the set), so
+    /// sub-member `i` is `subscribers[i]`; `None` iff the group is empty.
+    /// Kept while the group is stalled: a rebalance builds over it.
+    members: Option<MemberSet>,
     /// Built tree; `None` while the group is empty or stalled.
     tree: Option<GroupTree>,
     /// True iff some internal node built with residual < full capacity.
     degraded: bool,
-    /// True iff the last rebuild was refused by admission control (a
+    /// `Some` iff the last rebuild was refused by admission control (a
     /// mandatory forwarder had residual zero) — publishes reach nobody
-    /// until a rebalance frees capacity.
-    stalled: bool,
+    /// until a rebalance frees capacity. Holds `(node, residual)` for every
+    /// forwarder the refused walk ran, the refuser included, ascending by
+    /// node: the only residuals that walk read.
+    stalled: Option<Vec<(usize, u32)>>,
 }
 
 impl GroupState {
-    /// The live tree, whose sub-member `i` is `subscribers[i]`.
-    fn tree(&self, universe: &MemberSet) -> Option<&GroupTree> {
+    /// The live tree over its member set, whose sub-member `i` is
+    /// `subscribers[i]`.
+    fn tree(&self, universe: &MemberSet) -> Option<(&MemberSet, &GroupTree)> {
         let tree = self.tree.as_ref()?;
+        let members = self.members.as_ref().expect("a live tree has members");
         debug_assert!(
-            tree.members.len() == self.subscribers.len()
+            members.len() == self.subscribers.len()
                 && (self.subscribers.iter().enumerate())
-                    .all(|(i, &u)| tree.members.id_at(i) == universe.id_at(u)),
+                    .all(|(i, &u)| members.id_at(i) == universe.id_at(u)),
             "a group's tree spans exactly its subscribers"
         );
-        Some(tree)
+        Some((members, tree))
     }
 
     fn admission(&self) -> Admission {
@@ -128,6 +133,16 @@ struct Built {
     tree: Option<GroupTree>,
     charges: Vec<(usize, u32)>,
     degraded: bool,
+}
+
+/// A build refused by admission control, with what its walk read.
+struct Refused {
+    /// Universe index of the capacity-exhausted node.
+    node: usize,
+    /// Residual capacity of each sub-member, as the build priced it.
+    caps: Vec<u32>,
+    /// Children each sub-member forwarded to before the walk ended.
+    fanout: Vec<u32>,
 }
 
 /// Counts each parent's fanout while a tree build walks the partition.
@@ -282,7 +297,7 @@ impl GroupRegistry {
     /// True iff `group` currently has no buildable tree (capacity
     /// exhausted by other groups) and publishes reach nobody.
     pub fn is_stalled(&self, group: u64) -> bool {
-        self.groups.get(&group).is_some_and(|s| s.stalled)
+        self.groups.get(&group).is_some_and(|s| s.stalled.is_some())
     }
 
     /// Registers an empty group.
@@ -338,15 +353,21 @@ impl GroupRegistry {
         };
         let mut subscribers = mem::take(&mut state.subscribers);
         subscribers.insert(at, node);
-        match self.build(group, &subscribers) {
+        let members = self.universe.subset(&subscribers);
+        // The full walk: the rejection names the lowest-index over-cap node.
+        let built = self.build(group, &subscribers, Some(&members), false);
+        let state = self.state_mut(group);
+        match built {
             Ok(built) => {
-                self.commit(group, subscribers, built);
+                state.subscribers = subscribers;
+                state.members = Some(members);
+                self.commit(group, built);
                 Ok(self.state_mut(group).admission())
             }
-            Err(exhausted) => {
+            Err(refused) => {
                 subscribers.remove(at);
-                self.state_mut(group).subscribers = subscribers;
-                Ok(Admission::Rejected { node: exhausted })
+                state.subscribers = subscribers;
+                Ok(Admission::Rejected { node: refused.node })
             }
         }
     }
@@ -371,35 +392,35 @@ impl GroupRegistry {
         let Ok(at) = state.subscribers.binary_search(&node) else {
             return Ok(());
         };
-        let mut subscribers = mem::take(&mut state.subscribers);
-        subscribers.remove(at);
-        match self.build(group, &subscribers) {
-            Ok(built) => self.commit(group, subscribers, built),
-            Err(_) => {
-                self.stall(group, subscribers);
-                self.rebalance();
-            }
+        state.subscribers.remove(at);
+        state.members =
+            (!state.subscribers.is_empty()).then(|| self.universe.subset(&state.subscribers));
+        if self.rebuild(group) {
+            self.rebalance();
         }
         Ok(())
     }
 
-    /// Rebuilds every degraded or stalled group, ascending group id,
-    /// against the current ledger. Deterministic: the rebuild order and
+    /// Re-examines every degraded or stalled group, ascending group id,
+    /// against the current ledger, and rebuilds each one whose last build
+    /// read a residual that has since changed. A group whose residuals all
+    /// still hold is skipped: its rebuild would commit the same charges,
+    /// or be refused again (DESIGN.md §3g). Deterministic: the order and
     /// each build are pure functions of registry state.
     pub fn rebalance(&mut self) {
-        let targets: Vec<u64> = self
-            .groups
-            .iter()
-            .filter(|(_, s)| s.degraded || s.stalled)
-            .map(|(&g, _)| g)
-            .collect();
-        for group in targets {
-            let subscribers = mem::take(&mut self.state_mut(group).subscribers);
-            match self.build(group, &subscribers) {
-                Ok(built) => self.commit(group, subscribers, built),
-                Err(_) => self.stall(group, subscribers),
+        for group in self.rebalance_targets() {
+            if !self.unchanged(group) {
+                self.rebuild(group);
             }
         }
+    }
+
+    /// Every degraded or stalled group, ascending.
+    fn rebalance_targets(&self) -> Vec<u64> {
+        (self.groups.iter())
+            .filter(|(_, s)| s.degraded || s.stalled.is_some())
+            .map(|(&g, _)| g)
+            .collect()
     }
 
     /// Publishes in `group` from its canonical root, replaying the caps
@@ -418,7 +439,7 @@ impl GroupRegistry {
             .get(&group)
             .ok_or(PubSubError::UnknownGroup(group))?;
         let subscribers = state.subscribers.len();
-        let Some(tree) = state.tree(&self.universe) else {
+        let Some((members, tree)) = state.tree(&self.universe) else {
             return Ok(PublishStats {
                 subscribers,
                 reached: 0,
@@ -427,12 +448,12 @@ impl GroupRegistry {
         let mut remap = Remap {
             inner: sink,
             to_universe: &state.subscribers,
-            seen: vec![false; tree.members.len()],
+            seen: vec![false; members.len()],
             reached: 1, // the source holds the payload from the start
         };
         remap.seen[tree.root] = true;
         multicast_into_capped(
-            &tree.members,
+            members,
             tree.root,
             self.selection,
             |i| tree.caps[i],
@@ -478,7 +499,7 @@ impl GroupRegistry {
             .get(&group)
             .ok_or(PubSubError::UnknownGroup(group))?;
         let subscribers = state.subscribers.len();
-        let Some(tree) = state.tree(&self.universe) else {
+        let Some((members, tree)) = state.tree(&self.universe) else {
             for _ in 0..subscribers {
                 census.observe(group, true, false);
             }
@@ -488,11 +509,11 @@ impl GroupRegistry {
             });
         };
         let mut sink = CensusSink {
-            delivered: vec![false; tree.members.len()],
+            delivered: vec![false; members.len()],
         };
         sink.delivered[tree.root] = true;
         multicast_into_capped(
-            &tree.members,
+            members,
             tree.root,
             self.selection,
             |i| tree.caps[i],
@@ -508,49 +529,108 @@ impl GroupRegistry {
         })
     }
 
-    /// Builds `group`'s tree over `subscribers` (strictly ascending)
-    /// against the current ledger (the group's own existing charge does
-    /// not count against it). Returns the capacity-exhausted universe node
-    /// on refusal.
-    fn build(&self, group: u64, subscribers: &[usize]) -> Result<Built, usize> {
-        if subscribers.is_empty() {
+    /// Builds `group`'s tree over `subscribers` (strictly ascending),
+    /// whose member set is `members` (`None` iff there are none), against
+    /// the current ledger (the group's own existing charge does not count
+    /// against it).
+    ///
+    /// The build is refused when a forwarder has residual zero: chain mode
+    /// still hands it one child, past its cap. `stop_at_refusal` ends the
+    /// walk at the first such forwarder, for callers that discard the
+    /// refused node; otherwise the whole walk runs and the refusal names
+    /// the lowest-index over-cap node.
+    fn build(
+        &self,
+        group: u64,
+        subscribers: &[usize],
+        members: Option<&MemberSet>,
+        stop_at_refusal: bool,
+    ) -> Result<Built, Refused> {
+        let Some(members) = members else {
             return Ok(Built {
                 tree: None,
                 charges: Vec::new(),
                 degraded: false,
             });
-        }
-        let members = self.universe.subset(subscribers);
+        };
         let caps = self.ledger.residuals_excluding(subscribers, group);
         let root = members.owner_idx(group_root_id(members.space(), group));
         let mut counter = FanoutCounter {
             fanout: vec![0; members.len()],
         };
-        multicast_into_capped(&members, root, self.selection, |i| caps[i], &mut counter);
+        let mut refused = false;
+        region_walk(members, root, &mut counter, |node, k, picks| {
+            if !refused {
+                let cap = caps[node];
+                select_children_capped_into(members, node, k, cap, self.selection, picks);
+                refused = stop_at_refusal && cap == 0 && !picks.is_empty();
+            }
+        });
         let mut charges = Vec::new();
         let mut degraded = false;
-        for (i, &fanout) in counter.fanout.iter().enumerate() {
-            if fanout > caps[i] {
-                // Only chain mode can do this: a mandatory forwarder with
-                // residual zero. Admission control refuses the build.
-                return Err(subscribers[i]);
+        let mut over_cap = None;
+        for (i, (&fanout, &cap)) in counter.fanout.iter().zip(&caps).enumerate() {
+            if fanout > cap {
+                over_cap = Some(i);
+                break;
             }
             if fanout > 0 {
                 charges.push((subscribers[i], fanout));
-                if caps[i] < members.capacity_at(i) {
+                if cap < members.capacity_at(i) {
                     degraded = true;
                 }
             }
         }
-        Ok(Built {
-            tree: Some(GroupTree {
-                members,
+        if let Some(i) = over_cap {
+            return Err(Refused {
+                node: subscribers[i],
                 caps,
-                root,
-            }),
+                fanout: counter.fanout,
+            });
+        }
+        Ok(Built {
+            tree: Some(GroupTree { caps, root }),
             charges,
             degraded,
         })
+    }
+
+    /// True iff every residual `group`'s last build read still holds, so
+    /// that rebuilding it would repeat the build exactly. A walk reads the
+    /// residual of its forwarders only: a live group's are its ledger
+    /// charges, priced in its frozen caps, and a stalled group keeps its
+    /// own (DESIGN.md §3g).
+    fn unchanged(&self, group: u64) -> bool {
+        let state = &self.groups[&group];
+        if let Some(read) = &state.stalled {
+            // A stalled group charges nothing: its residuals are the plain ones.
+            return read
+                .iter()
+                .all(|&(node, residual)| self.ledger.residual(node) == residual);
+        }
+        let tree = state.tree.as_ref().expect("a degraded group is live");
+        self.ledger.group_charges(group).iter().all(|&(node, own)| {
+            let at = (state.subscribers.binary_search(&node))
+                .expect("a group charges only its subscribers");
+            tree.caps[at] == self.ledger.residual_with_own(node, own)
+        })
+    }
+
+    /// Rebuilds `group` over its current members with the walk that stops
+    /// at a refusal, then commits the tree or stalls the group. Returns
+    /// true iff it stalled.
+    fn rebuild(&mut self, group: u64) -> bool {
+        let state = &self.groups[&group];
+        match self.build(group, &state.subscribers, state.members.as_ref(), true) {
+            Ok(built) => {
+                self.commit(group, built);
+                false
+            }
+            Err(refused) => {
+                self.stall(group, &refused);
+                true
+            }
+        }
     }
 
     /// The state of `group`, which must be registered.
@@ -558,24 +638,28 @@ impl GroupRegistry {
         self.groups.get_mut(&group).expect("group exists")
     }
 
-    /// Installs a successful build: ledger charges plus group state.
-    fn commit(&mut self, group: u64, subscribers: Vec<usize>, built: Built) {
+    /// Installs a successful build over the group's current subscribers:
+    /// ledger charges plus group state.
+    fn commit(&mut self, group: u64, built: Built) {
         self.ledger.commit(group, built.charges);
         let state = self.state_mut(group);
-        state.subscribers = subscribers;
         state.tree = built.tree;
         state.degraded = built.degraded;
-        state.stalled = false;
+        state.stalled = None;
     }
 
-    /// Parks `group` over `subscribers` with no tree and no charges.
-    fn stall(&mut self, group: u64, subscribers: Vec<usize>) {
+    /// Parks `group` with no tree and no charges, keeping the residual of
+    /// every forwarder its refused walk ran.
+    fn stall(&mut self, group: u64, refused: &Refused) {
         self.ledger.release(group);
         let state = self.state_mut(group);
-        state.subscribers = subscribers;
+        let read = (0..refused.fanout.len())
+            .filter(|&i| refused.fanout[i] > 0)
+            .map(|i| (state.subscribers[i], refused.caps[i]))
+            .collect();
         state.tree = None;
         state.degraded = false;
-        state.stalled = true;
+        state.stalled = Some(read);
     }
 }
 
@@ -584,13 +668,16 @@ mod tests {
     use super::*;
     use cam_overlay::Member;
     use cam_ring::{Id, IdSpace};
+    use cam_workload::{GroupOp, MultiGroupScenario, Scenario};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     impl GroupRegistry {
         /// Universe index of `group`'s canonical source (the subscriber
         /// owning the group's rendezvous identifier), if the tree is live.
         fn group_root(&self, group: u64) -> Option<usize> {
             let state = self.groups.get(&group)?;
-            Some(state.subscribers[state.tree(&self.universe)?.root])
+            Some(state.subscribers[state.tree(&self.universe)?.1.root])
         }
     }
 
@@ -732,6 +819,42 @@ mod tests {
     }
 
     #[test]
+    fn destroy_revives_a_group_stalled_on_a_zero_residual_forwarder() {
+        // 16 nodes of capacity 2, ids 16 apart. Group `s` roots at node
+        // `r`; `d` roots at `r`'s successor `r1` and takes both of its
+        // slots. When `r` leaves `s`, `r1` becomes the root, a forwarder
+        // with residual 0, so `s` stalls on it; freeing `r1` must revive
+        // `s` even though no other residual its walk read has changed.
+        let universe = uniform_universe(16, 2);
+        let space = universe.space();
+        let owner = |g: u64| universe.owner_idx(group_root_id(space, g));
+        let s = 1u64;
+        let r = owner(s);
+        let r1 = (r + 1) % 16;
+        let d = (2u64..).find(|&g| owner(g) == r1).unwrap();
+        let mut reg = GroupRegistry::new(universe);
+        reg.create_group(s).unwrap();
+        reg.create_group(d).unwrap();
+        // r's children in `s` are r1 and the owner of r + 128, so r1 is a
+        // leaf there and keeps both slots for `d`.
+        for node in [r, r1, (r + 8) % 16] {
+            assert_eq!(reg.subscribe(s, node).unwrap(), Admission::Admitted);
+        }
+        for node in 0..16 {
+            assert!(reg.subscribe(d, node).unwrap().is_admitted());
+        }
+        assert_eq!(reg.ledger().residual(r1), 0);
+        reg.unsubscribe(s, r).unwrap();
+        assert!(reg.is_stalled(s), "s roots at r1, which has no slot left");
+        reg.rebalance();
+        assert!(reg.is_stalled(s), "nothing freed, nothing revives");
+        reg.destroy_group(d).unwrap();
+        assert!(!reg.is_stalled(s), "freeing r1 revives s");
+        assert_eq!(reg.publish_counting(s).unwrap().reached, 2);
+        assert!(reg.ledger().verify().is_ok());
+    }
+
+    #[test]
     fn unsubscribe_shrinks_the_tree_and_releases_charges() {
         let mut reg = GroupRegistry::new(uniform_universe(12, 4));
         reg.create_group(9).unwrap();
@@ -794,5 +917,174 @@ mod tests {
         assert_eq!(stats.reached, 1);
         assert_eq!(reg.ledger().groups().count(), 0, "no forwarding charges");
         assert_eq!(reg.group_root(1), Some(3));
+    }
+
+    /// `rebalance` as it was before it skipped anything: every degraded
+    /// or stalled group rebuilt, from a fresh subset, with the full walk.
+    fn rebalance_every_target(reg: &mut GroupRegistry) {
+        for group in reg.rebalance_targets() {
+            let subscribers = reg.groups[&group].subscribers.clone();
+            let members = reg.universe.subset(&subscribers);
+            match reg.build(group, &subscribers, Some(&members), false) {
+                Ok(built) => {
+                    reg.state_mut(group).members = Some(members);
+                    reg.commit(group, built);
+                }
+                Err(refused) => reg.stall(group, &refused),
+            }
+        }
+    }
+
+    /// Records every delivery of a publish.
+    struct Record(Vec<(usize, usize, u32)>);
+
+    impl DeliverySink for Record {
+        fn deliver(&mut self, parent: usize, child: usize, hops: u32) -> bool {
+            self.0.push((parent, child, hops));
+            true
+        }
+    }
+
+    /// Rebalances `reg` and, on a clone, [`rebalance_every_target`], and
+    /// asserts the two agree on every subscriber, flag, ledger charge and
+    /// publish delivery. Returns how many targets the pass skipped and
+    /// how many it rebuilt, counted on a second clone stepped through
+    /// the pass.
+    fn rebalance_matches_every_target(
+        reg: &mut GroupRegistry,
+        context: &str,
+    ) -> (usize, usize) {
+        let mut reference = reg.clone();
+        rebalance_every_target(&mut reference);
+        let (mut skipped, mut rebuilt) = (0, 0);
+        let mut stepped = reg.clone();
+        for group in stepped.rebalance_targets() {
+            if stepped.unchanged(group) {
+                skipped += 1;
+            } else {
+                stepped.rebuild(group);
+                rebuilt += 1;
+            }
+        }
+        reg.rebalance();
+        assert_eq!(reg.ledger(), reference.ledger(), "{context}: ledger");
+        assert_eq!(reg.group_ids(), reference.group_ids(), "{context}: groups");
+        for g in reg.group_ids() {
+            let (a, b) = (&reg.groups[&g], &reference.groups[&g]);
+            assert_eq!(
+                a.subscribers, b.subscribers,
+                "{context}: group {g} subscribers"
+            );
+            assert_eq!(
+                (a.degraded, a.stalled.is_some()),
+                (b.degraded, b.stalled.is_some()),
+                "{context}: group {g} degraded/stalled"
+            );
+            let (mut seen_a, mut seen_b) = (Record(Vec::new()), Record(Vec::new()));
+            let stats_a = reg.publish_into(g, &mut seen_a).unwrap();
+            let stats_b = reference.publish_into(g, &mut seen_b).unwrap();
+            assert_eq!(stats_a, stats_b, "{context}: group {g} publish stats");
+            assert_eq!(seen_a.0, seen_b.0, "{context}: group {g} deliveries");
+        }
+        (skipped, rebuilt)
+    }
+
+    /// A random universe of 2–24 nodes with capacities 2–4 on a 10-bit
+    /// ring: small enough that a handful of groups exhausts it.
+    fn random_universe(rng: &mut StdRng) -> MemberSet {
+        let space = IdSpace::new(10);
+        let n = rng.gen_range(2..25);
+        let mut ids = std::collections::BTreeSet::new();
+        while ids.len() < n {
+            ids.insert(rng.gen_range(0..space.size()));
+        }
+        let members = (ids.iter())
+            .map(|&v| Member::with_capacity(Id(v), rng.gen_range(2..5)))
+            .collect();
+        MemberSet::new(space, members).unwrap()
+    }
+
+    /// The skip rule, the kept member set and the stopping walk change no
+    /// decision: after every op of random subscribe / unsubscribe /
+    /// destroy streams, `rebalance` leaves exactly the registry the full
+    /// rebuild of every target leaves.
+    #[test]
+    fn rebalance_matches_rebuilding_every_target() {
+        let (mut skipped, mut rebuilt, mut stalls) = (0, 0, 0);
+        for seed in 0..120 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let universe = random_universe(&mut rng);
+            let n = universe.len();
+            let mut reg = GroupRegistry::new(universe);
+            for g in 1..=6 {
+                reg.create_group(g).unwrap();
+            }
+            for op in 0..200 {
+                let g = rng.gen_range(1..=6u64);
+                let node = rng.gen_range(0..n);
+                match rng.gen_range(0..100) {
+                    0..60 => {
+                        reg.subscribe(g, node).unwrap();
+                    }
+                    60..95 => {
+                        reg.unsubscribe(g, node).unwrap();
+                    }
+                    _ => {
+                        reg.destroy_group(g).unwrap();
+                        reg.create_group(g).unwrap();
+                    }
+                }
+                let context = format!("seed {seed} op {op}");
+                let (s, r) = rebalance_matches_every_target(&mut reg, &context);
+                skipped += s;
+                rebuilt += r;
+                stalls += (1..=6).filter(|&g| reg.is_stalled(g)).count();
+            }
+        }
+        // The streams must reach every branch the skip rule has.
+        assert!(
+            skipped > 0 && rebuilt > 0 && stalls > 0,
+            "{skipped} {rebuilt} {stalls}"
+        );
+    }
+
+    /// [`rebalance_matches_rebuilding_every_target`] on the benchmark's
+    /// registry: 16,000 nodes, 256 groups, seed 1, 16,000 Zipf set-up
+    /// subscriptions and 20,000 churn ops, checked after every op that
+    /// changes a subscriber set or adds a group.
+    /// Minutes in release: `cargo test --release -p cam-pubsub --lib --
+    /// --ignored rebalance_matches_at_benchmark_scale`.
+    #[test]
+    #[ignore = "minutes in release"]
+    fn rebalance_matches_at_benchmark_scale() {
+        const NODES: usize = 16_000;
+        let universe = Scenario::paper_default(1).with_n(NODES).members();
+        let ops = MultiGroupScenario::new(NODES, 256, 1)
+            .with_zipf(0.5)
+            .subscription_churn(16_000, 20_000);
+        let mut reg = GroupRegistry::new(universe);
+        let (mut skipped, mut rebuilt) = (0, 0);
+        for (at, &op) in ops.iter().enumerate() {
+            let changed = match op {
+                GroupOp::Create { group } => reg.create_group(group).is_ok(),
+                GroupOp::Subscribe { group, node } => {
+                    let fresh = !reg.is_subscribed(group, node);
+                    reg.subscribe(group, node).unwrap().is_admitted() && fresh
+                }
+                GroupOp::Unsubscribe { group, node } => {
+                    let member = reg.is_subscribed(group, node);
+                    reg.unsubscribe(group, node).unwrap();
+                    member
+                }
+                GroupOp::Publish { .. } => false,
+            };
+            if changed {
+                let (s, r) = rebalance_matches_every_target(&mut reg, &format!("op {at}"));
+                skipped += s;
+                rebuilt += r;
+            }
+        }
+        assert!(skipped > 0 && rebuilt > 0, "{skipped} {rebuilt}");
+        assert!(reg.ledger().verify().is_ok());
     }
 }
