@@ -575,10 +575,12 @@ fn replay_row(seed: u64) -> String {
 // -------------------------------------------------------------- pub/sub
 //
 // Every decision `GroupRegistry` takes over one subscription-churn run:
-// each admission (a refusal's node included), whether each unsubscribe
-// left its group stalled, every publish's deliveries in order, and at the
-// end each group's flags and ledger charges. Any change to a tree, a
-// charge or an admission moves a digest.
+// each admission, whether each unsubscribe left its group stalled, every
+// publish's deliveries in order, and at the end each group's flags and
+// ledger charges. Any change to a tree, a charge or an admission moves a
+// digest. The node each refusal names is digested apart from the
+// decisions, so a change to which node a refusal reports moves only that
+// digest.
 
 const PUBSUB_SEED: u64 = 1;
 const PUBSUB_NODES: usize = 4_000;
@@ -602,10 +604,12 @@ impl DeliverySink for DeliveryDigest<'_> {
     }
 }
 
-/// One phase's counts and the digest of its decisions.
+/// One phase's counts, the digest of its decisions and the digest of the
+/// nodes its refusals name.
 #[derive(Default)]
 struct PhaseDigest {
     sha: Sha1,
+    refused: Sha1,
     ops: usize,
     admitted: usize,
     degraded: usize,
@@ -627,14 +631,23 @@ impl PhaseDigest {
                 record(&mut self.sha, b'C', group);
             }
             GroupOp::Subscribe { group, node } => {
-                match reg.subscribe(group, node).expect("known group and node") {
-                    Admission::Admitted => self.admitted += 1,
-                    Admission::AdmittedDegraded => self.degraded += 1,
+                let admission = reg.subscribe(group, node).expect("known group and node");
+                let tag = match admission {
+                    Admission::Admitted => {
+                        self.admitted += 1;
+                        b'A'
+                    }
+                    Admission::AdmittedDegraded => {
+                        self.degraded += 1;
+                        b'D'
+                    }
                     Admission::Rejected { node } => {
                         self.rejected += 1;
-                        record(&mut self.sha, b'R', node as u64);
+                        record(&mut self.refused, b'R', node as u64);
+                        b'R'
                     }
-                }
+                };
+                record(&mut self.sha, tag, group);
                 let degraded = reg.is_degraded(group);
                 record(&mut self.sha, b'S', u64::from(degraded));
             }
@@ -658,14 +671,16 @@ impl PhaseDigest {
 
     fn row(self, phase: &str) -> String {
         format!(
-            "{phase} ops={} admitted={} degraded={} rejected={} stalls={} deliveries={} {}",
+            "{phase} ops={} admitted={} degraded={} rejected={} stalls={} deliveries={} \
+             decisions={} refused={}",
             self.ops,
             self.admitted,
             self.degraded,
             self.rejected,
             self.stalls,
             self.deliveries,
-            Sha1::to_hex(&self.sha.finalize())
+            Sha1::to_hex(&self.sha.finalize()),
+            Sha1::to_hex(&self.refused.finalize())
         )
     }
 }
