@@ -198,6 +198,28 @@ mod tests {
         .unwrap()
     }
 
+    /// Lines 10–13 step to whichever neighbor is ring-closer to the key.
+    /// An exact tie goes to the successor. That choice is a convention,
+    /// pinned here because hop counts depend on it: from member 8 toward
+    /// key 24 below, the successor's walk is 8 → 16 → 20 and the
+    /// predecessor's 8 → 0.
+    #[test]
+    fn ring_step_breaks_a_distance_tie_toward_the_successor() {
+        let ids = [0u64, 8, 16, 20];
+        let group = MemberSet::new(
+            IdSpace::new(5),
+            ids.iter()
+                .map(|&v| Member::with_capacity(Id(v), 4))
+                .collect(),
+        )
+        .unwrap();
+        // Key 24 is 8 away from both of member 8's neighbors, 0 and 16.
+        assert_eq!(ids[ring_step(&group, 1, Id(24))], 16);
+        // Off the tie the closer neighbor wins.
+        assert_eq!(ids[ring_step(&group, 1, Id(25))], 0);
+        assert_eq!(ids[ring_step(&group, 1, Id(23))], 16);
+    }
+
     #[test]
     fn ps_common_basics() {
         let space = IdSpace::new(6);

@@ -955,30 +955,13 @@ impl<P: DhtProtocol> ReactorCore<P> {
                     counters.frames_rejected += 1;
                     return;
                 }
+                if !self.node(to).alive {
+                    return; // a crashed host neither acks nor dispatches
+                }
                 if ack_required {
-                    let mut buf = sink.alloc();
-                    match encode_frame_into(
-                        &Frame::Ack {
-                            from: to as u64,
-                            seq,
-                        },
-                        &mut buf,
-                    ) {
-                        Ok(()) => {
-                            counters.frames_encoded += 1;
-                            sink.push(to, from, buf);
-                        }
-                        // An ack is a few bytes; failing to encode one is
-                        // an internal bug — counted, not fatal.
-                        Err(_) => {
-                            counters.internal_errors += 1;
-                            sink.give_back(buf);
-                        }
-                    }
+                    push_ack(to, from, seq, sink, counters);
                 }
-                if self.node(to).alive {
-                    self.dispatch(now, to, ActorId(from), msg, sink, counters);
-                }
+                self.dispatch(now, to, ActorId(from), msg, sink, counters);
             }
         }
     }
@@ -1097,6 +1080,35 @@ impl<P: DhtProtocol> std::fmt::Debug for ReactorCore<P> {
     }
 }
 
+/// Queues node `to`'s ack of frame `seq` from `from`.
+fn push_ack(
+    to: usize,
+    from: usize,
+    seq: u64,
+    sink: &mut FrameSink,
+    counters: &mut WireCounters,
+) {
+    let mut buf = sink.alloc();
+    match encode_frame_into(
+        &Frame::Ack {
+            from: to as u64,
+            seq,
+        },
+        &mut buf,
+    ) {
+        Ok(()) => {
+            counters.frames_encoded += 1;
+            sink.push(to, from, buf);
+        }
+        // An ack is a few bytes; failing to encode one is an internal
+        // bug — counted, not fatal.
+        Err(_) => {
+            counters.internal_errors += 1;
+            sink.give_back(buf);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1158,33 +1170,41 @@ mod tests {
         }
     }
 
+    /// A converged four-node CAM-Chord core with one spare endpoint.
+    fn four_nodes(
+        policy: RetransmitPolicy,
+        sink: &mut FrameSink,
+        counters: &mut WireCounters,
+    ) -> ReactorCore<cam_core::cam_chord::CamChordProtocol> {
+        let members = [1_000, 140_000, 270_000, 400_000]
+            .map(|id| Member::with_capacity(cam_ring::Id(id), 3));
+        ReactorCore::converged(
+            IdSpace::PAPER,
+            &members,
+            cam_core::cam_chord::CamChordProtocol,
+            7,
+            members.len() + 1,
+            policy,
+            sink,
+            counters,
+        )
+    }
+
     /// Each kind of change to a node's deadline once, the index checked
     /// after each, in release builds too (where the `debug_assert!`s are
     /// compiled out): the counterpart of the actor's
     /// `neighbor_table_equals_the_rule_after_every_kind_of_write`.
     #[test]
     fn deadline_index_is_exact_after_every_kind_of_change() {
-        use cam_core::cam_chord::CamChordProtocol;
         use cam_ring::Id;
 
-        let members =
-            [1_000, 140_000, 270_000, 400_000].map(|id| Member::with_capacity(Id(id), 3));
         let policy = RetransmitPolicy {
             max_attempts: 2,
             ..RetransmitPolicy::default()
         };
         let rto = policy.initial_rto;
         let (mut sink, mut counters) = (FrameSink::new(), WireCounters::default());
-        let mut core = ReactorCore::converged(
-            IdSpace::PAPER,
-            &members,
-            CamChordProtocol,
-            7,
-            members.len() + 1,
-            policy,
-            &mut sink,
-            &mut counters,
-        );
+        let mut core = four_nodes(policy, &mut sink, &mut counters);
         assert_index_exact(&core, SimTime::ZERO);
 
         // A handler arming a timer: the first maintenance timer re-arms.
@@ -1232,5 +1252,43 @@ mod tests {
         assert_index_exact(&core, t);
         let senders: Vec<usize> = sink.frames().iter().map(|f| f.from).collect();
         assert_eq!(senders, [1, 4]);
+    }
+
+    /// A crash-killed node is silent: a payload frame that asks for an
+    /// ack gets neither an ack nor a forward from it, while a live
+    /// receiver acks the same kind of frame first thing.
+    #[test]
+    fn a_killed_node_neither_acks_nor_dispatches() {
+        let (mut sink, mut counters) = (FrameSink::new(), WireCounters::default());
+        let mut core = four_nodes(RetransmitPolicy::default(), &mut sink, &mut counters);
+        sink.recycle_all();
+        let t = SimTime::ZERO;
+        core.start_multicast(
+            t,
+            0,
+            true,
+            bytes::Bytes::from_static(b"x"),
+            &mut sink,
+            &mut counters,
+        );
+        let mut sent = std::mem::take(&mut sink.frames);
+        assert!(sent.len() >= 2, "the source forwards to two children");
+        let (dead, live) = (sent.swap_remove(0), sent.swap_remove(0));
+        assert!(matches!(
+            decode_frame(&dead.buf),
+            Ok(Frame::Data {
+                ack_required: true,
+                ..
+            })
+        ));
+
+        assert!(core.kill(t, dead.to));
+        core.handle_frame(t, dead.to, &dead.buf, &mut sink, &mut counters);
+        assert!(sink.is_empty(), "a killed node acked or forwarded");
+
+        core.handle_frame(t, live.to, &live.buf, &mut sink, &mut counters);
+        let ack = sink.frames().first().expect("a live receiver acks");
+        assert_eq!((ack.from, ack.to), (live.to, 0));
+        assert!(matches!(decode_frame(&ack.buf), Ok(Frame::Ack { .. })));
     }
 }

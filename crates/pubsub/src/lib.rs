@@ -19,10 +19,11 @@
 //!   live group, so a tree build for one group spends only the
 //!   *residual* capacity the other groups left behind;
 //! * [`GroupRegistry`] — create/subscribe/unsubscribe/publish with
-//!   admission control ([`Admission::Rejected`] when a build would push
-//!   any node past its global `c_x`, [`Admission::AdmittedDegraded`]
-//!   when it fits but only on residual capacity) and deterministic
-//!   rebalancing when capacity frees up.
+//!   admission control ([`Admission::Rejected`] naming the first
+//!   forwarder, in walk order, with no capacity left,
+//!   [`Admission::AdmittedDegraded`] when the tree fits but only on
+//!   residual capacity) and deterministic rebalancing when capacity
+//!   frees up.
 //!
 //! Each group's tree is the paper's implicit capacity-aware tree over
 //! the sub-[`MemberSet`](cam_overlay::MemberSet) of its subscribers,
