@@ -285,7 +285,7 @@ impl FaultPlan {
     }
 
     /// Colossal preset: 100,000 nodes, crash/multicast only — the
-    /// million-node-track scale stressor (see [`COLOSSAL`]). Always
+    /// million-node-track scale stressor, with anti-entropy on. Always
     /// CAM-Chord with region splitting.
     pub fn colossal(seed: u64) -> FaultPlan {
         generate(seed, &COLOSSAL)

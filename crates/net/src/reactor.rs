@@ -39,12 +39,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
-use cam_overlay::dynamic::{
-    converged_actors, host, CollectedEffects, DhtActor, DhtDriver, DhtMsg, DhtProtocol,
-    EffectDriver,
-};
+use cam_overlay::dynamic::{converged_actors, host, DhtActor, DhtMsg, DhtProtocol};
 use cam_overlay::Member;
 use cam_ring::IdSpace;
+use cam_sim::engine::{Actor, Context};
 use cam_sim::rng::SimRng;
 use cam_sim::{ActorId, Duration, SimTime};
 use cam_trace::{EventKind, GroupDeliveryCensus, NopTracer, Tracer};
@@ -397,8 +395,10 @@ pub struct ReactorCore<P: DhtProtocol> {
     endpoints: usize,
     seed: u64,
     next_payload: u64,
-    /// Reusable effect buffer for actor deliveries.
-    effects: CollectedEffects,
+    /// Reusable buffers an actor's [`Context`] writes its sends and timer
+    /// requests into, in emission order.
+    outbox: Vec<(ActorId, DhtMsg)>,
+    timers: Vec<(Duration, u64)>,
     /// Event/telemetry sink; [`NopTracer`] (free) unless installed via
     /// [`ReactorCore::set_tracer`]. Events are stamped with the `now`
     /// the host passes in, so virtual-time runs trace deterministically.
@@ -447,21 +447,22 @@ impl<P: DhtProtocol> ReactorCore<P> {
             endpoints,
             seed,
             next_payload: 1,
-            effects: CollectedEffects::default(),
+            outbox: Vec::new(),
+            timers: Vec::new(),
             tracer: Box::new(NopTracer),
         };
         for i in 0..n {
-            core.with_actor(SimTime::ZERO, i, sink, counters, |_, drv| {
+            core.with_actor(SimTime::ZERO, i, sink, counters, |_, ctx| {
                 for (delay, tag) in host::maintenance_schedule(i) {
-                    drv.set_timer(delay, tag);
+                    ctx.set_timer(delay, tag);
                 }
             });
         }
         core
     }
 
-    /// Runs `f` on node `i`'s actor through an [`EffectDriver`] stamped
-    /// with `now`, then turns its effects into timer-heap entries and
+    /// Runs `f` on node `i`'s actor through a [`Context`] stamped with
+    /// `now`, then turns its effects into timer-heap entries and
     /// frames in `sink`, all inside one `update`. The one place an actor is
     /// called; an unknown `i` counts in `internal_errors`.
     fn with_actor(
@@ -470,23 +471,24 @@ impl<P: DhtProtocol> ReactorCore<P> {
         i: usize,
         sink: &mut FrameSink,
         counters: &mut WireCounters,
-        f: impl FnOnce(&mut DhtActor<P>, &mut EffectDriver<'_>),
+        f: impl FnOnce(&mut DhtActor<P>, &mut Context<'_, DhtMsg>),
     ) {
         let ran = self.nodes.update(i, |nd| {
-            let mut drv = EffectDriver {
-                me: ActorId(i),
-                effects: &mut self.effects,
-                rng: &mut nd.rng,
-                tracer: self.tracer.as_mut(),
-                now_micros: now.micros(),
-            };
-            f(&mut nd.actor, &mut drv);
-            for (delay, tag) in self.effects.timers.drain(..) {
+            let mut ctx = Context::new(
+                now,
+                ActorId(i),
+                &mut self.outbox,
+                &mut self.timers,
+                &mut nd.rng,
+                self.tracer.as_mut(),
+            );
+            f(&mut nd.actor, &mut ctx);
+            for (delay, tag) in self.timers.drain(..) {
                 nd.push_timer(now + delay, tag);
             }
             // Each send becomes a DATA frame in the sink; payload frames
             // also enter the retransmit buffer.
-            for (to, msg) in self.effects.sends.drain(..) {
+            for (to, msg) in self.outbox.drain(..) {
                 let to = to.index();
                 if to >= self.endpoints {
                     continue; // stale address: lost, like the sim's unknown actor
@@ -759,8 +761,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        self.with_actor(now, joiner, sink, counters, |actor, drv| {
-            drv.send(
+        self.with_actor(now, joiner, sink, counters, |actor, ctx| {
+            ctx.send(
                 ActorId(bootstrap),
                 host::join_request(actor.member(), ActorId(joiner)),
             );
@@ -976,8 +978,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
         sink: &mut FrameSink,
         counters: &mut WireCounters,
     ) {
-        self.with_actor(now, i, sink, counters, |actor, drv| {
-            actor.deliver(drv, from, msg)
+        self.with_actor(now, i, sink, counters, |actor, ctx| {
+            actor.on_message(ctx, from, msg)
         });
     }
 
@@ -1033,8 +1035,8 @@ impl<P: DhtProtocol> ReactorCore<P> {
             }
             self.nodes.update(i, |nd| nd.timers.pop());
             did = true;
-            self.with_actor(now, i, sink, counters, |actor, drv| {
-                actor.deliver_timer(drv, tag)
+            self.with_actor(now, i, sink, counters, |actor, ctx| {
+                actor.on_timer(ctx, tag)
             });
         }
         self.nodes.update(i, |nd| {

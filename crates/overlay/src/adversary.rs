@@ -205,7 +205,7 @@ impl AdversaryState {
         }
     }
 
-    /// Records a frame for later replay (keeps at most [`REPLAY_MEMORY`]).
+    /// Records a frame for later replay (keeps at most `REPLAY_MEMORY`).
     pub fn remember(
         &mut self,
         payload: u64,

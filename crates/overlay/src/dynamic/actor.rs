@@ -1,14 +1,18 @@
 //! The live node: the [`DhtProtocol`] plug-in point, the [`DhtActor`]
-//! state with its accessors, lookup routing, and the dispatch of incoming
-//! messages to the handlers in the sibling modules.
+//! state with its accessors, lookup routing, and the [`Actor`] impl that
+//! dispatches messages and timers to the handlers in the sibling modules.
+//! Every host drives it the same way: it lends a [`Context`] over its own
+//! send and timer buffers and calls [`Actor::on_message`] or
+//! [`Actor::on_timer`].
 
 use cam_ring::{Id, IdMap, IdSpace, Segment};
 use cam_sim::engine::{Actor, ActorId, Context};
 use cam_sim::time::Duration;
 use cam_trace::EventKind;
 
+use super::maintenance::{TIMER_ANTI_ENTROPY, TIMER_FIX_FINGERS, TIMER_STABILIZE};
 use super::msg::PayloadFrame;
-use super::{DhtDriver, DhtMsg};
+use super::DhtMsg;
 use crate::adversary::{AdversaryState, ByzantineBehavior, DetectionCounters};
 use crate::Member;
 
@@ -93,8 +97,8 @@ pub struct DhtActor<P: DhtProtocol> {
     /// deployment this is the address book piggybacked on every message).
     /// Shared (`Arc`) across all actors of a network: at colossal scale a
     /// per-actor copy would be `O(n²)` memory, which is exactly what the
-    /// 100k-node chaos preset must avoid. Copy-on-write on the rare
-    /// per-actor mutation.
+    /// 100k-node chaos preset must avoid. Never mutated per actor: the
+    /// harness rebuilds it once and re-shares it.
     pub(super) directory: std::sync::Arc<IdMap<u64, ActorId>>,
     /// Outstanding finger-refresh lookups this node initiated: req_id →
     /// the target identifier being re-resolved.
@@ -363,16 +367,6 @@ impl<P: DhtProtocol> DhtActor<P> {
         self.directory = directory.into();
     }
 
-    /// Adds one directory entry (e.g. for a recently joined node).
-    ///
-    /// Copy-on-write: if the directory is currently shared with other
-    /// actors, this actor gets a private copy first. Harness-wide updates
-    /// should instead rebuild once and re-share via
-    /// [`set_directory`](Self::set_directory).
-    pub fn add_directory_entry(&mut self, id: Id, actor: ActorId) {
-        std::sync::Arc::make_mut(&mut self.directory).insert(id.value(), actor);
-    }
-
     /// How many multicast payloads this node has received.
     pub fn payloads_received(&self) -> usize {
         self.payloads.len()
@@ -429,9 +423,9 @@ impl<P: DhtProtocol> DhtActor<P> {
         self.directory.get(&id.value()).copied()
     }
 
-    pub(super) fn send_to_member<D: DhtDriver>(&self, drv: &mut D, id: Id, msg: DhtMsg) {
+    pub(super) fn send_to_member(&self, ctx: &mut Context<'_, DhtMsg>, id: Id, msg: DhtMsg) {
         if let Some(actor) = self.actor_of(id) {
-            drv.send(actor, msg);
+            ctx.send(actor, msg);
         }
         // Unknown address: the message is lost, like a stale routing entry.
     }
@@ -442,16 +436,16 @@ impl<P: DhtProtocol> DhtActor<P> {
         id
     }
 
-    pub(super) fn handle_lookup<D: DhtDriver>(
+    pub(super) fn handle_lookup(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         key: Id,
         req_id: u64,
         reply_to: ActorId,
         hops: u32,
         mut state: u64,
     ) {
-        let answer = |ctx: &mut D, owner: Member, gave_up: bool| {
+        let answer = |ctx: &mut Context<'_, DhtMsg>, owner: Member, gave_up: bool| {
             ctx.send(
                 reply_to,
                 DhtMsg::LookupDone {
@@ -550,13 +544,14 @@ impl<P: DhtProtocol> DhtActor<P> {
             next
         }
     }
+}
 
-    /// Feeds one message into the actor through any [`DhtDriver`].
-    ///
-    /// This is the host-agnostic message entry point: the simulator's
-    /// [`Actor::on_message`] forwards here, and `cam-net`'s runtime calls
-    /// it directly with decoded wire frames.
-    pub fn deliver<D: DhtDriver>(&mut self, ctx: &mut D, from: ActorId, msg: DhtMsg) {
+impl<P: DhtProtocol> Actor for DhtActor<P> {
+    type Msg = DhtMsg;
+
+    /// The one message entry point of every host: the simulator calls it
+    /// per delivered event, `cam-net`'s reactor per decoded wire frame.
+    fn on_message(&mut self, ctx: &mut Context<'_, DhtMsg>, from: ActorId, msg: DhtMsg) {
         // A node that has not completed its (re)join is not a ring member
         // yet. Answering liveness or stabilize traffic here would let a
         // restarted node masquerade as its pre-crash incarnation: its old
@@ -659,6 +654,15 @@ impl<P: DhtProtocol> DhtActor<P> {
             ),
         }
     }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, DhtMsg>, tag: u64) {
+        match tag {
+            TIMER_STABILIZE => self.handle_stabilize_timer(ctx),
+            TIMER_FIX_FINGERS => self.handle_fix_fingers_timer(ctx),
+            TIMER_ANTI_ENTROPY => self.handle_anti_entropy_timer(ctx),
+            _ => {}
+        }
+    }
 }
 
 /// What a node keeps about one payload it has seen, from its first copy.
@@ -698,16 +702,4 @@ fn neighbor_rule(me: Id, fingers: &[(u64, Member)]) -> impl Iterator<Item = Memb
         let first = !fingers[..i].iter().any(|&(_, o)| o.id == m.id);
         (m.id != me && first).then_some(m)
     })
-}
-
-impl<P: DhtProtocol> Actor for DhtActor<P> {
-    type Msg = DhtMsg;
-
-    fn on_message(&mut self, ctx: &mut Context<'_, DhtMsg>, from: ActorId, msg: DhtMsg) {
-        self.deliver(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, DhtMsg>, tag: u64) {
-        self.deliver_timer(ctx, tag);
-    }
 }

@@ -5,10 +5,11 @@
 //! advertises itself, or forwards a payload.
 
 use cam_ring::{Id, Segment};
+use cam_sim::engine::Context;
 use cam_trace::EventKind;
 
 use super::msg::PayloadFrame;
-use super::{DhtActor, DhtDriver, DhtMsg, DhtProtocol, SUCCESSOR_LIST_LEN};
+use super::{DhtActor, DhtMsg, DhtProtocol, SUCCESSOR_LIST_LEN};
 use crate::adversary::ByzantineBehavior;
 use crate::Member;
 
@@ -39,7 +40,7 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// partitioning. Capacity is immutable per member in this protocol
     /// (it survives crash/restart unchanged), so honest claims never
     /// conflict.
-    pub(super) fn vet<D: DhtDriver>(&mut self, ctx: &mut D, mut m: Member) -> Member {
+    pub(super) fn vet(&mut self, ctx: &mut Context<'_, DhtMsg>, mut m: Member) -> Member {
         match self.capacity_pins.entry(m.id.value()) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(m.capacity);
@@ -70,9 +71,9 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// flagged claim probes again — and if even the probes keep getting
     /// lost, the verdict's round budget ([`DEAD_VERDICT_ROUNDS`]) lapses
     /// as a backstop.
-    pub(super) fn vet_advertised<D: DhtDriver>(
+    pub(super) fn vet_advertised(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         m: Member,
     ) -> Option<Member> {
         if !self.confirmed_dead.contains_key(&m.id.value()) {
@@ -93,7 +94,7 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// finger points at it any more, so neither routing nor multicast
     /// forwards into the void, and an investigation decides whether it is
     /// confirmed dead. The caller repairs its successor list.
-    pub(super) fn evict<D: DhtDriver>(&mut self, ctx: &mut D, member: Id, strikes: u8) {
+    pub(super) fn evict(&mut self, ctx: &mut Context<'_, DhtMsg>, member: Id, strikes: u8) {
         self.drop_finger_member(member);
         self.open_investigation(member);
         ctx.trace(EventKind::NeighborMiss {
@@ -106,7 +107,7 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// nodes advertise the truth; a [`ByzantineBehavior::ForgeCapacity`]
     /// adversary inflates its capacity so peers' region partitions
     /// over-split around it.
-    pub(super) fn advertised_self<D: DhtDriver>(&mut self, ctx: &mut D) -> Member {
+    pub(super) fn advertised_self(&mut self, ctx: &mut Context<'_, DhtMsg>) -> Member {
         if let Some(adv) = self.adversary.as_deref_mut() {
             if adv.behavior == ByzantineBehavior::ForgeCapacity {
                 let mut m = self.me;
@@ -129,7 +130,7 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// the stabilize cadence so no extra timers are armed — the cleanup
     /// oracle audits the timer census); a capacity forger inflates the
     /// advertised head entry.
-    pub(super) fn answer_stabilize<D: DhtDriver>(&mut self, ctx: &mut D) -> DhtMsg {
+    pub(super) fn answer_stabilize(&mut self, ctx: &mut Context<'_, DhtMsg>) -> DhtMsg {
         let my_advert = self.advertised_self(ctx);
         let mut successors = Vec::with_capacity(SUCCESSOR_LIST_LEN);
         successors.push(my_advert);
@@ -232,7 +233,7 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// The stabilize round's share of failure *confirmation*: ages the
     /// standing verdicts, scores last round's unanswered investigation
     /// probes and launches this round's.
-    pub(super) fn run_investigations<D: DhtDriver>(&mut self, ctx: &mut D) {
+    pub(super) fn run_investigations(&mut self, ctx: &mut Context<'_, DhtMsg>) {
         // Age out confirmed-dead verdicts: each round spends one unit of
         // a verdict's budget, and a verdict that is never re-earned (the
         // "dead" node was a false positive from probe loss) expires
@@ -269,11 +270,11 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// to ungrouped payloads only): remembers the frame for later replay,
     /// rotates the children's regions, or drops children, per the attached
     /// behavior. All decisions draw from the adversary's own plan-seeded
-    /// RNG, never from `ctx.random_index`, so chaos replays stay
+    /// RNG, never from `ctx.rng()`, so chaos replays stay
     /// bit-identical.
-    pub(super) fn tamper_with_children<D: DhtDriver>(
+    pub(super) fn tamper_with_children(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         frame: &PayloadFrame,
         children: &mut Vec<(Id, Option<Segment>)>,
     ) {

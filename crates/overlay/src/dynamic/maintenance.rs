@@ -4,11 +4,11 @@
 //! systems (§3.3/§4.2).
 
 use cam_ring::Id;
-use cam_sim::engine::ActorId;
+use cam_sim::engine::{ActorId, Context};
 use cam_sim::time::Duration;
 use cam_trace::EventKind;
 
-use super::{DhtActor, DhtDriver, DhtMsg, DhtProtocol, SUCCESSOR_LIST_LEN};
+use super::{DhtActor, DhtMsg, DhtProtocol, SUCCESSOR_LIST_LEN};
 use crate::Member;
 
 /// Timer tags.
@@ -17,7 +17,7 @@ pub(super) const TIMER_FIX_FINGERS: u64 = 2;
 pub(super) const TIMER_ANTI_ENTROPY: u64 = 3;
 
 impl<P: DhtProtocol> DhtActor<P> {
-    fn handle_stabilize_timer<D: DhtDriver>(&mut self, ctx: &mut D) {
+    pub(super) fn handle_stabilize_timer(&mut self, ctx: &mut Context<'_, DhtMsg>) {
         self.run_investigations(ctx);
         // Failure detection: the query sent at the previous tick went
         // unanswered — strike; two consecutive strikes declare the
@@ -115,7 +115,7 @@ impl<P: DhtProtocol> DhtActor<P> {
         ctx.set_timer(self.stabilize_every, TIMER_STABILIZE);
     }
 
-    fn handle_fix_fingers_timer<D: DhtDriver>(&mut self, ctx: &mut D) {
+    pub(super) fn handle_fix_fingers_timer(&mut self, ctx: &mut Context<'_, DhtMsg>) {
         // 1. Probes from the previous round that never came back: give the
         //    probed member a strike; two consecutive strikes (distinguishing
         //    death from a single lost Ping/Pong) evict every finger pointing
@@ -172,9 +172,9 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// Handles [`DhtMsg::StabilizeReply`]: vets the advertised members,
     /// runs Chord's stabilize step and notifies the (possibly new)
     /// successor.
-    pub(super) fn on_stabilize_reply<D: DhtDriver>(
+    pub(super) fn on_stabilize_reply(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         predecessor: Option<Member>,
         successors: Vec<Member>,
     ) {
@@ -207,7 +207,7 @@ impl<P: DhtProtocol> DhtActor<P> {
     }
 
     /// Handles [`DhtMsg::Notify`] (Chord's `notify`).
-    pub(super) fn on_notify<D: DhtDriver>(&mut self, ctx: &mut D, candidate: Member) {
+    pub(super) fn on_notify(&mut self, ctx: &mut Context<'_, DhtMsg>, candidate: Member) {
         // The candidate itself sent this — it is provably alive.
         self.mark_alive(candidate.id);
         let candidate = self.vet(ctx, candidate);
@@ -222,7 +222,12 @@ impl<P: DhtProtocol> DhtActor<P> {
 
     /// Handles [`DhtMsg::Pong`]: settles whichever probe `req_id` belongs
     /// to.
-    pub(super) fn on_pong<D: DhtDriver>(&mut self, ctx: &mut D, req_id: u64, member: Member) {
+    pub(super) fn on_pong(
+        &mut self,
+        ctx: &mut Context<'_, DhtMsg>,
+        req_id: u64,
+        member: Member,
+    ) {
         // Any Pong proves the member is alive right now.
         self.mark_alive(member.id);
         let member = self.vet(ctx, member);
@@ -249,9 +254,9 @@ impl<P: DhtProtocol> DhtActor<P> {
 
     /// Handles [`DhtMsg::JoinRequest`]: answers if the joiner lands in a
     /// segment this node can vouch for, otherwise forwards it clockwise.
-    pub(super) fn on_join_request<D: DhtDriver>(
+    pub(super) fn on_join_request(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         joiner: Member,
         joiner_actor: ActorId,
     ) {
@@ -311,9 +316,9 @@ impl<P: DhtProtocol> DhtActor<P> {
 
     /// Handles [`DhtMsg::JoinAnswer`]: adopts the offered successor list
     /// and starts maintenance.
-    pub(super) fn on_join_answer<D: DhtDriver>(
+    pub(super) fn on_join_answer(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         successors: Vec<Member>,
     ) {
         // A rejoining node can be offered a list that still contains its own
@@ -339,17 +344,6 @@ impl<P: DhtProtocol> DhtActor<P> {
             ctx.set_timer(Duration::from_millis(50), TIMER_STABILIZE);
             ctx.set_timer(Duration::from_millis(100), TIMER_FIX_FINGERS);
             ctx.set_timer(Duration::from_millis(150), TIMER_ANTI_ENTROPY);
-        }
-    }
-
-    /// Feeds one timer expiry into the actor through any [`DhtDriver`]
-    /// (host-agnostic counterpart of [`cam_sim::engine::Actor::on_timer`]).
-    pub fn deliver_timer<D: DhtDriver>(&mut self, ctx: &mut D, tag: u64) {
-        match tag {
-            TIMER_STABILIZE => self.handle_stabilize_timer(ctx),
-            TIMER_FIX_FINGERS => self.handle_fix_fingers_timer(ctx),
-            TIMER_ANTI_ENTROPY => self.handle_anti_entropy_timer(ctx),
-            _ => {}
         }
     }
 }

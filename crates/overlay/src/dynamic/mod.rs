@@ -20,11 +20,10 @@
 //! The module is split along the protocol's seams; every public item is
 //! re-exported here, so callers keep writing `dynamic::DhtActor`:
 //!
-//! * `driver` — [`DhtDriver`], the host services an actor needs, and the
-//!   buffering [`EffectDriver`] poll-style hosts use;
 //! * `msg` — [`DhtMsg`], the wire enum, and [`group_root_id`];
 //! * `actor` — [`DhtProtocol`], the [`DhtActor`] state, lookup routing and
-//!   the message dispatch;
+//!   the message and timer dispatch (its `Actor` impl, driven by every
+//!   host through a `cam_sim::engine::Context`);
 //! * `maintenance` — stabilization, finger fixing, liveness probes, joins;
 //! * `multicast` — payload forwarding, group membership, anti-entropy;
 //! * `detect` — the honest-node defenses and the adversary's hook points;
@@ -34,7 +33,6 @@
 
 mod actor;
 mod detect;
-mod driver;
 pub mod host;
 mod maintenance;
 mod msg;
@@ -42,7 +40,6 @@ mod multicast;
 mod network;
 
 pub use actor::{DhtActor, DhtProtocol};
-pub use driver::{CollectedEffects, DhtDriver, EffectDriver};
 pub use host::converged_actors;
 pub use msg::{group_root_id, DhtMsg};
 pub use network::DynamicNetwork;

@@ -6,13 +6,13 @@
 use std::collections::hash_map::Entry;
 
 use cam_ring::{Id, IdSet};
-use cam_sim::engine::ActorId;
+use cam_sim::engine::{ActorId, Context};
 use cam_trace::EventKind;
 
 use super::actor::PayloadRecord;
 use super::maintenance::TIMER_ANTI_ENTROPY;
 use super::msg::PayloadFrame;
-use super::{group_root_id, DhtActor, DhtDriver, DhtMsg, DhtProtocol};
+use super::{group_root_id, DhtActor, DhtMsg, DhtProtocol};
 
 impl<P: DhtProtocol> DhtActor<P> {
     /// Handles [`DhtMsg::Multicast`] (`group == None`) and
@@ -23,9 +23,9 @@ impl<P: DhtProtocol> DhtActor<P> {
     /// in that non-subscribers relay it without delivering it to the
     /// application, every trace event carries the group, and the
     /// adversary hooks leave it alone.
-    pub(super) fn handle_multicast<D: DhtDriver>(
+    pub(super) fn handle_multicast(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         from: ActorId,
         group: Option<u64>,
         frame: PayloadFrame,
@@ -152,9 +152,9 @@ impl<P: DhtProtocol> DhtActor<P> {
     ///   the root (the same protocol-agnostic walk JoinRequest uses, for
     ///   the same reason: there is nowhere to carry per-protocol routing
     ///   state).
-    pub(super) fn handle_group_membership<D: DhtDriver>(
+    pub(super) fn handle_group_membership(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         group: u64,
         member: u64,
         subscribe: bool,
@@ -199,7 +199,7 @@ impl<P: DhtProtocol> DhtActor<P> {
         self.send_to_member(ctx, next, forward);
     }
 
-    pub(super) fn handle_anti_entropy_timer<D: DhtDriver>(&mut self, ctx: &mut D) {
+    pub(super) fn handle_anti_entropy_timer(&mut self, ctx: &mut Context<'_, DhtMsg>) {
         if self.anti_entropy {
             // Group publishes are excluded: epidemic repair through
             // non-subscriber relays would deliver them without their group
@@ -222,7 +222,7 @@ impl<P: DhtProtocol> DhtActor<P> {
             }
             let neighbors = self.neighbor_members();
             if !neighbors.is_empty() {
-                let pick = ctx.random_index(neighbors.len());
+                let pick = ctx.rng().uniform_incl(0, neighbors.len() as u64 - 1) as usize;
                 targets.push(neighbors[pick].id);
             }
             for t in targets {
@@ -235,9 +235,9 @@ impl<P: DhtProtocol> DhtActor<P> {
 
     /// Handles [`DhtMsg::AntiEntropyDigest`]: pushes what the sender is
     /// missing and pulls what this node is missing.
-    pub(super) fn on_digest<D: DhtDriver>(
+    pub(super) fn on_digest(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         from: ActorId,
         have: Vec<u64>,
     ) {
@@ -270,9 +270,9 @@ impl<P: DhtProtocol> DhtActor<P> {
     }
 
     /// Handles [`DhtMsg::PayloadPullReq`].
-    pub(super) fn on_pull_request<D: DhtDriver>(
+    pub(super) fn on_pull_request(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         from: ActorId,
         want: Vec<u64>,
     ) {
@@ -285,9 +285,9 @@ impl<P: DhtProtocol> DhtActor<P> {
 
     /// Handles [`DhtMsg::PayloadPush`]: records a payload recovered by
     /// anti-entropy (not re-flooded).
-    pub(super) fn on_payload_push<D: DhtDriver>(
+    pub(super) fn on_payload_push(
         &mut self,
-        ctx: &mut D,
+        ctx: &mut Context<'_, DhtMsg>,
         from: ActorId,
         payload: u64,
         hops: u32,
@@ -316,7 +316,12 @@ impl<P: DhtProtocol> DhtActor<P> {
 }
 
 /// Sends `to` the payload `record` describes, one hop on.
-fn push_payload<D: DhtDriver>(ctx: &mut D, to: ActorId, payload: u64, record: &PayloadRecord) {
+fn push_payload(
+    ctx: &mut Context<'_, DhtMsg>,
+    to: ActorId,
+    payload: u64,
+    record: &PayloadRecord,
+) {
     ctx.send(
         to,
         DhtMsg::PayloadPush {

@@ -119,7 +119,7 @@ impl<P: DhtProtocol> DynamicNetwork<P> {
         self.actors.push((member, new_id));
         // Rebuild the authoritative address book once and re-share it with
         // every actor (newcomer included): one O(n) allocation instead of
-        // n copy-on-write clones.
+        // n private copies.
         self.reshare_directory();
         self.send_join_request(self.actors.len() - 1, bootstrap);
         Some(new_id)

@@ -3,12 +3,14 @@
 //! minimal ring protocol so the actor logic is tested independently of the
 //! CAM routing algorithms.
 
-use cam_overlay::dynamic::{host, DhtActor, DhtDriver, DhtMsg, DhtProtocol, DynamicNetwork};
+use cam_overlay::dynamic::{host, DhtActor, DhtMsg, DhtProtocol, DynamicNetwork};
 use cam_overlay::Member;
 use cam_ring::{Id, IdMap, IdSet, IdSpace, Segment};
-use cam_sim::engine::{ActorId, Simulation};
-use cam_sim::time::Duration;
+use cam_sim::engine::{Actor, ActorId, Context, Simulation};
+use cam_sim::rng::SimRng;
+use cam_sim::time::{Duration, SimTime};
 use cam_sim::LatencyModel;
+use cam_trace::NopTracer;
 
 /// A bare-bones protocol: a handful of evenly spaced fingers, greedy
 /// preceding-neighbor routing, region-splitting multicast across resolved
@@ -281,26 +283,37 @@ fn seeded_actor_state_accessors() {
 }
 
 /// A host that records what one actor sends and ignores its timers, so a
-/// test can hand-deliver every reply.
-#[derive(Default)]
+/// test can hand-deliver every reply: the buffers a [`Context`] writes
+/// into, owned by the test.
 struct Recorder {
     sent: Vec<(ActorId, DhtMsg)>,
-}
-
-impl DhtDriver for Recorder {
-    fn me(&self) -> ActorId {
-        ActorId(0)
-    }
-    fn send(&mut self, to: ActorId, msg: DhtMsg) {
-        self.sent.push((to, msg));
-    }
-    fn set_timer(&mut self, _: Duration, _: u64) {}
-    fn random_index(&mut self, _: usize) -> usize {
-        0
-    }
+    timers: Vec<(Duration, u64)>,
+    rng: SimRng,
+    tracer: NopTracer,
 }
 
 impl Recorder {
+    fn new() -> Self {
+        Recorder {
+            sent: Vec::new(),
+            timers: Vec::new(),
+            rng: SimRng::new(0),
+            tracer: NopTracer,
+        }
+    }
+
+    /// Actor 0's context at time zero, over this recorder's buffers.
+    fn ctx(&mut self) -> Context<'_, DhtMsg> {
+        Context::new(
+            SimTime::ZERO,
+            ActorId(0),
+            &mut self.sent,
+            &mut self.timers,
+            &mut self.rng,
+            &mut self.tracer,
+        )
+    }
+
     /// `(key, req_id)` of every lookup sent since the last drain, and the
     /// `req_id` of every ping, both in send order.
     fn drain(&mut self) -> (Vec<(Id, u64)>, Vec<u64>) {
@@ -385,9 +398,9 @@ fn neighbor_table_equals_the_rule_after_every_kind_of_write() {
 
     // Fix-finger round 1 re-resolves slots t0..t2 and probes their
     // residents (a, c, c).
-    let mut drv = Recorder::default();
-    actor.deliver_timer(&mut drv, fix_fingers);
-    let (lookups, pings) = drv.drain();
+    let mut rec = Recorder::new();
+    actor.on_timer(&mut rec.ctx(), fix_fingers);
+    let (lookups, pings) = rec.drain();
     let req = |slot: Id| lookups.iter().find(|&&(k, _)| k == slot).unwrap().1;
     let done = |req_id, owner, gave_up| DhtMsg::LookupDone {
         req_id,
@@ -398,13 +411,13 @@ fn neighbor_table_equals_the_rule_after_every_kind_of_write() {
     assert_eq!(pings.len(), 3);
 
     // LookupDone to the slot's current member: no change.
-    actor.deliver(&mut drv, ActorId(3), done(req(t[2]), c_, false));
+    actor.on_message(&mut rec.ctx(), ActorId(3), done(req(t[2]), c_, false));
     assert_table(&actor, &all, &[a_.id, c_.id, succ.id]);
     // A lookup that gave up writes nothing.
-    actor.deliver(&mut drv, ActorId(2), done(req(t[1]), b_, true));
+    actor.on_message(&mut rec.ctx(), ActorId(2), done(req(t[1]), b_, true));
     assert_table(&actor, &all, &[a_.id, c_.id, succ.id]);
     // LookupDone to a new member: slot t0 moves from a to b.
-    actor.deliver(&mut drv, ActorId(2), done(req(t[0]), b_, false));
+    actor.on_message(&mut rec.ctx(), ActorId(2), done(req(t[0]), b_, false));
     assert_table(&actor, &all, &[b_.id, c_.id, succ.id]);
 
     // Pong refresh: c answers the t1 probe with a new descriptor, which
@@ -413,8 +426,8 @@ fn neighbor_table_equals_the_rule_after_every_kind_of_write() {
         upload_kbps: c_.upload_kbps + 1.0,
         ..c_
     };
-    actor.deliver(
-        &mut drv,
+    actor.on_message(
+        &mut rec.ctx(),
         ActorId(3),
         DhtMsg::Pong {
             req_id: pings[1],
@@ -425,8 +438,8 @@ fn neighbor_table_equals_the_rule_after_every_kind_of_write() {
     assert_eq!(actor.neighbor_members()[1], fresh_c);
     // A late Pong from a, whose slot t0 was re-resolved to b meanwhile,
     // must not clobber it.
-    actor.deliver(
-        &mut drv,
+    actor.on_message(
+        &mut rec.ctx(),
         ActorId(1),
         DhtMsg::Pong {
             req_id: pings[0],
@@ -437,14 +450,14 @@ fn neighbor_table_equals_the_rule_after_every_kind_of_write() {
 
     // c never answers its t2 probe (strike 1), nor the t1 probe of round
     // 2 (strike 2): round 3 evicts c from both its slots.
-    actor.deliver_timer(&mut drv, fix_fingers);
-    actor.deliver_timer(&mut drv, fix_fingers);
+    actor.on_timer(&mut rec.ctx(), fix_fingers);
+    actor.on_timer(&mut rec.ctx(), fix_fingers);
     assert_table(&actor, &[tv[0], tv[3], extra], &[b_.id, succ.id]);
 
     // The only successor stays silent: the fourth strike reseeds it from
     // the nearest clockwise neighbor and evicts it from its slot.
     for _ in 0..5 {
-        actor.deliver_timer(&mut drv, stabilize);
+        actor.on_timer(&mut rec.ctx(), stabilize);
     }
     assert_eq!(actor.successor(), Some(&b_));
     assert_table(&actor, &[tv[0], extra], &[b_.id]);
@@ -463,7 +476,7 @@ fn payload_record_keeps_what_the_first_copy_left() {
     actor.seed_state(vec![succ], pred, vec![]);
     actor.set_directory(host::shared_directory([(succ.id, ActorId(5))]));
     actor.set_anti_entropy(true);
-    let mut drv = Recorder::default();
+    let mut rec = Recorder::new();
     let region = Some(Segment::all_but(SPACE, me.id));
     let data = |s: &'static [u8]| bytes::Bytes::from_static(s);
     let multicast = |payload, region, hops, bytes| DhtMsg::Multicast {
@@ -477,19 +490,31 @@ fn payload_record_keeps_what_the_first_copy_left() {
     // Payload 1 arrives with a region from actor 1. A retransmit from the
     // same sender is not evidence; a region copy from actor 2 is, once; a
     // region-less copy never is.
-    actor.deliver(&mut drv, ActorId(1), multicast(1, region, 2, b"first"));
-    actor.deliver(&mut drv, ActorId(1), multicast(1, region, 2, b"first"));
+    actor.on_message(
+        &mut rec.ctx(),
+        ActorId(1),
+        multicast(1, region, 2, b"first"),
+    );
+    actor.on_message(
+        &mut rec.ctx(),
+        ActorId(1),
+        multicast(1, region, 2, b"first"),
+    );
     assert_eq!(replays(&actor), 0);
-    actor.deliver(&mut drv, ActorId(2), multicast(1, region, 3, b"again"));
+    actor.on_message(
+        &mut rec.ctx(),
+        ActorId(2),
+        multicast(1, region, 3, b"again"),
+    );
     assert_eq!(replays(&actor), 1);
-    actor.deliver(&mut drv, ActorId(3), multicast(1, None, 4, b"flood"));
+    actor.on_message(&mut rec.ctx(), ActorId(3), multicast(1, None, 4, b"flood"));
     assert_eq!(replays(&actor), 1);
     assert_eq!(actor.payload_hops(1), Some(2));
     assert_eq!(actor.payload_data(1), Some(&data(b"first")));
     // Payload 2's first copy carried no region, so no later sender is
     // measured against it.
-    actor.deliver(&mut drv, ActorId(1), multicast(2, None, 1, b"two"));
-    actor.deliver(&mut drv, ActorId(2), multicast(2, region, 1, b"two"));
+    actor.on_message(&mut rec.ctx(), ActorId(1), multicast(2, None, 1, b"two"));
+    actor.on_message(&mut rec.ctx(), ActorId(2), multicast(2, region, 1, b"two"));
     assert_eq!(replays(&actor), 1);
 
     // A group publish relayed by a non-subscriber: hops, but no bytes, no
@@ -501,14 +526,14 @@ fn payload_record_keeps_what_the_first_copy_left() {
         hops: 1,
         data: data(b"group"),
     };
-    actor.deliver(&mut drv, ActorId(1), publish);
+    actor.on_message(&mut rec.ctx(), ActorId(1), publish);
     assert_eq!(actor.payload_hops(3), Some(1));
     assert_eq!(actor.payload_data(3), None);
     assert!(!actor.has_group_payload(9, 3));
     assert_eq!(actor.payloads_received(), 3);
-    drv.sent.clear();
-    actor.deliver_timer(&mut drv, anti_entropy);
-    let digests: Vec<(ActorId, Vec<u64>)> = drv
+    rec.sent.clear();
+    actor.on_timer(&mut rec.ctx(), anti_entropy);
+    let digests: Vec<(ActorId, Vec<u64>)> = rec
         .sent
         .drain(..)
         .filter_map(|(to, msg)| match msg {
@@ -519,12 +544,12 @@ fn payload_record_keeps_what_the_first_copy_left() {
     assert_eq!(digests, [(ActorId(5), vec![1, 2])]);
     // An empty digest from a peer is answered with both ungrouped
     // payloads, first-copy hops plus one and the delivered bytes.
-    actor.deliver(
-        &mut drv,
+    actor.on_message(
+        &mut rec.ctx(),
         ActorId(7),
         DhtMsg::AntiEntropyDigest { have: vec![] },
     );
-    let pushed: Vec<(ActorId, u64, u32, bytes::Bytes)> = drv
+    let pushed: Vec<(ActorId, u64, u32, bytes::Bytes)> = rec
         .sent
         .drain(..)
         .filter_map(|(to, msg)| match msg {
@@ -550,18 +575,18 @@ fn payload_record_keeps_what_the_first_copy_left() {
         hops,
         data: data(bytes),
     };
-    actor.deliver(&mut drv, ActorId(4), push(1, 9, b"late"));
+    actor.on_message(&mut rec.ctx(), ActorId(4), push(1, 9, b"late"));
     assert_eq!(actor.payload_hops(1), Some(2));
     assert_eq!(actor.payload_data(1), Some(&data(b"first")));
     assert_eq!(actor.detections().repair_recoveries, 0);
     // …and a push of an unseen one is a recovery: hops, bytes, delivery.
-    actor.deliver(&mut drv, ActorId(4), push(4, 5, b"repaired"));
+    actor.on_message(&mut rec.ctx(), ActorId(4), push(4, 5, b"repaired"));
     assert_eq!(actor.payload_hops(4), Some(5));
     assert_eq!(actor.payload_data(4), Some(&data(b"repaired")));
     assert_eq!(actor.detections().repair_recoveries, 1);
     assert_eq!(actor.received_log.last(), Some(&(4, 5)));
     // A region copy of the recovered payload is a duplicate, not a replay.
-    actor.deliver(&mut drv, ActorId(2), multicast(4, region, 1, b"tree"));
+    actor.on_message(&mut rec.ctx(), ActorId(2), multicast(4, region, 1, b"tree"));
     assert_eq!(replays(&actor), 1);
     assert_eq!(actor.payloads_received(), 4);
 }

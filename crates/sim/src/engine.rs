@@ -104,6 +104,30 @@ pub struct Context<'a, M> {
 }
 
 impl<'a, M> Context<'a, M> {
+    /// A context for actor `me` at `now` over caller-owned buffers: sends
+    /// land in `outbox` and timer requests in `timers`, each in emission
+    /// order; randomness draws from `rng`; trace events go to `tracer`
+    /// stamped with `now` and `me`. The simulator builds one per event;
+    /// any other host of an [`Actor`] builds its own the same way and
+    /// performs the buffered effects after the handler returns.
+    pub fn new(
+        now: SimTime,
+        me: ActorId,
+        outbox: &'a mut Vec<(ActorId, M)>,
+        timers: &'a mut Vec<(Duration, u64)>,
+        rng: &'a mut SimRng,
+        tracer: &'a mut dyn Tracer,
+    ) -> Self {
+        Context {
+            now,
+            me,
+            outbox,
+            timers,
+            rng,
+            tracer,
+        }
+    }
+
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -638,6 +662,51 @@ mod tests {
             ]
         );
         assert!(!s.tracer().enabled(), "take_tracer leaves NopTracer");
+    }
+
+    #[test]
+    fn context_new_buffers_effects_for_its_host() {
+        use cam_trace::RecordingTracer;
+
+        let mut outbox = Vec::new();
+        let mut timers = Vec::new();
+        let mut rng = SimRng::new(5);
+        let mut expected = rng.clone();
+        let mut tracer = RecordingTracer::with_capacity(4);
+        let (me, peer) = (ActorId(3), ActorId(9));
+        let mut ctx = Context::new(
+            SimTime(1_500),
+            me,
+            &mut outbox,
+            &mut timers,
+            &mut rng,
+            &mut tracer,
+        );
+        assert_eq!((ctx.now(), ctx.me()), (SimTime(1_500), me));
+        assert!(ctx.trace_enabled());
+        ctx.send(peer, 1u32);
+        ctx.set_timer(Duration::from_millis(7), 70);
+        ctx.send(me, 2);
+        ctx.set_timer(Duration::from_millis(2), 20);
+        let draw = ctx.rng().uniform_incl(0, 99);
+        ctx.trace(EventKind::MulticastReceive {
+            payload: 4,
+            hops: 1,
+            group: None,
+        });
+
+        assert_eq!(outbox, vec![(peer, 1), (me, 2)]);
+        assert_eq!(
+            timers,
+            vec![
+                (Duration::from_millis(7), 70),
+                (Duration::from_millis(2), 20)
+            ]
+        );
+        assert_eq!(draw, expected.uniform_incl(0, 99), "draws the lent stream");
+        assert_eq!(rng.unit().to_bits(), expected.unit().to_bits());
+        let stamps: Vec<(u64, u64)> = tracer.events().map(|e| (e.at_micros, e.actor)).collect();
+        assert_eq!(stamps, vec![(1_500, 3)]);
     }
 
     #[test]

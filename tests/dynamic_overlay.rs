@@ -1,9 +1,9 @@
 //! Integration tests for the live (discrete-event) overlay: convergence,
 //! joins, failure repair, and multicast under churn.
 
-use cam::overlay::dynamic::{DhtActor, DhtMsg, DynamicNetwork};
+use cam::overlay::dynamic::DynamicNetwork;
 use cam::prelude::*;
-use cam::ring::{IdMap, IdSet};
+use cam::ring::IdSet;
 use cam::sim::time::Duration;
 use cam::sim::LatencyModel;
 
@@ -116,36 +116,11 @@ fn node_join_integrates_into_ring() {
         !m.iter().any(|x| x.id == newcomer.id),
         "fresh identifier required"
     );
-    let actor = DhtActor::new(space, newcomer, CamChordProtocol);
-    let new_actor_id = net.sim.add_actor(actor);
-    // Everyone learns the newcomer's address (directory = address book).
-    let pairs: Vec<_> = net.actors().to_vec();
-    for (_, a) in &pairs {
-        if let Some(existing) = net.sim.actor_mut(*a) {
-            existing.add_directory_entry(newcomer.id, new_actor_id);
-        }
-    }
-    // Newcomer needs the full directory too.
-    let directory: IdMap<u64, cam::sim::engine::ActorId> = pairs
-        .iter()
-        .map(|(m, a)| (m.id.value(), *a))
-        .chain([(newcomer.id.value(), new_actor_id)])
-        .collect();
-    net.sim
-        .actor_mut(new_actor_id)
-        .unwrap()
-        .set_directory(directory);
-
-    // Kick off the join via a bootstrap member.
-    let bootstrap = pairs[0].1;
-    net.sim.post(
-        new_actor_id,
-        bootstrap,
-        DhtMsg::JoinRequest {
-            joiner: newcomer,
-            joiner_actor: new_actor_id,
-        },
-    );
+    // `inject_join` shares the one address book with the newcomer and
+    // sends its JoinRequest through the first live member.
+    let new_actor_id = net
+        .inject_join(newcomer, CamChordProtocol)
+        .expect("fresh identifier joins");
     net.sim.run_until(net.sim.now() + Duration::from_secs(60));
 
     let joined = net.sim.actor(new_actor_id).unwrap();
@@ -163,7 +138,7 @@ fn node_join_integrates_into_ring() {
 
     // And the predecessor-side link forms via notify/stabilize, so the
     // newcomer receives multicasts.
-    let source = pairs[1].1;
+    let source = net.actors()[1].1;
     let payload = net.start_multicast(source, true);
     net.sim.run_until(net.sim.now() + Duration::from_secs(30));
     assert!(
