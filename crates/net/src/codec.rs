@@ -20,7 +20,9 @@
 //! `Vec<T>`/byte strings are a `u32` count then the items. The format is
 //! hand-rolled (the build is offline — no serde wire formats, no protobuf)
 //! and deliberately boring: fixed header, fixed integer widths, no
-//! compression, no varints.
+//! compression, no varints. Tags are never reused: the retired 13 and 14
+//! decode as [`WireError::BadTag`], so a frame's bytes never change
+//! meaning under version 1.
 //!
 //! Decoding is strict. A frame is rejected — with a typed [`WireError`],
 //! never a panic — if it is truncated, longer than its length prefix
@@ -258,7 +260,6 @@ fn msg_len(msg: &DhtMsg) -> usize {
         DhtMsg::PayloadPush { data, .. } => 8 + 4 + 4 + data.len(),
         DhtMsg::JoinRequest { .. } => MEMBER_LEN + 8,
         DhtMsg::JoinAnswer { successors } => 4 + MEMBER_LEN * successors.len(),
-        DhtMsg::GroupSubscribe { .. } | DhtMsg::GroupUnsubscribe { .. } => 8 + 8,
         DhtMsg::GroupPublish { region, data, .. } => {
             8 + 8 + 1 + region.map_or(0, |_| 16) + 4 + 4 + data.len()
         }
@@ -364,16 +365,6 @@ fn put_msg(out: &mut Vec<u8>, msg: &DhtMsg) {
         DhtMsg::JoinAnswer { successors } => {
             out.push(12);
             put_members(out, successors);
-        }
-        DhtMsg::GroupSubscribe { group, member } => {
-            out.push(13);
-            put_u64(out, *group);
-            put_u64(out, *member);
-        }
-        DhtMsg::GroupUnsubscribe { group, member } => {
-            out.push(14);
-            put_u64(out, *group);
-            put_u64(out, *member);
         }
         DhtMsg::GroupPublish {
             group,
@@ -577,14 +568,6 @@ fn read_msg(r: &mut Reader<'_>) -> Result<DhtMsg, WireError> {
         },
         12 => DhtMsg::JoinAnswer {
             successors: r.members()?,
-        },
-        13 => DhtMsg::GroupSubscribe {
-            group: r.u64()?,
-            member: r.u64()?,
-        },
-        14 => DhtMsg::GroupUnsubscribe {
-            group: r.u64()?,
-            member: r.u64()?,
         },
         15 => DhtMsg::GroupPublish {
             group: r.u64()?,

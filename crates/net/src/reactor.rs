@@ -770,8 +770,11 @@ impl<P: DhtProtocol> ReactorCore<P> {
     }
 
     /// Initiates a multicast at node `source` carrying `data`, returning
-    /// the payload id. `region_split` chooses CAM-Chord region multicast
-    /// over constrained flooding, as in the sim harness.
+    /// the payload id. `region_split` means what it does in the sim
+    /// harness: whether the origin frame carries the region
+    /// `all_but(source)`. CAM-Chord splits either way (a missing region
+    /// reads as `all_but(me)`) and CAM-Koorde floods either way; only the
+    /// source's replay detection sees the difference.
     ///
     /// # Panics
     ///
@@ -812,47 +815,6 @@ impl<P: DhtProtocol> ReactorCore<P> {
             host::origin_message(space, nd.actor.member(), payload, group, region_split, data);
         self.dispatch(now, source, ActorId(source), msg, sink, counters);
         payload
-    }
-
-    /// Subscribes node `subscriber` to pub/sub group `group`: its delivery
-    /// filter flips at once and the membership routes to the group's
-    /// rendezvous root, the sim harness's message flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subscriber >= self.len()` or node `subscriber` is dead.
-    pub fn subscribe(
-        &mut self,
-        now: SimTime,
-        subscriber: usize,
-        group: u64,
-        sink: &mut FrameSink,
-        counters: &mut WireCounters,
-    ) {
-        let nd = self.node(subscriber);
-        assert!(nd.alive, "subscriber must be alive");
-        let msg = host::membership_message(nd.actor.member(), group, true);
-        self.dispatch(now, subscriber, ActorId(subscriber), msg, sink, counters);
-    }
-
-    /// Removes node `subscriber`'s subscription to `group` (routed like
-    /// [`ReactorCore::subscribe`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subscriber >= self.len()` or node `subscriber` is dead.
-    pub fn unsubscribe(
-        &mut self,
-        now: SimTime,
-        subscriber: usize,
-        group: u64,
-        sink: &mut FrameSink,
-        counters: &mut WireCounters,
-    ) {
-        let nd = self.node(subscriber);
-        assert!(nd.alive, "subscriber must be alive");
-        let msg = host::membership_message(nd.actor.member(), group, false);
-        self.dispatch(now, subscriber, ActorId(subscriber), msg, sink, counters);
     }
 
     /// Initiates a publish in `group` at node `source`, returning the

@@ -338,20 +338,6 @@ impl<P: DhtProtocol, T: Transport> Cluster<P, T> {
         })
     }
 
-    /// [`ReactorCore::subscribe`] at the cluster clock: same panics.
-    pub fn subscribe(&mut self, subscriber: usize, group: u64) {
-        self.with_core(|core, now, sink, counters| {
-            core.subscribe(now, subscriber, group, sink, counters)
-        });
-    }
-
-    /// [`ReactorCore::unsubscribe`] at the cluster clock: same panics.
-    pub fn unsubscribe(&mut self, subscriber: usize, group: u64) {
-        self.with_core(|core, now, sink, counters| {
-            core.unsubscribe(now, subscriber, group, sink, counters)
-        });
-    }
-
     /// [`ReactorCore::start_group_publish`] at the cluster clock: same
     /// result and panics.
     pub fn start_group_publish(

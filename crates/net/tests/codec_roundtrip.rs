@@ -23,13 +23,15 @@ fn member_from(seed: u64) -> Member {
     }
 }
 
-/// How many variants `DhtMsg` has: the tags [`msg_from`] accepts and one
-/// more than the largest value [`variant_index`] returns.
-const VARIANTS: u8 = 16;
+/// How many variants `DhtMsg` has: the positions [`msg_from`] accepts and
+/// one more than the largest value [`variant_index`] returns.
+const VARIANTS: u8 = 14;
 
-/// The position of `m`'s variant in `0..VARIANTS`. Wildcard-free on
-/// purpose: a new `DhtMsg` variant does not compile here (nor in the
-/// codec's `msg_len` and `put_msg`) until it has an index, and
+/// The position of `m`'s variant in `0..VARIANTS` — a test-only index, not
+/// the wire tag: `GroupPublish` sits at position 13 but is encoded with
+/// tag 15, because the codec never reuses the retired tags 13 and 14.
+/// Wildcard-free on purpose: a new `DhtMsg` variant does not compile here
+/// (nor in the codec's `msg_len` and `put_msg`) until it has an index, and
 /// `bounded_roundtrip_all_variants` then fails until `msg_from` builds it
 /// and `read_msg` decodes it.
 fn variant_index(m: &DhtMsg) -> u8 {
@@ -47,14 +49,12 @@ fn variant_index(m: &DhtMsg) -> u8 {
         DhtMsg::PayloadPush { .. } => 10,
         DhtMsg::JoinRequest { .. } => 11,
         DhtMsg::JoinAnswer { .. } => 12,
-        DhtMsg::GroupSubscribe { .. } => 13,
-        DhtMsg::GroupUnsubscribe { .. } => 14,
-        DhtMsg::GroupPublish { .. } => 15,
+        DhtMsg::GroupPublish { .. } => 13,
     }
 }
 
-/// Builds the `tag`-th `DhtMsg` variant from generic generated material,
-/// so one strategy covers the whole enum.
+/// Builds the `DhtMsg` variant at [`variant_index`] position `tag` from
+/// generic generated material, so one strategy covers the whole enum.
 fn msg_from(tag: u8, a: u64, b: u64, hops: u32, ids: &[u64], data: &[u8]) -> DhtMsg {
     let members: Vec<Member> = ids.iter().map(|&s| member_from(s)).collect();
     match tag {
@@ -102,15 +102,7 @@ fn msg_from(tag: u8, a: u64, b: u64, hops: u32, ids: &[u64], data: &[u8]) -> Dht
         12 => DhtMsg::JoinAnswer {
             successors: members,
         },
-        13 => DhtMsg::GroupSubscribe {
-            group: a,
-            member: b,
-        },
-        14 => DhtMsg::GroupUnsubscribe {
-            group: a,
-            member: b,
-        },
-        15 => DhtMsg::GroupPublish {
+        13 => DhtMsg::GroupPublish {
             group: a,
             payload: b,
             region: (a & 1 == 1).then(|| Segment::new(Id(b), Id(b ^ a))),
@@ -187,7 +179,7 @@ proptest! {
 fn bounded_roundtrip_all_variants() {
     assert!(
         sample_msgs().iter().map(variant_index).eq(0..VARIANTS),
-        "`msg_from` must build every `DhtMsg` variant, in tag order"
+        "`msg_from` must build every `DhtMsg` variant, in position order"
     );
     let mut seed = 0x9E37_79B9_7F4A_7C15u64;
     for round in 0..4u64 {
@@ -274,9 +266,13 @@ fn unknown_kind_tag_and_flags_are_rejected() {
         ack_required: false,
         msg: DhtMsg::StabilizeQuery,
     };
-    let mut bytes = encode_frame(&data).unwrap();
-    bytes[23] = 16; // first unassigned message tag
-    assert_eq!(decode_frame(&bytes), Err(WireError::BadTag(16)));
+    // 13 and 14 are retired (routed subscribe/unsubscribe), 16 was never
+    // assigned: all three are unknown.
+    for tag in [13, 14, 16] {
+        let mut bytes = encode_frame(&data).unwrap();
+        bytes[23] = tag;
+        assert_eq!(decode_frame(&bytes), Err(WireError::BadTag(tag)));
+    }
     let mut bytes = encode_frame(&data).unwrap();
     bytes[22] = 0b10; // undefined flag bit
     assert_eq!(decode_frame(&bytes), Err(WireError::BadFlags(0b10)));

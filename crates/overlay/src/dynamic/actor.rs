@@ -130,12 +130,9 @@ pub struct DhtActor<P: DhtProtocol> {
     /// Whether this node takes part in anti-entropy payload repair
     /// (pbcast-style pull gossip; see `set_anti_entropy`).
     pub(super) anti_entropy: bool,
-    /// Pub/sub groups this node is subscribed to (ordered: iteration
-    /// feeds deterministic censuses).
+    /// Pub/sub groups this node is subscribed to: its own delivery filter,
+    /// set only by [`DhtActor::subscribe`] / [`DhtActor::unsubscribe`].
     pub(super) subscriptions: std::collections::BTreeSet<u64>,
-    /// Rendezvous-root state: for each group whose root identifier this
-    /// node owns, the ring identifiers of its subscribers.
-    pub(super) group_members: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>>,
     /// Which pub/sub group each seen payload belongs to (group publishes
     /// only) — keeps group traffic out of the ungrouped anti-entropy
     /// digests and attributes censuses.
@@ -214,7 +211,6 @@ impl<P: DhtProtocol> DhtActor<P> {
             stabilize_every: Duration::from_millis(500),
             anti_entropy: false,
             subscriptions: std::collections::BTreeSet::new(),
-            group_members: std::collections::BTreeMap::new(),
             group_of: IdMap::default(),
             received_log: Vec::new(),
             group_received_log: Vec::new(),
@@ -383,6 +379,21 @@ impl<P: DhtProtocol> DhtActor<P> {
         self.payloads.get(&payload)?.data.as_ref()
     }
 
+    /// Subscribes this node to pub/sub group `group`: from now on it
+    /// delivers the group's publishes to the application. Local and
+    /// immediate — no message is sent, and a node whose join has not
+    /// completed flips its filter too. Who belongs to a group is the
+    /// registry's record (cam-pubsub), not the ring's.
+    pub fn subscribe(&mut self, group: u64) {
+        self.subscriptions.insert(group);
+    }
+
+    /// Removes this node's subscription to `group`, as locally and
+    /// immediately as [`DhtActor::subscribe`].
+    pub fn unsubscribe(&mut self, group: u64) {
+        self.subscriptions.remove(&group);
+    }
+
     /// Whether this node is subscribed to pub/sub group `group`.
     pub fn is_subscribed(&self, group: u64) -> bool {
         self.subscriptions.contains(&group)
@@ -508,42 +519,6 @@ impl<P: DhtProtocol> DhtActor<P> {
             },
         );
     }
-
-    /// One greedy clockwise hop toward `key`: the known member (neighbor
-    /// table or `succ`) farthest from `me` inside `(me, key]` — `(me, key)`
-    /// when `stop_short`, for a `key` that is itself a member id which must
-    /// not be routed to — falling back to `succ`.
-    ///
-    /// Deliberately NOT `protocol.next_hop`: the protocol's routing may
-    /// thread per-request state across hops (Koorde's absorbed-bit chain
-    /// rides in `Lookup.state`), and neither a JoinRequest nor a group
-    /// membership change has anywhere to carry it. Recomputing fresh state
-    /// each hop makes de Bruijn hops jump without converging — the request
-    /// can orbit the ring forever. Greedy clockwise progress is
-    /// protocol-agnostic and terminates: callers handle `key ∈ (me, succ]`
-    /// first, so the successor is always a candidate and every hop strictly
-    /// shrinks the distance to `key`.
-    pub(super) fn greedy_clockwise_toward(
-        &self,
-        key: Id,
-        succ: &Member,
-        stop_short: bool,
-    ) -> Id {
-        let next = self
-            .neighbor_members()
-            .iter()
-            .chain(std::iter::once(succ))
-            .filter(|m| {
-                self.space.in_segment(m.id, self.me.id, key) && !(stop_short && m.id == key)
-            })
-            .max_by_key(|m| self.space.seg_len(self.me.id, m.id))
-            .map_or(succ.id, |m| m.id);
-        if next == self.me.id {
-            succ.id
-        } else {
-            next
-        }
-    }
 }
 
 impl<P: DhtProtocol> Actor for DhtActor<P> {
@@ -629,12 +604,6 @@ impl<P: DhtProtocol> Actor for DhtActor<P> {
                 joiner_actor,
             } => self.on_join_request(ctx, joiner, joiner_actor),
             DhtMsg::JoinAnswer { successors } => self.on_join_answer(ctx, successors),
-            DhtMsg::GroupSubscribe { group, member } => {
-                self.handle_group_membership(ctx, group, member, true)
-            }
-            DhtMsg::GroupUnsubscribe { group, member } => {
-                self.handle_group_membership(ctx, group, member, false)
-            }
             DhtMsg::GroupPublish {
                 group,
                 payload,

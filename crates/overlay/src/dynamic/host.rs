@@ -3,7 +3,7 @@
 //! Two hosts run the same actor — [`DynamicNetwork`](super::DynamicNetwork)
 //! on the event simulator and cam-net's `ReactorCore` on a wire — and the
 //! chaos harness drives both. What a host does *around* the actor is
-//! protocol too: how a multicast or a subscription originates, which peer
+//! protocol too: how a multicast or a publish originates, which peer
 //! bootstraps a join, when maintenance first fires, how delivery and hops
 //! are counted. Those rules live here as plain functions over members and
 //! over the host's actor table, passed as an iterator of slots in table
@@ -41,18 +41,6 @@ pub fn origin_message(
         data,
     }
     .into_msg(group)
-}
-
-/// The self-addressed message that subscribes `member` to `group` or
-/// removes it: the actor flips its local delivery filter on receipt and
-/// routes the change on to the group's rendezvous root.
-pub fn membership_message(member: &Member, group: u64, subscribe: bool) -> DhtMsg {
-    let member = member.id.value();
-    if subscribe {
-        DhtMsg::GroupSubscribe { group, member }
-    } else {
-        DhtMsg::GroupUnsubscribe { group, member }
-    }
 }
 
 /// The request a joining (or restarted) node at table slot `joiner_actor`

@@ -300,9 +300,7 @@ impl<P: DhtProtocol> DhtActor<P> {
                 );
                 return;
             }
-            // Stop short of the joiner's own id: a table entry for its
-            // pre-crash incarnation is not a forwarding target.
-            let next = self.greedy_clockwise_toward(joiner.id, &succ, true);
+            let next = self.greedy_clockwise_toward(joiner.id, &succ);
             self.send_to_member(
                 ctx,
                 next,
@@ -311,6 +309,35 @@ impl<P: DhtProtocol> DhtActor<P> {
                     joiner_actor,
                 },
             );
+        }
+    }
+
+    /// One greedy clockwise hop of a join walk toward `joiner`: the known
+    /// member (neighbor table or `succ`) farthest from `me` inside
+    /// `(me, joiner)`, falling back to `succ`. The walk stops short of the
+    /// joiner's own id: a table entry for its pre-crash incarnation is not
+    /// a forwarding target.
+    ///
+    /// Deliberately NOT `protocol.next_hop`: the protocol's routing may
+    /// thread per-request state across hops (Koorde's absorbed-bit chain
+    /// rides in `Lookup.state`), and a JoinRequest has nowhere to carry it.
+    /// Recomputing fresh state each hop makes de Bruijn hops jump without
+    /// converging — the request can orbit the ring forever. Greedy
+    /// clockwise progress is protocol-agnostic and terminates: the caller
+    /// handles `joiner ∈ (me, succ]` first, so the successor is always a
+    /// candidate and every hop strictly shrinks the distance to `joiner`.
+    fn greedy_clockwise_toward(&self, joiner: Id, succ: &Member) -> Id {
+        let next = self
+            .neighbor_members()
+            .iter()
+            .chain(std::iter::once(succ))
+            .filter(|m| self.space.in_segment(m.id, self.me.id, joiner) && m.id != joiner)
+            .max_by_key(|m| self.space.seg_len(self.me.id, m.id))
+            .map_or(succ.id, |m| m.id);
+        if next == self.me.id {
+            succ.id
+        } else {
+            next
         }
     }
 

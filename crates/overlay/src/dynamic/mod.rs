@@ -25,7 +25,8 @@
 //!   the message and timer dispatch (its `Actor` impl, driven by every
 //!   host through a `cam_sim::engine::Context`);
 //! * `maintenance` — stabilization, finger fixing, liveness probes, joins;
-//! * `multicast` — payload forwarding, group membership, anti-entropy;
+//! * `multicast` — payload forwarding, the group-publish filter,
+//!   anti-entropy;
 //! * `detect` — the honest-node defenses and the adversary's hook points;
 //! * [`host`] — the rules every host of an actor table shares (origin
 //!   messages, censuses, bootstrap choice, the maintenance schedule);

@@ -110,24 +110,6 @@ pub enum DhtMsg {
         /// The joiner's future successor list.
         successors: Vec<Member>,
     },
-    /// Subscribe `member` to pub/sub group `group`. Injected self-addressed
-    /// at the subscriber (which flips its local subscription flag), then
-    /// routed greedily clockwise to the group's rendezvous root — the owner
-    /// of `group_root_id(group)` — which records the membership.
-    GroupSubscribe {
-        /// Group being subscribed to.
-        group: u64,
-        /// Ring identifier of the subscribing member.
-        member: u64,
-    },
-    /// Remove `member` from group `group`; routed like
-    /// [`DhtMsg::GroupSubscribe`].
-    GroupUnsubscribe {
-        /// Group being left.
-        group: u64,
-        /// Ring identifier of the departing member.
-        member: u64,
-    },
     /// A pub/sub publish for one group. Forwarded exactly like
     /// [`DhtMsg::Multicast`] — the per-group tree is *implicit*, sharing the
     /// one ring and neighbor table — but only subscribers of `group` deliver
@@ -185,8 +167,8 @@ impl PayloadFrame {
 
 /// The rendezvous-root identifier for pub/sub group `group`: a
 /// deterministic hash of the group id mapped into the ring's identifier
-/// space. The owner of this identifier is the group's root — the node that
-/// tracks the group's membership.
+/// space. Its owner is where cam-pubsub's `GroupRegistry` roots the
+/// group's tree; no node keeps any state for it.
 ///
 /// The mix is SplitMix64's finalizer, so consecutive group ids scatter
 /// uniformly instead of clustering on one arc of the ring.

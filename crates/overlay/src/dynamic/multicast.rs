@@ -1,6 +1,7 @@
 //! The data plane: forwarding a payload down the implicit tree
 //! (`MULTICAST(msg, k)` region splits for CAM-Chord, duplicate-suppressed
-//! flooding for CAM-Koorde), pub/sub group membership, and the
+//! flooding for CAM-Koorde), a group publish's delivery filter (the node's
+//! own subscriptions; no node tracks a group's membership), and the
 //! anti-entropy repair that backs best-effort forwarding.
 
 use std::collections::hash_map::Entry;
@@ -12,7 +13,7 @@ use cam_trace::EventKind;
 use super::actor::PayloadRecord;
 use super::maintenance::TIMER_ANTI_ENTROPY;
 use super::msg::PayloadFrame;
-use super::{group_root_id, DhtActor, DhtMsg, DhtProtocol};
+use super::{DhtActor, DhtMsg, DhtProtocol};
 
 impl<P: DhtProtocol> DhtActor<P> {
     /// Handles [`DhtMsg::Multicast`] (`group == None`) and
@@ -139,64 +140,6 @@ impl<P: DhtProtocol> DhtActor<P> {
             };
             self.send_to_member(ctx, child, forwarded.into_msg(group));
         }
-    }
-
-    /// Handles a pub/sub membership change ([`DhtMsg::GroupSubscribe`] /
-    /// [`DhtMsg::GroupUnsubscribe`]).
-    ///
-    /// Three roles, all served by one message as it travels:
-    /// * at the subscriber itself (`member == me`) the local subscription
-    ///   flag flips — delivery filtering needs no root round-trip;
-    /// * at the group's rendezvous root the membership set is updated;
-    /// * anywhere else the message takes one greedy clockwise hop toward
-    ///   the root (the same protocol-agnostic walk JoinRequest uses, for
-    ///   the same reason: there is nowhere to carry per-protocol routing
-    ///   state).
-    pub(super) fn handle_group_membership(
-        &mut self,
-        ctx: &mut Context<'_, DhtMsg>,
-        group: u64,
-        member: u64,
-        subscribe: bool,
-    ) {
-        if member == self.me.id.value() {
-            if subscribe {
-                self.subscriptions.insert(group);
-            } else {
-                self.subscriptions.remove(&group);
-            }
-        }
-        let key = group_root_id(self.space, group);
-        let is_root = key == self.me.id
-            || self
-                .predecessor
-                .as_ref()
-                .is_some_and(|p| self.space.in_segment(key, p.id, self.me.id));
-        if is_root {
-            if subscribe {
-                self.group_members.entry(group).or_default().insert(member);
-            } else if let Some(set) = self.group_members.get_mut(&group) {
-                set.remove(&member);
-                if set.is_empty() {
-                    self.group_members.remove(&group);
-                }
-            }
-            return;
-        }
-        let forward = if subscribe {
-            DhtMsg::GroupSubscribe { group, member }
-        } else {
-            DhtMsg::GroupUnsubscribe { group, member }
-        };
-        let Some(succ) = self.successors.first().copied() else {
-            return; // isolated: membership is lost, like any best-effort send
-        };
-        if self.space.in_segment(key, self.me.id, succ.id) {
-            self.send_to_member(ctx, succ.id, forward);
-            return;
-        }
-        let next = self.greedy_clockwise_toward(key, &succ, false);
-        self.send_to_member(ctx, next, forward);
     }
 
     pub(super) fn handle_anti_entropy_timer(&mut self, ctx: &mut Context<'_, DhtMsg>) {

@@ -234,10 +234,16 @@ impl<P: DhtProtocol> DynamicNetwork<P> {
             .map(|&slot| self.actors[slot].1)
     }
 
-    /// Initiates a multicast at `source` and returns the payload id.
+    /// Initiates a multicast at `source` and returns the payload id. The
+    /// payload is injected as a self-addressed message.
     ///
-    /// `region_split`: `true` for CAM-Chord-style region multicast, `false`
-    /// for flooding. The payload is injected as a self-addressed message.
+    /// `region_split` only decides whether that origin frame carries the
+    /// region `all_but(source)`; the protocol decides how to forward.
+    /// CAM-Koorde floods either way, and CAM-Chord splits either way,
+    /// because its `multicast_children` reads a missing region as
+    /// `all_but(me)`. All `false` changes is the source's own payload
+    /// record: its first copy carried no region, so a region-carrying
+    /// duplicate reaching the source is not flagged as a replay.
     pub fn start_multicast(&mut self, source: ActorId, region_split: bool) -> u64 {
         self.start_multicast_with_data(source, region_split, bytes::Bytes::new())
     }
@@ -274,42 +280,11 @@ impl<P: DhtProtocol> DynamicNetwork<P> {
         payload
     }
 
-    /// Subscribes the node behind `actor` to pub/sub group `group`: its
-    /// local delivery filter flips immediately (self-addressed message) and
-    /// the membership routes to the group's rendezvous root over the
-    /// overlay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `actor` is dead.
-    pub fn subscribe(&mut self, actor: ActorId, group: u64) {
-        self.change_membership(actor, group, true);
-    }
-
-    /// Removes `actor`'s subscription to `group` (routed like
-    /// [`DynamicNetwork::subscribe`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `actor` is dead.
-    pub fn unsubscribe(&mut self, actor: ActorId, group: u64) {
-        self.change_membership(actor, group, false);
-    }
-
-    fn change_membership(&mut self, actor: ActorId, group: u64, subscribe: bool) {
-        let member = self
-            .sim
-            .actor(actor)
-            .expect("subscriber must be alive")
-            .member();
-        let msg = host::membership_message(member, group, subscribe);
-        self.sim.post(actor, actor, msg);
-    }
-
     /// Initiates a publish in `group` at `source` and returns the payload
     /// id. Forwarding covers the whole ring (the per-group tree is
     /// implicit; non-subscribers relay without delivering), exactly like
-    /// [`DynamicNetwork::start_multicast`].
+    /// [`DynamicNetwork::start_multicast`]. A node subscribes through its
+    /// own actor: `net.sim.actor_mut(a)` then [`DhtActor::subscribe`].
     ///
     /// # Panics
     ///

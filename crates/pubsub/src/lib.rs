@@ -31,10 +31,11 @@
 //! with per-node caps from the ledger; per-group delivery is observed
 //! through [`cam_trace::GroupDeliveryCensus`].
 //!
-//! The wire counterpart (DhtMsg `GroupSubscribe` / `GroupUnsubscribe` /
-//! `GroupPublish` on the dynamic overlay and cam-net clusters) shares
-//! the ring and neighbor tables and checks *delivery*; this crate owns
-//! the *accounting* story. The chaos `cross_group_capacity` oracle
+//! The wire counterpart (DhtMsg `GroupPublish` on the dynamic overlay
+//! and cam-net clusters) shares the ring and neighbor tables and checks
+//! *delivery*: a node delivers a publish iff its own subscription filter
+//! (`DhtActor::subscribe`) holds the group. This crate owns the
+//! *membership* and the *accounting* story. The chaos `cross_group_capacity` oracle
 //! checks [`CapacityLedger::verify`] at every quiescent point.
 //!
 //! # Quickstart

@@ -143,17 +143,6 @@ pub enum EventKind {
         /// Stable name of the violated oracle.
         oracle: &'static str,
     },
-    /// A named phase began (bench/run stage attribution; pair with
-    /// [`EventKind::PhaseEnd`]).
-    PhaseBegin {
-        /// Phase name.
-        name: &'static str,
-    },
-    /// A named phase ended.
-    PhaseEnd {
-        /// Phase name.
-        name: &'static str,
-    },
     /// A Byzantine adversary (attached by the chaos harness) performed
     /// one of its scripted misbehaviors at this actor.
     AdversaryAct {
@@ -200,8 +189,6 @@ impl EventKind {
             EventKind::Leave => "leave",
             EventKind::Restart => "restart",
             EventKind::OracleViolation { .. } => "oracle_violation",
-            EventKind::PhaseBegin { .. } => "phase_begin",
-            EventKind::PhaseEnd { .. } => "phase_end",
             EventKind::AdversaryAct { .. } => "adversary_act",
             EventKind::AdversaryDetect { .. } => "adversary_detect",
         }
@@ -257,8 +244,6 @@ mod tests {
             EventKind::Leave,
             EventKind::Restart,
             EventKind::OracleViolation { oracle: "x" },
-            EventKind::PhaseBegin { name: "x" },
-            EventKind::PhaseEnd { name: "x" },
             EventKind::AdversaryAct {
                 behavior: "x",
                 payload: 0,

@@ -12,11 +12,10 @@ use crate::tracer::RecordingTracer;
 
 /// Serializes the tracer's events as Chrome Trace Event Format JSON.
 ///
-/// Instant events use `"ph":"i"` with thread scope; [`EventKind::PhaseBegin`] /
-/// [`EventKind::PhaseEnd`] become `"ph":"B"` / `"ph":"E"` duration pairs so
-/// phases render as bars. `pid` is always 0; `tid` is the actor index, so
-/// each actor gets its own track in the viewer. Timestamps are already in
-/// microseconds, the format's native unit.
+/// Every event is an instant (`"ph":"i"`) with thread scope. `pid` is
+/// always 0; `tid` is the actor index, so each actor gets its own track in
+/// the viewer. Timestamps are already in microseconds, the format's native
+/// unit.
 pub fn chrome_trace_json(tracer: &RecordingTracer) -> String {
     let mut out = String::with_capacity(64 + tracer.len() * 96);
     out.push_str("{\"traceEvents\":[");
@@ -33,19 +32,13 @@ pub fn chrome_trace_json(tracer: &RecordingTracer) -> String {
 }
 
 fn push_event(out: &mut String, ev: &TraceEvent) {
-    let (name, ph) = match &ev.kind {
-        EventKind::PhaseBegin { name } => (*name, "B"),
-        EventKind::PhaseEnd { name } => (*name, "E"),
-        kind => (kind.name(), "i"),
-    };
     let _ = write!(
         out,
-        "{{\"name\":\"{}\",\"ph\":\"{}\",\"ts\":{},\"pid\":0,\"tid\":{}",
-        name, ph, ev.at_micros, ev.actor
+        "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\"",
+        ev.kind.name(),
+        ev.at_micros,
+        ev.actor
     );
-    if ph == "i" {
-        out.push_str(",\"s\":\"t\"");
-    }
     out.push_str(",\"args\":{");
     let _ = write!(out, "\"seq\":{}", ev.seq);
     push_args(out, &ev.kind);
@@ -126,11 +119,7 @@ fn push_args(out: &mut String, kind: &EventKind) {
                 ",\"detector\":\"{detector}\",\"suspect\":{suspect},\"payload\":{payload}"
             );
         }
-        EventKind::Crash
-        | EventKind::Leave
-        | EventKind::Restart
-        | EventKind::PhaseBegin { .. }
-        | EventKind::PhaseEnd { .. } => {}
+        EventKind::Crash | EventKind::Leave | EventKind::Restart => {}
     }
 }
 
@@ -263,8 +252,6 @@ mod tests {
                 rto_micros: 400_000,
             },
         );
-        t.record(0, 0, EventKind::PhaseBegin { name: "build" });
-        t.record(50, 0, EventKind::PhaseEnd { name: "build" });
         t.counter_add("frames_decoded", 12);
         t.gauge_set("live_nodes", 32);
         t.observe("hops", 1);
@@ -281,10 +268,9 @@ mod tests {
         assert!(json.contains("\"segment_hi\":99"));
         assert!(json.contains("\"name\":\"retransmit\""));
         assert!(json.contains("\"rto_micros\":400000"));
-        // Phase pair renders as a B/E duration, named by the phase.
-        assert!(json.contains("\"name\":\"build\",\"ph\":\"B\""));
-        assert!(json.contains("\"name\":\"build\",\"ph\":\"E\""));
-        // Instants carry thread scope; phases must not.
+        // Every event is an instant with thread scope.
+        assert_eq!(json.matches("\"ph\":\"i\"").count(), 4);
+        assert_eq!(json.matches("\"s\":\"t\"").count(), 4);
         assert!(json.contains("\"ph\":\"i\",\"ts\":150,\"pid\":0,\"tid\":9,\"s\":\"t\""));
         // Balanced braces and brackets — cheap well-formedness check.
         assert_eq!(
@@ -305,12 +291,12 @@ mod tests {
     #[test]
     fn text_report_lists_kinds_and_registry() {
         let report = sample().text_report();
-        assert!(report.contains("6 events held"));
+        assert!(report.contains("4 events held"));
         assert!(report.contains("duplicate_suppress"));
         assert!(report.contains("frames_decoded"));
         assert!(report.contains("live_nodes"));
         assert!(report.contains("hops"));
-        assert!(report.contains("time span: 0 us .. 200 us"));
+        assert!(report.contains("time span: 100 us .. 200 us"));
     }
 
     #[test]

@@ -27,8 +27,8 @@
 //! * [`EventKind`] — the typed taxonomy of load-bearing protocol moments:
 //!   multicast forward / receive / duplicate-suppress, region split,
 //!   neighbor resolve / miss, stabilization rounds, retransmit / backoff,
-//!   join handshakes, crash / leave, and named phases for bench
-//!   attribution.
+//!   join handshakes, crash / leave / restart, oracle violations and
+//!   adversary acts and detections.
 //! * [`export`] — Chrome Trace Event Format JSON (open it in
 //!   `chrome://tracing` or Perfetto) and a compact text report.
 //! * [`Histogram`] / [`Summary`] — the workspace's measurement primitives.

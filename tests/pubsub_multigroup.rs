@@ -69,21 +69,20 @@ fn sim_and_wire_hosts_agree_on_per_group_census() {
         match *op {
             GroupOp::Create { group } => groups.push(group),
             GroupOp::Subscribe { group, node } => {
-                net.subscribe(sim_actor(&net, node), group);
-                cluster.subscribe(node, group);
+                let actor = sim_actor(&net, node);
+                net.sim.actor_mut(actor).expect("alive").subscribe(group);
+                cluster.actor_mut(node).expect("alive").subscribe(group);
                 subscribers.entry(group).or_default().insert(node);
             }
             GroupOp::Unsubscribe { group, node } => {
-                net.unsubscribe(sim_actor(&net, node), group);
-                cluster.unsubscribe(node, group);
+                let actor = sim_actor(&net, node);
+                net.sim.actor_mut(actor).expect("alive").unsubscribe(group);
+                cluster.actor_mut(node).expect("alive").unsubscribe(group);
                 subscribers.entry(group).or_default().remove(&node);
             }
             GroupOp::Publish { .. } => {}
         }
     }
-    // Let the subscription control traffic reach every rendezvous root.
-    net.sim.run_until(net.sim.now() + Duration::from_secs(5));
-    cluster.run_for(Duration::from_secs(5));
 
     // One publish per group, from the same node-0 source on both hosts.
     let mut sim_pubs: Vec<(u64, u64)> = Vec::new();
@@ -124,20 +123,16 @@ fn sim_and_wire_hosts_agree_on_per_group_census() {
 /// The operations the merged-forwarding-path tests below need from a host,
 /// with nodes addressed by ring position on both.
 trait Host {
-    fn subscribe(&mut self, node: usize, group: u64);
     fn settle(&mut self, span: Duration);
     /// Plain region-split multicast from `source`; returns the payload id.
     fn multicast(&mut self, source: usize) -> u64;
     /// Region-split publish to `group` from `source`; returns the payload id.
     fn publish(&mut self, source: usize, group: u64) -> u64;
     fn actor(&self, node: usize) -> &DhtActor<CamChordProtocol>;
+    fn actor_mut(&mut self, node: usize) -> &mut DhtActor<CamChordProtocol>;
 }
 
 impl Host for DynamicNetwork<CamChordProtocol> {
-    fn subscribe(&mut self, node: usize, group: u64) {
-        let actor = self.actors()[node].1;
-        DynamicNetwork::subscribe(self, actor, group);
-    }
     fn settle(&mut self, span: Duration) {
         self.sim.run_until(self.sim.now() + span);
     }
@@ -154,12 +149,13 @@ impl Host for DynamicNetwork<CamChordProtocol> {
             .actor(self.actors()[node].1)
             .expect("node is alive")
     }
+    fn actor_mut(&mut self, node: usize) -> &mut DhtActor<CamChordProtocol> {
+        let actor = self.actors()[node].1;
+        self.sim.actor_mut(actor).expect("node is alive")
+    }
 }
 
 impl Host for Cluster<CamChordProtocol, InMemoryTransport> {
-    fn subscribe(&mut self, node: usize, group: u64) {
-        Cluster::subscribe(self, node, group);
-    }
     fn settle(&mut self, span: Duration) {
         self.run_for(span);
     }
@@ -171,6 +167,9 @@ impl Host for Cluster<CamChordProtocol, InMemoryTransport> {
     }
     fn actor(&self, node: usize) -> &DhtActor<CamChordProtocol> {
         self.node(node).actor()
+    }
+    fn actor_mut(&mut self, node: usize) -> &mut DhtActor<CamChordProtocol> {
+        Cluster::actor_mut(self, node).expect("node is alive")
     }
 }
 
@@ -225,9 +224,8 @@ fn all_subscriber_group_matches_plain_multicast_hop_for_hop() {
         );
 
         for node in 0..N {
-            host.subscribe(node, GROUP);
+            host.actor_mut(node).subscribe(GROUP);
         }
-        host.settle(Duration::from_secs(5));
         let publish = host.publish(0, GROUP);
         host.settle(Duration::from_secs(10));
 
@@ -262,8 +260,7 @@ fn non_subscribers_relay_a_publish_without_delivering_it() {
             "no interior forwarder between source and subscriber"
         );
 
-        host.subscribe(subscriber, GROUP);
-        host.settle(Duration::from_secs(5));
+        host.actor_mut(subscriber).subscribe(GROUP);
         let publish = host.publish(0, GROUP);
         host.settle(Duration::from_secs(10));
 
@@ -287,6 +284,62 @@ fn non_subscribers_relay_a_publish_without_delivering_it() {
             );
         }
     }
+}
+
+/// A subscription is the node's own delivery filter and nothing more:
+/// setting or clearing it sends no message on the sim host and encodes no
+/// frame on the wire host, takes effect at once (no event has to run),
+/// and works on a node whose join has not completed — joining the ring
+/// and joining a group are separate.
+#[test]
+fn a_subscription_is_local_and_immediate() {
+    const GROUP: u64 = 5;
+    let members = members();
+    let (&joiner, ring) = members.split_last().expect("ring is non-empty");
+    let flip = |actor: &mut DhtActor<CamChordProtocol>| {
+        assert!(!actor.is_subscribed(GROUP));
+        actor.subscribe(GROUP);
+        assert!(actor.is_subscribed(GROUP));
+        actor.unsubscribe(GROUP);
+        assert!(!actor.is_subscribed(GROUP));
+        actor.subscribe(GROUP);
+        assert!(actor.is_subscribed(GROUP));
+    };
+
+    let mut net = DynamicNetwork::converged(
+        IdSpace::PAPER,
+        ring,
+        CamChordProtocol,
+        SEED,
+        LatencyModel::default_wan(),
+    );
+    let fresh = net.inject_join(joiner, CamChordProtocol).expect("fresh id");
+    let sent = net.sim.stats().sent;
+    for actor in [net.actors()[0].1, fresh] {
+        flip(net.sim.actor_mut(actor).expect("alive"));
+    }
+    assert!(!net.sim.actor(fresh).expect("alive").is_joined());
+    assert_eq!(net.sim.stats().sent, sent, "the sim host sent nothing");
+
+    let mut cluster = Cluster::converged(
+        IdSpace::PAPER,
+        ring,
+        CamChordProtocol,
+        SEED,
+        InMemoryTransport::new(N, SEED, LatencyModel::default_wan()),
+        RetransmitPolicy::default(),
+    );
+    let fresh = cluster.join(joiner).expect("a free endpoint");
+    let counters = cluster.counters();
+    for node in [0, fresh] {
+        flip(cluster.actor_mut(node).expect("alive"));
+    }
+    assert!(!cluster.node(fresh).actor().is_joined());
+    assert_eq!(
+        cluster.counters(),
+        counters,
+        "the wire host encoded nothing"
+    );
 }
 
 /// Anti-entropy digests leave group publishes out, so a digest partner
