@@ -76,7 +76,7 @@ fn main() -> ExitCode {
     );
     if let Some(path) = &trace_out {
         let started = std::time::Instant::now();
-        let rec = ext::resilience_trace(&opts);
+        let rec = ext::live::resilience_trace(&opts);
         eprint!("{}", rec.text_report());
         if let Err(e) = std::fs::write(path, rec.chrome_trace_json()) {
             eprintln!("error: could not write {path}: {e}");

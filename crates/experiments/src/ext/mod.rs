@@ -4,157 +4,18 @@
 //! proximity, the theorems against measurements, heavy-tailed bandwidth,
 //! tree stability and multi-group pub/sub.
 
-use cam_core::cam_chord::{CamChordProtocol, ChildSelection, ProximityCamChord};
+use cam_core::cam_chord::{ChildSelection, ProximityCamChord};
 use cam_core::cam_koorde::multicast::FloodEdges;
-use cam_core::cam_koorde::CamKoordeProtocol;
 use cam_core::SharedTree;
 use cam_core::{CamChord, CamKoorde};
-use cam_overlay::dynamic::{DhtProtocol, DynamicNetwork};
 use cam_overlay::StaticOverlay;
-use cam_sim::time::Duration;
-use cam_sim::LatencyModel;
 use cam_trace::Summary;
 use cam_workload::{CapacityAssignment, Scenario};
 
 use crate::runner::{parallel_sweep, sample_trees, Options};
 use crate::{DataSeries, DataTable};
 
-/// Ext-A: delivery ratio of a multicast started immediately after a crash
-/// of `f%` of the nodes, before stabilization has repaired anything, and
-/// again after letting maintenance run.
-///
-/// CAM-Chord's region-splitting trees lose whole subtree regions with each
-/// crashed internal node, while CAM-Koorde's flooding routes around
-/// failures — the redundancy/maintenance trade-off the paper discusses in
-/// Section 2 ("CAM-Koorde works better with relatively large frequency of
-/// membership change").
-pub fn resilience(opts: &Options) -> DataTable {
-    let n = opts.n.min(1_500); // event-level simulation: keep it tractable
-    let fractions = [0.0f64, 0.05, 0.10, 0.20, 0.30];
-    let mut table = DataTable::new(
-        "Ext-A: delivery ratio after crashing f of the nodes",
-        "crash_fraction",
-    );
-
-    let run_one = |region_split: bool, fraction: f64, seed: u64| -> (f64, f64) {
-        let members = Scenario::paper_default(seed).with_n(n).members();
-        let member_vec: Vec<_> = members.iter().collect();
-        let latency = LatencyModel::Uniform {
-            min: Duration::from_millis(20),
-            max: Duration::from_millis(80),
-        };
-        let (before, after) = if region_split {
-            let mut net = DynamicNetwork::converged(
-                members.space(),
-                &member_vec,
-                CamChordProtocol,
-                seed,
-                latency,
-            );
-            run_crash_multicast(&mut net, fraction, true, seed)
-        } else {
-            let mut net = DynamicNetwork::converged(
-                members.space(),
-                &member_vec,
-                CamKoordeProtocol,
-                seed,
-                latency,
-            );
-            run_crash_multicast(&mut net, fraction, false, seed)
-        };
-        (before, after)
-    };
-
-    let results = parallel_sweep(fractions.to_vec(), |&f| {
-        let seed = opts.sub_seed((f * 100.0) as u64);
-        (run_one(true, f, seed), run_one(false, f, seed + 1))
-    });
-
-    let mut chord_before = DataSeries::new("CAM-Chord (no repair)");
-    let mut chord_after = DataSeries::new("CAM-Chord (after repair)");
-    let mut koorde_before = DataSeries::new("CAM-Koorde (no repair)");
-    let mut koorde_after = DataSeries::new("CAM-Koorde (after repair)");
-    for (&f, ((cb, ca), (kb, ka))) in fractions.iter().zip(results) {
-        chord_before.push(f, cb);
-        chord_after.push(f, ca);
-        koorde_before.push(f, kb);
-        koorde_after.push(f, ka);
-    }
-    table.push(chord_before);
-    table.push(chord_after);
-    table.push(koorde_before);
-    table.push(koorde_after);
-    table
-}
-
-fn run_crash_multicast<P: DhtProtocol>(
-    net: &mut DynamicNetwork<P>,
-    fraction: f64,
-    region_split: bool,
-    seed: u64,
-) -> (f64, f64) {
-    let total = net.actors().len();
-    let source = net.actors()[0].1;
-    let victims = ((total - 1) as f64 * fraction).round() as usize;
-    net.kill_random(victims, source, seed ^ 0xDEAD);
-
-    // Multicast immediately: routing tables still contain the dead.
-    let payload1 = net.start_multicast(source, region_split);
-    net.sim.run_until(net.sim.now() + Duration::from_secs(20));
-    let before = net.delivery_ratio(payload1);
-
-    // Let stabilization repair rings and fingers, then multicast again.
-    // (~240 stabilize rounds: enough to drain even a 30%-crash backlog.)
-    net.sim.run_until(net.sim.now() + Duration::from_secs(120));
-    let payload2 = net.start_multicast(source, region_split);
-    net.sim.run_until(net.sim.now() + Duration::from_secs(20));
-    let after = net.delivery_ratio(payload2);
-    (before, after)
-}
-
-/// One Ext-A-style resilience run (20% crashes, multicast before and
-/// after stabilization repair) captured as a full event trace — the run
-/// behind `repro --trace-out`. Returns the tracer holding the recorded
-/// events plus a telemetry snapshot of the simulator's counters.
-pub fn resilience_trace(opts: &Options) -> cam_trace::RecordingTracer {
-    let n = opts.n.min(600);
-    let seed = opts.sub_seed(0xEA);
-    let members: Vec<_> = Scenario::paper_default(seed)
-        .with_n(n)
-        .members()
-        .iter()
-        .collect();
-    let latency = LatencyModel::Uniform {
-        min: Duration::from_millis(20),
-        max: Duration::from_millis(80),
-    };
-    let mut net = DynamicNetwork::converged(
-        cam_ring::IdSpace::PAPER,
-        &members,
-        CamChordProtocol,
-        seed,
-        latency,
-    );
-    net.sim
-        .set_tracer(Box::new(cam_trace::RecordingTracer::new()));
-    let (before, after) = run_crash_multicast(&mut net, 0.20, true, seed);
-
-    let stats = net.sim.stats();
-    let tracer = net.sim.tracer_mut();
-    tracer.counter_add("sim.messages_sent", stats.sent);
-    tracer.counter_add("sim.messages_delivered", stats.delivered);
-    tracer.counter_add("sim.messages_dropped", stats.dropped);
-    tracer.counter_add("sim.timer_firings", stats.timers);
-    tracer.counter_add("sim.events", stats.events);
-    // Delivery ratios as per-mille gauges (the registry is integral).
-    tracer.gauge_set("sim.delivery_before_permille", (before * 1000.0) as i64);
-    tracer.gauge_set("sim.delivery_after_permille", (after * 1000.0) as i64);
-    net.sim
-        .take_tracer()
-        .as_recording()
-        .cloned()
-        .expect("a recording tracer was installed above")
-}
+pub mod live;
 
 /// Ext-B: maintenance overhead — distinct overlay neighbors per node as
 /// capacity grows. CAM-Chord pays `O(c · log n / log c)`; CAM-Koorde pays
@@ -353,203 +214,6 @@ pub fn load_balance(opts: &Options) -> DataTable {
     table.push(shared_series);
     table.push(cam_series);
     table
-}
-
-/// Ext-F: multicast delivery while a Poisson churn trace (joins, leaves,
-/// crashes) plays against the live overlay — the "highly dynamic
-/// membership" setting of the paper's introduction.
-pub fn churn(opts: &Options) -> DataTable {
-    use cam_workload::ChurnTrace;
-    let n = opts.n.min(600);
-    let mut table = DataTable::new(
-        "Ext-F: delivery ratio under live churn (snapshot after each 10% of the trace)",
-        "trace_progress",
-    );
-
-    let run = |region_split: bool, seed: u64| -> Vec<(f64, f64)> {
-        let scenario = Scenario::paper_default(seed).with_n(n);
-        let members: Vec<_> = scenario.members().iter().collect();
-        let space = cam_ring::IdSpace::PAPER;
-        let latency = LatencyModel::Uniform {
-            min: Duration::from_millis(20),
-            max: Duration::from_millis(80),
-        };
-        // Joining members draw from the scenario's configured workload,
-        // so churn cannot silently skew bandwidths or capacities.
-        let trace = ChurnTrace::generate_with(
-            space,
-            &members,
-            120,
-            400_000.0,
-            0.5,
-            seed ^ 0xF,
-            &scenario.bandwidth,
-            &scenario.capacity,
-        );
-        let mut deliveries = Vec::new();
-        if region_split {
-            let mut net = DynamicNetwork::converged(
-                space,
-                &members,
-                CamChordProtocol,
-                seed,
-                latency.clone(),
-            );
-            play_trace(&mut net, &trace, true, &mut deliveries, CamChordProtocol);
-        } else {
-            let mut net = DynamicNetwork::converged(
-                space,
-                &members,
-                CamKoordeProtocol,
-                seed,
-                latency.clone(),
-            );
-            play_trace(&mut net, &trace, false, &mut deliveries, CamKoordeProtocol);
-        }
-        deliveries
-            .iter()
-            .enumerate()
-            .map(|(i, ratio)| ((i + 1) as f64 * 10.0, *ratio))
-            .collect()
-    };
-
-    let mut chord = DataSeries::new("CAM-Chord");
-    for (x, y) in run(true, opts.sub_seed(0xF1)) {
-        chord.push(x, y);
-    }
-    let mut koorde = DataSeries::new("CAM-Koorde");
-    for (x, y) in run(false, opts.sub_seed(0xF2)) {
-        koorde.push(x, y);
-    }
-    table.push(chord);
-    table.push(koorde);
-    table
-}
-
-fn play_trace<P: DhtProtocol>(
-    net: &mut DynamicNetwork<P>,
-    trace: &cam_workload::ChurnTrace,
-    region_split: bool,
-    deliveries: &mut Vec<f64>,
-    protocol: P,
-) {
-    use cam_workload::ChurnKind;
-    let chunk = trace.events.len() / 10;
-    for (i, event) in trace.events.iter().enumerate() {
-        let at = cam_sim::time::SimTime(event.at_micros);
-        if at > net.sim.now() {
-            net.sim.run_until(at);
-        }
-        match event.kind {
-            ChurnKind::Join(member) => {
-                let _ = net.inject_join(member, protocol.clone());
-            }
-            ChurnKind::Leave(id) | ChurnKind::Crash(id) => {
-                let _ = net.remove_member(id);
-            }
-        }
-        if chunk > 0 && (i + 1) % chunk == 0 {
-            // Let maintenance breathe briefly, then snapshot delivery from
-            // a random live source.
-            net.sim.run_until(net.sim.now() + Duration::from_secs(5));
-            let source = net
-                .actors()
-                .iter()
-                .map(|(_, a)| *a)
-                .find(|a| net.sim.is_alive(*a))
-                .expect("some member survives");
-            let payload = net.start_multicast(source, region_split);
-            net.sim.run_until(net.sim.now() + Duration::from_secs(10));
-            deliveries.push(net.delivery_ratio(payload));
-        }
-    }
-}
-
-/// Ext-H: multicast delivery under random per-message loss — the
-/// "reliable delivery" concern of Section 1. Region-splitting trees lose
-/// an entire subtree per dropped control message; flooding's redundant
-/// edges mask most losses; anti-entropy pull gossip (pbcast-style, see
-/// `DhtActor::set_anti_entropy`) converges either system back to full
-/// delivery.
-pub fn loss(opts: &Options) -> DataTable {
-    let n = opts.n.min(1_000);
-    let rates = [0.0f64, 0.01, 0.02, 0.05, 0.10];
-    let mut table = DataTable::new(
-        "Ext-H: delivery ratio vs per-message loss probability",
-        "loss_probability",
-    );
-    let results = parallel_sweep(rates.to_vec(), |&rate| {
-        let seed = opts.sub_seed((rate * 1000.0) as u64);
-        let members: Vec<_> = Scenario::paper_default(seed)
-            .with_n(n)
-            .members()
-            .iter()
-            .collect();
-        let latency = LatencyModel::Uniform {
-            min: Duration::from_millis(20),
-            max: Duration::from_millis(80),
-        };
-        let space = cam_ring::IdSpace::PAPER;
-        let run = |region_split: bool, repair: bool| -> f64 {
-            let mut ratios = Vec::new();
-            if region_split {
-                let mut net = DynamicNetwork::converged(
-                    space,
-                    &members,
-                    CamChordProtocol,
-                    seed,
-                    latency.clone(),
-                );
-                net.sim.set_loss_probability(rate);
-                if repair {
-                    net.enable_anti_entropy();
-                }
-                measure_loss(&mut net, true, repair, &mut ratios);
-            } else {
-                let mut net = DynamicNetwork::converged(
-                    space,
-                    &members,
-                    CamKoordeProtocol,
-                    seed,
-                    latency.clone(),
-                );
-                net.sim.set_loss_probability(rate);
-                if repair {
-                    net.enable_anti_entropy();
-                }
-                measure_loss(&mut net, false, repair, &mut ratios);
-            }
-            ratios.iter().sum::<f64>() / ratios.len() as f64
-        };
-        (run(true, false), run(false, false), run(true, true))
-    });
-    let mut chord = DataSeries::new("CAM-Chord (region trees)");
-    let mut koorde = DataSeries::new("CAM-Koorde (flooding)");
-    let mut repaired = DataSeries::new("CAM-Chord + anti-entropy");
-    for (&rate, (c, k, r)) in rates.iter().zip(results) {
-        chord.push(rate, c);
-        koorde.push(rate, k);
-        repaired.push(rate, r);
-    }
-    table.push(chord);
-    table.push(koorde);
-    table.push(repaired);
-    table
-}
-
-fn measure_loss<P: DhtProtocol>(
-    net: &mut DynamicNetwork<P>,
-    region_split: bool,
-    repair_window: bool,
-    ratios: &mut Vec<f64>,
-) {
-    let source = net.actors()[0].1;
-    for _ in 0..3 {
-        let payload = net.start_multicast(source, region_split);
-        let wait = if repair_window { 60 } else { 15 };
-        net.sim.run_until(net.sim.now() + Duration::from_secs(wait));
-        ratios.push(net.delivery_ratio(payload));
-    }
 }
 
 /// Ext-I: the paper's Theorems 1–6 as curves next to measurements — the
@@ -894,28 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn resilience_flooding_beats_region_split_under_crashes() {
-        let mut opts = tiny();
-        opts.n = 300;
-        let table = resilience(&opts);
-        let chord = table.series_named("CAM-Chord (no repair)").unwrap();
-        let koorde = table.series_named("CAM-Koorde (no repair)").unwrap();
-        // With no failures both deliver everywhere.
-        assert!(chord.y_near(0.0).unwrap() > 0.999);
-        assert!(koorde.y_near(0.0).unwrap() > 0.999);
-        // At 20% crashes, flooding shows more redundancy than region trees.
-        let c20 = chord.y_near(0.2).unwrap();
-        let k20 = koorde.y_near(0.2).unwrap();
-        assert!(
-            k20 >= c20,
-            "flooding ({k20:.3}) should be at least as robust as region trees ({c20:.3})"
-        );
-        // Repair brings CAM-Chord back up.
-        let repaired = table.series_named("CAM-Chord (after repair)").unwrap();
-        assert!(repaired.y_near(0.2).unwrap() >= c20);
-    }
-
-    #[test]
     fn overhead_chord_exceeds_koorde() {
         let mut opts = tiny();
         opts.n = 800;
@@ -957,20 +599,6 @@ mod tests {
         );
         // Max load: shared tree's hottest node far above the CAM's.
         assert!(shared.y_near(100.0).unwrap() > cam.y_near(100.0).unwrap());
-    }
-
-    #[test]
-    fn churn_keeps_delivery_high() {
-        let mut opts = tiny();
-        opts.n = 250;
-        let table = churn(&opts);
-        for name in ["CAM-Chord", "CAM-Koorde"] {
-            let s = table.series_named(name).unwrap();
-            assert!(!s.points.is_empty());
-            let mean: f64 =
-                s.points.iter().map(|&(_, y)| y).sum::<f64>() / s.points.len() as f64;
-            assert!(mean > 0.80, "{name}: mean delivery {mean:.3} under churn");
-        }
     }
 
     #[test]
@@ -1022,28 +650,6 @@ mod tests {
             heavy > uniform,
             "heavier tail should widen the gap: {heavy:.2} vs {uniform:.2}"
         );
-    }
-
-    #[test]
-    fn loss_flooding_degrades_gracefully() {
-        let mut opts = tiny();
-        opts.n = 250;
-        let table = loss(&opts);
-        let chord = table.series_named("CAM-Chord (region trees)").unwrap();
-        let koorde = table.series_named("CAM-Koorde (flooding)").unwrap();
-        // No loss → full delivery for both.
-        assert!(chord.y_near(0.0).unwrap() > 0.999);
-        assert!(koorde.y_near(0.0).unwrap() > 0.999);
-        // At 5% loss flooding holds up better than region trees.
-        let c = chord.y_near(0.05).unwrap();
-        let k = koorde.y_near(0.05).unwrap();
-        assert!(k >= c, "flooding {k:.3} should be ≥ region trees {c:.3}");
-        assert!(k > 0.9, "flooding should mask 5% loss: {k:.3}");
-        // Anti-entropy converges region trees back to ~full delivery even
-        // at 10% loss.
-        let repaired = table.series_named("CAM-Chord + anti-entropy").unwrap();
-        let r = repaired.y_near(0.10).unwrap();
-        assert!(r > 0.99, "anti-entropy should repair losses: {r:.3}");
     }
 
     #[test]

@@ -60,14 +60,14 @@ pub const FIGURES: &[(&str, Figure)] = &[
     ("fig9", fig9::run),
     ("fig10", fig10::run),
     ("fig11", fig11::run),
-    ("resilience", ext::resilience),
+    ("resilience", ext::live::resilience),
     ("overhead", ext::overhead),
     ("ablation", ext::ablation),
     ("lookup", ext::lookup_hops),
     ("load", ext::load_balance),
-    ("churn", ext::churn),
+    ("churn", ext::live::churn),
     ("proximity", ext::proximity),
-    ("loss", ext::loss),
+    ("loss", ext::live::loss),
     ("theory", ext::theory),
     ("heterogeneity", ext::heterogeneity),
     ("stability", ext::tree_stability),
