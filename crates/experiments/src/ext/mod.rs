@@ -23,7 +23,7 @@ pub mod live;
 pub fn overhead(opts: &Options) -> DataTable {
     let mut table = DataTable::new("Ext-B: routing-table size vs node capacity", "capacity");
     let capacities: Vec<u32> = vec![4, 8, 16, 32, 64, 100];
-    let results = parallel_sweep(capacities.clone(), |&c| {
+    let rows = parallel_sweep(capacities, |&c| {
         let group = Scenario::paper_default(opts.sub_seed(u64::from(c)))
             .with_n(opts.n)
             .with_capacity(CapacityAssignment::Constant(c))
@@ -37,16 +37,9 @@ pub fn overhead(opts: &Options) -> DataTable {
             sc.record(chord.neighbor_count(m) as f64);
             sk.record(koorde.neighbor_count(m) as f64);
         }
-        (sc.mean(), sk.mean())
+        (f64::from(c), [sc.mean(), sk.mean()])
     });
-    let mut chord = DataSeries::new("CAM-Chord neighbors");
-    let mut koorde = DataSeries::new("CAM-Koorde neighbors");
-    for (&c, (nc, nk)) in capacities.iter().zip(results) {
-        chord.push(f64::from(c), nc);
-        koorde.push(f64::from(c), nk);
-    }
-    table.push(chord);
-    table.push(koorde);
+    table.push_rows(["CAM-Chord neighbors", "CAM-Koorde neighbors"], rows);
     table
 }
 
@@ -111,37 +104,30 @@ pub fn lookup_hops(opts: &Options) -> DataTable {
     };
     let mut table = DataTable::new("Ext-D: average lookup hops vs group size", "n");
     let trials = 300usize;
-    let results = parallel_sweep(sizes.clone(), |&n| {
+    let rows = parallel_sweep(sizes, |&n| {
         let group = Scenario::paper_default(opts.sub_seed(n as u64))
             .with_n(n)
             .members();
-        let overlays: Vec<Box<dyn StaticOverlay>> = vec![
+        let overlays: [Box<dyn StaticOverlay>; 4] = [
             Box::new(CamChord::new(group.clone())),
             Box::new(CamKoorde::new(group.clone())),
             Box::new(chord_overlay::Chord::new(group.clone(), 2)),
             Box::new(koorde_overlay::Koorde::new(group.clone(), 8)),
         ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(opts.sub_seed(n as u64 + 1));
-        let mut means = Vec::new();
-        for o in &overlays {
+        let means = overlays.map(|o| {
             let mut sum = 0u64;
             for _ in 0..trials {
                 let origin = rng.gen_range(0..n);
                 let key = cam_ring::Id(rng.gen_range(0..group.space().size()));
                 sum += u64::from(o.lookup(origin, key).hops());
             }
-            means.push(sum as f64 / trials as f64);
-        }
-        means
+            sum as f64 / trials as f64
+        });
+        (n as f64, means)
     });
     let names = ["CAM-Chord", "CAM-Koorde", "Chord (base 2)", "Koorde (k=8)"];
-    for (i, name) in names.iter().enumerate() {
-        let mut s = DataSeries::new(*name);
-        for (&n, means) in sizes.iter().zip(&results) {
-            s.push(n as f64, means[i]);
-        }
-        table.push(s);
-    }
+    table.push_rows(names, rows);
     table
 }
 
@@ -205,14 +191,11 @@ pub fn load_balance(opts: &Options) -> DataTable {
         ),
         "percentile",
     );
-    let mut shared_series = DataSeries::new("shared tree (§5.1 tree-building)");
-    let mut cam_series = DataSeries::new("per-source trees (CAM)");
-    for ((&p, s), c) in percentiles.iter().zip(shared_stats).zip(cam_stats) {
-        shared_series.push(p, s);
-        cam_series.push(p, c);
-    }
-    table.push(shared_series);
-    table.push(cam_series);
+    let rows = percentiles.iter().zip(shared_stats).zip(cam_stats);
+    table.push_rows(
+        ["shared tree (§5.1 tree-building)", "per-source trees (CAM)"],
+        rows.map(|((&p, s), c)| (p, [s, c])),
+    );
     table
 }
 
@@ -227,7 +210,7 @@ pub fn theory(opts: &Options) -> DataTable {
     );
     let capacities: Vec<u32> = vec![4, 6, 8, 12, 20, 40, 80];
     let n = opts.n;
-    let results = parallel_sweep(capacities.clone(), |&mean_c| {
+    let rows = parallel_sweep(capacities, |&mean_c| {
         let hi = if mean_c <= 4 { 4 } else { 2 * mean_c - 4 };
         let group = Scenario::paper_default(opts.sub_seed(u64::from(mean_c) + 0x71))
             .with_n(n)
@@ -246,22 +229,17 @@ pub fn theory(opts: &Options) -> DataTable {
             .mean();
         let t_chord = theory::expected_cam_chord_path(n, &caps);
         let t_koorde = theory::expected_cam_koorde_path((n as f64).log2(), &caps);
-        (chord, t_chord, koorde, t_koorde)
+        (f64::from(mean_c), [chord, t_chord, koorde, t_koorde])
     });
-    let mut mc = DataSeries::new("CAM-Chord measured");
-    let mut tc = DataSeries::new("CAM-Chord theory (Thm 3)");
-    let mut mk = DataSeries::new("CAM-Koorde measured");
-    let mut tk = DataSeries::new("CAM-Koorde theory (Thm 5)");
-    for (&c, (m1, t1, m2, t2)) in capacities.iter().zip(results) {
-        mc.push(f64::from(c), m1);
-        tc.push(f64::from(c), t1);
-        mk.push(f64::from(c), m2);
-        tk.push(f64::from(c), t2);
-    }
-    table.push(mc);
-    table.push(tc);
-    table.push(mk);
-    table.push(tk);
+    table.push_rows(
+        [
+            "CAM-Chord measured",
+            "CAM-Chord theory (Thm 3)",
+            "CAM-Koorde measured",
+            "CAM-Koorde theory (Thm 5)",
+        ],
+        rows,
+    );
     table
 }
 
@@ -282,12 +260,7 @@ pub fn tree_stability(opts: &Options) -> DataTable {
         .members();
     let mut rng = rand::rngs::StdRng::seed_from_u64(opts.sub_seed(0xB2));
 
-    let mut chord_join = DataSeries::new("CAM-Chord join");
-    let mut chord_leave = DataSeries::new("CAM-Chord leave");
-    let mut koorde_join = DataSeries::new("CAM-Koorde join");
-    let mut koorde_leave = DataSeries::new("CAM-Koorde leave");
-
-    for t in 0..trials {
+    let rows = (0..trials).map(|t| {
         let source_id = base.member(rng.gen_range(0..base.len())).id;
         // Join: a fresh random member.
         let newcomer = loop {
@@ -309,28 +282,18 @@ pub fn tree_stability(opts: &Options) -> DataTable {
             }
         };
         let left = base.removed(leaver).expect("non-empty");
-
-        chord_join.push(
-            t as f64,
-            parent_churn(CamChord::new, &base, &joined, source_id),
-        );
-        chord_leave.push(
-            t as f64,
-            parent_churn(CamChord::new, &base, &left, source_id),
-        );
-        koorde_join.push(
-            t as f64,
-            parent_churn(CamKoorde::new, &base, &joined, source_id),
-        );
-        koorde_leave.push(
-            t as f64,
-            parent_churn(CamKoorde::new, &base, &left, source_id),
-        );
-    }
-    table.push(chord_join);
-    table.push(chord_leave);
-    table.push(koorde_join);
-    table.push(koorde_leave);
+        let chord = |g| parent_churn(CamChord::new, &base, g, source_id);
+        let koorde = |g| parent_churn(CamKoorde::new, &base, g, source_id);
+        let changed = [chord(&joined), chord(&left), koorde(&joined), koorde(&left)];
+        (t as f64, changed)
+    });
+    let names = [
+        "CAM-Chord join",
+        "CAM-Chord leave",
+        "CAM-Koorde join",
+        "CAM-Koorde leave",
+    ];
+    table.push_rows(names, rows);
     table
 }
 
@@ -406,14 +369,6 @@ pub fn heterogeneity(opts: &Options) -> DataTable {
             .mean();
         (a, o)
     });
-    let mut aware_s = DataSeries::new("capacity-aware (kbps)");
-    let mut obliv_s = DataSeries::new("capacity-oblivious (kbps)");
-    let mut ratio_s = DataSeries::new("improvement ratio");
-    for (i, (a, o)) in results.into_iter().enumerate() {
-        aware_s.push(i as f64, a);
-        obliv_s.push(i as f64, o);
-        ratio_s.push(i as f64, a / o);
-    }
     table.title = format!(
         "Ext-J heterogeneity: {}",
         cases
@@ -423,9 +378,15 @@ pub fn heterogeneity(opts: &Options) -> DataTable {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    table.push(aware_s);
-    table.push(obliv_s);
-    table.push(ratio_s);
+    let rows = results.into_iter().enumerate();
+    table.push_rows(
+        [
+            "capacity-aware (kbps)",
+            "capacity-oblivious (kbps)",
+            "improvement ratio",
+        ],
+        rows.map(|(i, (a, o))| (i as f64, [a, o, a / o])),
+    );
     table
 }
 
@@ -453,25 +414,23 @@ pub fn proximity(opts: &Options) -> DataTable {
         "Ext-G: proximity neighbor selection — mean path delay and hops per source",
         "source_index",
     );
-    let mut plain_ms = DataSeries::new("plain delay (ms)");
-    let mut prox_ms = DataSeries::new("proximity delay (ms)");
-    let mut plain_hops = DataSeries::new("plain hops");
-    let mut prox_hops = DataSeries::new("proximity hops");
     let mut rng2 = rand::rngs::StdRng::seed_from_u64(opts.sub_seed(0xA3));
-    for i in 0..opts.sources.max(3) {
+    let rows = (0..opts.sources.max(3)).map(|i| {
         let src = rng2.gen_range(0..n);
         let pt = prox.multicast_tree(src);
         let bt = plain.multicast_tree(src);
         debug_assert!(pt.is_complete() && bt.is_complete());
-        prox_ms.push(i as f64, prox.mean_path_delay_ms(&pt));
-        plain_ms.push(i as f64, prox.mean_path_delay_ms(&bt));
-        prox_hops.push(i as f64, pt.stats().avg_path_len);
-        plain_hops.push(i as f64, bt.stats().avg_path_len);
-    }
-    table.push(plain_ms);
-    table.push(prox_ms);
-    table.push(plain_hops);
-    table.push(prox_hops);
+        let (prox_ms, plain_ms) = (prox.mean_path_delay_ms(&pt), prox.mean_path_delay_ms(&bt));
+        let (prox_hops, plain_hops) = (pt.stats().avg_path_len, bt.stats().avg_path_len);
+        (i as f64, [plain_ms, prox_ms, plain_hops, prox_hops])
+    });
+    let names = [
+        "plain delay (ms)",
+        "proximity delay (ms)",
+        "plain hops",
+        "proximity hops",
+    ];
+    table.push_rows(names, rows);
     table
 }
 
@@ -498,10 +457,7 @@ pub fn multigroup(opts: &Options) -> DataTable {
         format!("Ext-L: multi-group pub/sub over a shared {n}-node universe"),
         "groups",
     );
-    let mut delivery = DataSeries::new("mean per-group delivery ratio");
-    let mut admitted_frac = DataSeries::new("admitted subscription fraction");
-    let mut jain_load = DataSeries::new("jain index of per-node child load");
-    for &groups in &group_counts {
+    let rows = group_counts.map(|groups| {
         let universe = Scenario::paper_default(opts.sub_seed(0xF1))
             .with_n(n)
             .members();
@@ -536,13 +492,18 @@ pub fn multigroup(opts: &Options) -> DataTable {
         let ratios = census.ratios();
         let mean_ratio = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
         let load: Vec<f64> = (0..n).map(|i| f64::from(reg.ledger().charged(i))).collect();
-        delivery.push(groups as f64, mean_ratio);
-        admitted_frac.push(groups as f64, admitted as f64 / attempts.max(1) as f64);
-        jain_load.push(groups as f64, crate::fairness::jain(&load));
-    }
-    table.push(delivery);
-    table.push(admitted_frac);
-    table.push(jain_load);
+        let admitted_frac = admitted as f64 / attempts.max(1) as f64;
+        let jain_load = crate::fairness::jain(&load);
+        (groups as f64, [mean_ratio, admitted_frac, jain_load])
+    });
+    table.push_rows(
+        [
+            "mean per-group delivery ratio",
+            "admitted subscription fraction",
+            "jain index of per-node child load",
+        ],
+        rows,
+    );
     table
 }
 

@@ -8,10 +8,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
-
 /// One named curve: `(x, y)` points in x order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataSeries {
     /// Legend label (e.g. "CAM-Chord").
     pub name: String,
@@ -35,7 +33,7 @@ impl DataSeries {
 }
 
 /// A figure's worth of series sharing one x-axis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataTable {
     /// Table title (e.g. "Figure 6: throughput vs average children").
     pub title: String,
@@ -58,6 +56,22 @@ impl DataTable {
     /// Adds a series.
     pub fn push(&mut self, series: DataSeries) {
         self.series.push(series);
+    }
+
+    /// Adds one series per name, filled row by row: the row `(x, ys)`
+    /// puts the point `(x, ys[i])` on series `i`.
+    pub fn push_rows<const K: usize>(
+        &mut self,
+        names: [&str; K],
+        rows: impl IntoIterator<Item = (f64, [f64; K])>,
+    ) {
+        let mut series = names.map(DataSeries::new);
+        for (x, ys) in rows {
+            for (s, y) in series.iter_mut().zip(ys) {
+                s.push(x, y);
+            }
+        }
+        self.series.extend(series);
     }
 
     /// All distinct x values across series, ascending.

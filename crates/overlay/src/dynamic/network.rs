@@ -12,7 +12,10 @@ use super::{converged_actors, host, DhtActor, DhtProtocol};
 use crate::Member;
 
 /// A harness owning a simulation of [`DhtActor`]s plus the id → actor
-/// directory, with convenience operations for the churn experiments.
+/// directory: the simulator host, with no frame layer and so no acks.
+/// The chaos harness's `[sim]` host, the benchmark's `sim_*` workloads
+/// and the sim-vs-wire parity tests run on it; the live extension
+/// experiments run on the deployment host, `cam_net::Cluster`.
 pub struct DynamicNetwork<P: DhtProtocol> {
     /// The underlying event simulation.
     pub sim: Simulation<DhtActor<P>>,
