@@ -63,19 +63,24 @@ fn paper_members(n: usize, seed: u64) -> Vec<Member> {
 /// membership change"). Acknowledgements do not change this: a crashed
 /// child never acks, and its retransmissions reach no one.
 pub fn resilience(opts: &Options) -> DataTable {
-    let n = opts.n.min(1_500); // event-level simulation: keep it tractable
+    let n = opts.n.min(1_500); // every frame is an event: keep it tractable
     let fractions = [0.0f64, 0.05, 0.10, 0.20, 0.30];
     let mut table = DataTable::new(
         "Ext-A: delivery ratio after crashing f of the nodes",
         "crash_fraction",
     );
 
-    let rows = parallel_sweep(fractions.to_vec(), |&f| {
+    // One sweep item per run, not per row: each run costs seconds, and
+    // finer items keep every worker busy to the end.
+    let runs = fractions.iter().flat_map(|&f| [(f, true), (f, false)]);
+    let results = parallel_sweep(runs.collect(), |&(f, chord)| {
         let seed = opts.sub_seed((f * 100.0) as u64);
-        let (chord_before, chord_after) = crash_run(CamChordProtocol, true, n, f, seed);
-        let (koorde_before, koorde_after) = crash_run(CamKoordeProtocol, false, n, f, seed + 1);
-        (f, [chord_before, chord_after, koorde_before, koorde_after])
+        match chord {
+            true => crash_run(CamChordProtocol, true, n, f, seed),
+            false => crash_run(CamKoordeProtocol, false, n, f, seed + 1),
+        }
     });
+    let rows = fractions.iter().zip(results.chunks_exact(2));
     table.push_rows(
         [
             "CAM-Chord (no repair)",
@@ -83,7 +88,7 @@ pub fn resilience(opts: &Options) -> DataTable {
             "CAM-Koorde (no repair)",
             "CAM-Koorde (after repair)",
         ],
-        rows,
+        rows.map(|(&f, r)| (f, [r[0].0, r[0].1, r[1].0, r[1].1])),
     );
     table
 }
@@ -105,7 +110,7 @@ fn crash_run<P: DhtProtocol>(
 ///
 /// # Panics
 ///
-/// Panics if the cluster does not hold exactly the survivors afterwards.
+/// Panics if the crash step leaves any drawn victim alive.
 fn crash_multicast<P: DhtProtocol>(
     cluster: &mut Cluster<P, InMemoryTransport>,
     fraction: f64,
@@ -174,12 +179,14 @@ pub fn churn(opts: &Options) -> DataTable {
         "Ext-F: delivery ratio under live churn (snapshot after each 10% of the trace)",
         "trace_progress",
     );
-    let chord = churn_run(CamChordProtocol, true, n, opts.sub_seed(0xF1));
-    let koorde = churn_run(CamKoordeProtocol, false, n, opts.sub_seed(0xF2));
-    let rows = chord.into_iter().zip(koorde).enumerate();
+    let runs = parallel_sweep(vec![true, false], |&chord| match chord {
+        true => churn_run(CamChordProtocol, true, n, opts.sub_seed(0xF1)),
+        false => churn_run(CamKoordeProtocol, false, n, opts.sub_seed(0xF2)),
+    });
+    let rows = runs[0].iter().zip(&runs[1]).enumerate();
     table.push_rows(
         ["CAM-Chord", "CAM-Koorde"],
-        rows.map(|(i, (c, k))| ((i + 1) as f64 * 10.0, [c, k])),
+        rows.map(|(i, (&c, &k))| ((i + 1) as f64 * 10.0, [c, k])),
     );
     table
 }
@@ -279,20 +286,27 @@ pub fn loss(opts: &Options) -> DataTable {
         "Ext-H: delivery ratio vs per-message loss probability",
         "loss_probability",
     );
-    let rows = parallel_sweep(rates.to_vec(), |&rate| {
+    // One sweep item per cell, as in Ext-A: column 0 is region trees,
+    // 1 flooding, 2 region trees with anti-entropy.
+    let cells = rates
+        .iter()
+        .flat_map(|&rate| (0..3).map(move |col| (rate, col)));
+    let results = parallel_sweep(cells.collect(), |&(rate, col)| {
         let seed = opts.sub_seed((rate * 1000.0) as u64);
         let members = paper_members(n, seed);
-        let chord = |repair| loss_run(CamChordProtocol, true, &members, seed, rate, repair);
-        let koorde = |repair| loss_run(CamKoordeProtocol, false, &members, seed, rate, repair);
-        (rate, [chord(false), koorde(false), chord(true)])
+        match col {
+            1 => loss_run(CamKoordeProtocol, false, &members, seed, rate, false),
+            _ => loss_run(CamChordProtocol, true, &members, seed, rate, col == 2),
+        }
     });
+    let rows = rates.iter().zip(results.chunks_exact(3));
     table.push_rows(
         [
             "CAM-Chord (region trees)",
             "CAM-Koorde (flooding)",
             "CAM-Chord + anti-entropy",
         ],
-        rows,
+        rows.map(|(&rate, r)| (rate, [r[0], r[1], r[2]])),
     );
     table
 }
@@ -339,16 +353,9 @@ fn loss_run<P: DhtProtocol>(
 mod tests {
     use super::*;
 
-    fn tiny() -> Options {
-        let mut o = Options::quick();
-        o.n = 400;
-        o.sources = 2;
-        o
-    }
-
     #[test]
     fn resilience_flooding_beats_region_split_under_crashes() {
-        let mut opts = tiny();
+        let mut opts = Options::quick();
         opts.n = 300;
         let table = resilience(&opts);
         let chord = table.series_named("CAM-Chord (no repair)").unwrap();
@@ -370,7 +377,7 @@ mod tests {
 
     #[test]
     fn churn_keeps_delivery_high() {
-        let mut opts = tiny();
+        let mut opts = Options::quick();
         opts.n = 250;
         let table = churn(&opts);
         for name in ["CAM-Chord", "CAM-Koorde"] {
@@ -384,7 +391,7 @@ mod tests {
 
     #[test]
     fn loss_flooding_degrades_gracefully() {
-        let mut opts = tiny();
+        let mut opts = Options::quick();
         opts.n = 250;
         let table = loss(&opts);
         let chord = table.series_named("CAM-Chord (region trees)").unwrap();
